@@ -3,7 +3,9 @@
 
 Tables land in the package data directory and ship with the wheel; this
 script only needs rerunning when the grid, sample count, or seed policy
-changes. Building the q=256 table takes a few minutes on one core.
+changes. Building the q=128 or q=256 table takes a few minutes on one
+core. Density evolution only loads these files; an order without one
+is an error that points here.
 """
 
 import argparse
@@ -17,7 +19,7 @@ from hybridldpc.density_evolution import JTable, _table_dir
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--orders", type=int, nargs="+",
-                    default=[2, 4, 8, 16, 32, 64, 256])
+                    default=[2, 4, 8, 16, 32, 64, 128, 256])
     ap.add_argument("--force", action="store_true", help="rebuild existing tables")
     args = ap.parse_args()
 

@@ -25,11 +25,11 @@ from hybridldpc.channel import ChannelParams
 from hybridldpc.density_evolution import threshold_search
 from hybridldpc.ensembles import Ensemble, node_proportions
 from hybridldpc.optimization import (
-    best_sigma_gamma,
-    best_sigma_lambda,
-    binary_info_gamma,
-    optimize_lambda,
     OptimizationError,
+    best_sigma,
+    binary_info_gamma,
+    optimize_gamma,
+    optimize_lambda,
 )
 
 FIXTURE_DIR = os.path.join(
@@ -60,8 +60,9 @@ def summarize(name: str, ens: Ensemble, sigma: float) -> dict:
 def design_r12_hybrid(max_degree: int) -> tuple[Ensemble, float]:
     profile = binary_info_gamma(max_degree, 8)
     rho = {14: 0.7, 15: 0.3}
-    d = best_sigma_lambda(profile, rho, rate_min=0.5, lo=0.6, hi=1.4,
-                          equality=True, name="hybrid-g8-g2-r12")
+    d = best_sigma(lambda s: optimize_lambda(profile, rho, s, rate_eq=0.5,
+                                             name="hybrid-g8-g2-r12"),
+                   lo=0.6, hi=1.4)
     log("  lambda: %s" % {i: round(v, 4) for i, v in d.lambda_.items()})
     log("  design sigma %.4f rate %.4f" % (d.sigma, d.rate))
     return d.ensemble, d.sigma
@@ -72,9 +73,11 @@ def design_r12_binary(max_degree: int) -> tuple[Ensemble, float]:
     best = None
     for rho in ({8: 1.0}, {8: 0.5, 9: 0.5}, {9: 1.0}, {9: 0.5, 10: 0.5}):
         try:
-            d = best_sigma_lambda(profile, rho, rate_min=0.5, lo=0.6, hi=1.3,
-                                  allow_binary_degree2=True,
-                                  name="binary-irregular-r12")
+            d = best_sigma(
+                lambda s: optimize_lambda(profile, rho, s, rate_min=0.5,
+                                          allow_binary_degree2=True,
+                                          name="binary-irregular-r12"),
+                lo=0.6, hi=1.3)
         except OptimizationError:
             continue
         if best is None or d.sigma > best.sigma:
@@ -94,9 +97,10 @@ def design_r12_gf8() -> tuple[Ensemble, float]:
 
 
 def design_r16_hybrid() -> tuple[Ensemble, float]:
-    d = best_sigma_gamma(2, 3, [8, 16, 256], rate_min=1.0 / 6.0,
-                         lo=1.3, hi=2.2, equality=True,
-                         name="hybrid-g256-g16-g8-r16")
+    d = best_sigma(lambda s: optimize_gamma(2, 3, [8, 16, 256], s,
+                                            rate_eq=1.0 / 6.0,
+                                            name="hybrid-g256-g16-g8-r16"),
+                   lo=1.3, hi=2.2)
     log("  gamma: %s" % {k: round(v, 4) for k, v in d.gamma.items()})
     log("  design sigma %.4f rate %.4f" % (d.sigma, d.rate))
     return d.ensemble, d.sigma

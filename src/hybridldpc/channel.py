@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hybridldpc.groups import bits_per_symbol, validate_order
+from hybridldpc.groups import bits_per_symbol
 
 # Channel bit LLR clip: keeps exp/log finite for symbol LLRs built from
 # bits. 50 is about 16 sigma out at the worst operating points used here,
@@ -31,7 +31,7 @@ from hybridldpc.groups import bits_per_symbol, validate_order
 # around component 0 would not.
 LLR_CLIP = 50.0
 
-__all__ = ["ChannelParams", "SymbolLlr", "LLR_CLIP", "transmit", "bit_llr", "symbol_llr", "symbol_llr_array"]
+__all__ = ["ChannelParams", "LLR_CLIP", "transmit", "bit_llr", "symbol_llr_array"]
 
 
 @dataclass(frozen=True)
@@ -76,25 +76,6 @@ def bit_llr(y: np.ndarray, params: ChannelParams) -> np.ndarray:
     return (2.0 / params.noise_var) * np.asarray(y, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class SymbolLlr:
-    """Symbolwise LLR vector: values[a-1] = log(P(0)/P(a)) for nonzero a."""
-
-    order: int
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        validate_order(self.order)
-        if len(self.values) != self.order - 1:
-            raise ValueError(
-                f"expected {self.order - 1} components, got {len(self.values)}"
-            )
-
-    def full(self) -> np.ndarray:
-        """All q components including the zero at index 0."""
-        return np.concatenate([[0.0], np.asarray(self.values, dtype=np.float64)])
-
-
 def symbol_llr_array(bit_llrs: np.ndarray, order: int) -> np.ndarray:
     """Symbol LLR components for batched bit LLRs.
 
@@ -113,8 +94,3 @@ def symbol_llr_array(bit_llrs: np.ndarray, order: int) -> np.ndarray:
     selector = ((a[:, None] >> np.arange(p)[None, :]) & 1).astype(np.float64)
     return bit_llrs @ selector.T
 
-
-def symbol_llr(bit_llrs: np.ndarray, order: int) -> SymbolLlr:
-    """Symbol LLR vector of one symbol from its p bit LLRs."""
-    full = symbol_llr_array(np.asarray(bit_llrs, dtype=np.float64), order)
-    return SymbolLlr(order, tuple(full[1:]))

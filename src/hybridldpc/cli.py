@@ -19,14 +19,7 @@ from .codec import Decoder, channel_llrs, encode
 from .construction import build_code, load_code, save_code
 from .density_evolution import threshold_search
 from .ensembles import Ensemble
-from .groups import bits_per_symbol
-from .optimization import (
-    ConstraintGrid,
-    best_sigma_gamma,
-    best_sigma_lambda,
-    optimize_gamma,
-    optimize_lambda,
-)
+from .optimization import ConstraintGrid, best_sigma, optimize_gamma, optimize_lambda
 from .simulation import CampaignConfig, run_campaign
 
 
@@ -43,11 +36,6 @@ def _parse_ebn0(text: str) -> list[float]:
             x += step
         return out
     return [float(t) for t in text.split(",")]
-
-
-def _code_rate(code) -> float:
-    info_bits = sum(bits_per_symbol(int(q)) for q in code.var_groups[: code.n_info])
-    return info_bits / code.n_bits
 
 
 def _read_frames(path: str, width: int, kind=np.int64) -> np.ndarray:
@@ -71,10 +59,9 @@ def _cmd_construct(args) -> int:
     ens = Ensemble.load(args.ensemble)
     code = build_code(ens, n_bits=args.n_bits, seed=args.seed)
     save_code(code, args.out)
-    rate = _code_rate(code)
     short = f" ({args.n_bits} requested)" if code.n_bits != args.n_bits else ""
     print(f"wrote {args.out}: n={code.n} symbols, m={code.m} checks, "
-          f"{code.n_bits} bits{short}, rate {rate:.4f}")
+          f"{code.n_bits} bits{short}, rate {code.rate():.4f}")
     return 0
 
 
@@ -91,7 +78,7 @@ def _cmd_decode(args) -> int:
     if args.sigma is not None:
         params = ChannelParams(args.sigma)
     else:
-        params = ChannelParams.from_ebn0_db(args.ebn0_db, _code_rate(code))
+        params = ChannelParams.from_ebn0_db(args.ebn0_db, code.rate())
     y = _read_frames(args.infile, code.n_bits, kind=np.float64)
     dec = Decoder(code, max_iter=args.max_iter)
     res = dec.decode(channel_llrs(code, y, params))
@@ -124,42 +111,35 @@ def _cmd_optimize(args) -> int:
         margin=grid_cfg.get("margin", 1e-5),
     )
     direction = cfg["direction"]
-    name = cfg.get("name", "")
     rate_eq = cfg.get("rate_eq")
     if rate_eq is not None and cfg.get("rate_min") is not None:
         raise SystemExit("config sets both rate_min and rate_eq")
-    bisect_rate = cfg.get("rate_min") if rate_eq is None else rate_eq
+    common = dict(grid=grid, rate_min=cfg.get("rate_min"), rate_eq=rate_eq,
+                  name=cfg.get("name", ""))
     if direction == "lambda":
         profile = {int(i): _intkeys(p) for i, p in cfg["gamma_profile"].items()}
         rho = _intkeys(cfg["rho"])
-        if "sigma" in cfg:
-            design = optimize_lambda(
-                profile, rho, cfg["sigma"], grid=grid,
-                rate_min=cfg.get("rate_min"), rate_eq=rate_eq,
-                allow_binary_degree2=cfg.get("allow_binary_degree2", False),
-                name=name)
-        else:
-            design = best_sigma_lambda(
-                profile, rho, bisect_rate, grid=grid,
-                lo=cfg.get("sigma_lo", 0.5), hi=cfg.get("sigma_hi", 2.5),
-                equality=rate_eq is not None,
-                allow_binary_degree2=cfg.get("allow_binary_degree2", False),
-                name=name)
-        print("lambda:", {i: round(v, 6) for i, v in design.lambda_.items()})
+        allow = cfg.get("allow_binary_degree2", False)
+        sigma_hi = 2.5
+
+        def solve(sigma):
+            return optimize_lambda(profile, rho, sigma,
+                                   allow_binary_degree2=allow, **common)
     elif direction == "gamma":
         groups = [int(q) for q in cfg["groups"]]
-        if "sigma" in cfg:
-            design = optimize_gamma(
-                cfg["d_v"], cfg["d_c"], groups, cfg["sigma"], grid=grid,
-                rate_min=cfg.get("rate_min"), rate_eq=rate_eq, name=name)
-        else:
-            design = best_sigma_gamma(
-                cfg["d_v"], cfg["d_c"], groups, bisect_rate, grid=grid,
-                lo=cfg.get("sigma_lo", 0.5), hi=cfg.get("sigma_hi", 3.5),
-                equality=rate_eq is not None, name=name)
-        print("gamma:", {k: round(v, 6) for k, v in design.gamma.items()})
+        sigma_hi = 3.5
+
+        def solve(sigma):
+            return optimize_gamma(cfg["d_v"], cfg["d_c"], groups, sigma, **common)
     else:
         raise SystemExit(f"unknown direction {direction!r}")
+    if "sigma" in cfg:
+        design = solve(cfg["sigma"])
+    else:
+        design = best_sigma(solve, cfg.get("sigma_lo", 0.5),
+                            cfg.get("sigma_hi", sigma_hi))
+    weights = design.lambda_ if direction == "lambda" else design.gamma
+    print(f"{direction}:", {k: round(v, 6) for k, v in weights.items()})
     print(f"design sigma {design.sigma:.4f}  rate {design.rate:.4f}")
     design.ensemble.save(args.out)
     print(f"wrote {args.out}")
@@ -168,7 +148,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_simulate(args) -> int:
     code = load_code(args.code)
-    rate = args.rate if args.rate is not None else _code_rate(code)
+    rate = args.rate if args.rate is not None else code.rate()
     cfg = CampaignConfig(
         max_iter=args.max_iter,
         min_frame_errors=args.min_frame_errors,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hybridldpc.channel import ChannelParams, symbol_llr_array
+from hybridldpc.channel import ChannelParams, bit_llr, symbol_llr_array
 from hybridldpc.construction import HybridParityCheck
 from hybridldpc.groups import bits_per_symbol
 
@@ -50,7 +50,6 @@ __all__ = [
     "walsh_hadamard",
     "encode",
     "syndrome",
-    "bits_to_symbols",
     "symbols_to_bits",
     "channel_llrs",
     "Decoder",
@@ -97,28 +96,6 @@ def loo_convolve(probs: np.ndarray) -> np.ndarray:
     for d in range(j - 2, -1, -1):
         suff[..., d, :] = suff[..., d + 1, :] * spec[..., d + 1, :]
     return walsh_hadamard(pref * suff, axis=-1) / probs.shape[-1]
-
-
-def bits_to_symbols(code: HybridParityCheck, bits: np.ndarray, cols: slice | None = None) -> np.ndarray:
-    """Pack per-column bits (LSB first within a column) into symbols.
-
-    ``bits`` has shape (..., total bits of the selected columns); columns
-    default to the information block.
-    """
-    sel = code.var_groups if cols is None else code.var_groups[cols]
-    if cols is None:
-        sel = code.var_groups[: code.n_info]
-    bits = np.asarray(bits)
-    out = np.zeros(bits.shape[:-1] + (len(sel),), dtype=np.int64)
-    pos = 0
-    for c, q in enumerate(sel):
-        p = bits_per_symbol(int(q))
-        chunk = bits[..., pos: pos + p].astype(np.int64)
-        out[..., c] = (chunk << np.arange(p)).sum(axis=-1)
-        pos += p
-    if pos != bits.shape[-1]:
-        raise ValueError(f"expected {pos} bits, got {bits.shape[-1]}")
-    return out
 
 
 def symbols_to_bits(code: HybridParityCheck, symbols: np.ndarray) -> np.ndarray:
@@ -181,7 +158,7 @@ def channel_llrs(code: HybridParityCheck, y: np.ndarray, params: ChannelParams) 
         raise ValueError(f"expected {code.n_bits} received values")
     frames = y.shape[0]
     q_max = int(max(code.var_groups.max(), code.check_groups.max()))
-    bllr = (2.0 / params.noise_var) * y
+    bllr = bit_llr(y, params)
     out = np.full((frames, code.n, q_max), PAD, dtype=np.float64)
     pos = 0
     for c, q in enumerate(code.var_groups):

@@ -23,7 +23,7 @@ code and exempted from degree-statistics checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from hybridldpc.ensembles import Ensemble, EnsembleError, node_proportions
 from hybridldpc.groups import (
     SymbolMap,
     bits_per_symbol,
-    identity_map,
     random_injective_map,
     validate_order,
 )
@@ -69,8 +68,9 @@ def apportion(targets: dict, coins: dict, total: int) -> dict:
         deficit -= coins[pick]
     if deficit == 0:
         return counts
-    # Exact repair: BFS over small +-coin adjustments.
-    best = _repair_search(deficit, {c: coins[c] for c in keys}, counts)
+    # exact repair: fewest +-1 coin moves that land on the residual
+    moves = [({c: sgn}, sgn * coins[c]) for c in keys for sgn in (1, -1)]
+    best = _coin_search(deficit, moves, counts, max_moves=8)
     if best is None:
         raise ConstructionError(
             f"cannot hit budget {total}: residual {deficit} not representable "
@@ -78,37 +78,42 @@ def apportion(targets: dict, coins: dict, total: int) -> dict:
         )
     for c, delta in best.items():
         counts[c] += delta
-        if counts[c] < 0:
-            raise ConstructionError(f"class {c} count driven negative during repair")
     return counts
 
 
-def _repair_search(deficit: int, coins: dict, counts: dict, max_moves: int = 8):
-    # breadth-first over signed coin moves, smallest move count first
-    start = 0
-    seen = {start: {}}
-    frontier = [start]
+def _coin_search(target: int, moves: list, counts: dict, max_moves: int):
+    """Fewest moves whose steps sum to ``target``, breadth first.
+
+    A move is (per-class count adjustment, step). No class count may go
+    negative. Returns the summed adjustment, or None when no combination
+    of at most ``max_moves`` moves reaches the target."""
+    if target == 0:
+        return {}
+    if not moves:
+        return None
+    bound = abs(target) + max(abs(step) for _, step in moves)
+    seen = {0: {}}
+    frontier = [0]
     for _ in range(max_moves):
         nxt = []
         for s in frontier:
-            moves = seen[s]
-            for c, w in coins.items():
-                for sgn in (1, -1):
-                    if sgn < 0 and counts[c] + moves.get(c, 0) - 1 < 0:
-                        continue
-                    s2 = s + sgn * w
-                    if s2 in seen or abs(s2) > abs(deficit) + max(coins.values()):
-                        continue
-                    m2 = dict(moves)
-                    m2[c] = m2.get(c, 0) + sgn
-                    seen[s2] = m2
-                    if s2 == deficit:
-                        return m2
-                    nxt.append(s2)
+            for adj, step in moves:
+                s2 = s + step
+                if s2 in seen or abs(s2) > bound:
+                    continue
+                total = dict(seen[s])
+                for c, d in adj.items():
+                    total[c] = total.get(c, 0) + d
+                if any(counts[c] + total[c] < 0 for c in adj):
+                    continue
+                seen[s2] = total
+                if s2 == target:
+                    return total
+                nxt.append(s2)
         frontier = nxt
         if not frontier:
             break
-    return seen.get(deficit)
+    return seen.get(target)
 
 
 @dataclass
@@ -140,10 +145,6 @@ class HybridParityCheck:
     @property
     def n_edges(self) -> int:
         return len(self.edge_row)
-
-    @property
-    def redundancy_cols(self) -> np.ndarray:
-        return np.arange(self.n_info, self.n)
 
     @property
     def n_bits(self) -> int:
@@ -209,66 +210,8 @@ class HybridParityCheck:
         for t in range(m):
             self.diagonal_edge_index(t)
 
-    # ---------------- empirical statistics ----------------
-
-    def empirical_pi_var(self) -> dict[tuple[int, int], float]:
-        deg = self.col_degrees()
-        out: dict[tuple[int, int], float] = {}
-        for c in range(self.n):
-            key = (int(deg[c]), int(self.var_groups[c]))
-            out[key] = out.get(key, 0.0) + deg[c]
-        total = self.n_edges
-        return {k: v / total for k, v in sorted(out.items())}
-
-    def empirical_pi_check(self) -> dict[tuple[int, int], float]:
-        deg = self.row_degrees()
-        out: dict[tuple[int, int], float] = {}
-        for r in range(self.m):
-            key = (int(deg[r]), int(self.check_groups[r]))
-            out[key] = out.get(key, 0.0) + deg[r]
-        total = self.n_edges
-        return {k: v / total for k, v in sorted(out.items())}
-
 
 # ---------------- quantization of an ensemble ----------------
-
-
-def _retarget_edges(var_counts: dict, delta: int, max_moves: int = 16):
-    """Bit-neutral node moves between equal-group degree classes that
-    change the edge total by exactly ``delta``. Returns per-class count
-    adjustments, or None when no combination exists within reach."""
-    keys = sorted(var_counts)
-    pairs = []
-    for src in keys:
-        for dst in keys:
-            if src[1] == dst[1] and src[0] != dst[0]:
-                pairs.append((src, dst, dst[0] - src[0]))
-    if not pairs or delta == 0:
-        return {} if delta == 0 else None
-    bound = abs(delta) + max(abs(s) for _, _, s in pairs)
-    seen = {0: {}}
-    frontier = [0]
-    for _ in range(max_moves):
-        nxt = []
-        for s in frontier:
-            moves = seen[s]
-            for src, dst, step in pairs:
-                s2 = s + step
-                if s2 in seen or abs(s2) > bound:
-                    continue
-                adj = dict(moves)
-                adj[src] = adj.get(src, 0) - 1
-                adj[dst] = adj.get(dst, 0) + 1
-                if var_counts[src] + adj[src] < 0:
-                    continue
-                seen[s2] = adj
-                if s2 == delta:
-                    return adj
-                nxt.append(s2)
-        frontier = nxt
-        if not frontier:
-            break
-    return seen.get(delta)
 
 
 def _quantize(ens: Ensemble, n_bits: int):
@@ -285,11 +228,14 @@ def _quantize(ens: Ensemble, n_bits: int):
     # the check side may not be able to tile the exact edge total (for a
     # single check degree it must divide it); nudge the total with
     # bit-neutral variable node moves until the check side fits
+    keys = sorted(var_counts)
+    moves = [({src: -1, dst: 1}, dst[0] - src[0]) for src in keys for dst in keys
+             if src[1] == dst[1] and src[0] != dst[0]]
     max_j = max(j for j, _ql in pc)
     last_err = None
     for mag in range(max_j):
         for delta in ((0,) if mag == 0 else (-mag, mag)):
-            adj = _retarget_edges(var_counts, delta)
+            adj = _coin_search(delta, moves, var_counts, max_moves=16)
             if adj is None:
                 continue
             vc = {k: var_counts[k] + adj.get(k, 0) for k in var_counts}
@@ -520,16 +466,8 @@ def build_code(ens: Ensemble, n_bits: int, seed: int) -> HybridParityCheck:
     for t in range(m):
         peg.add_edge(t, n_info + t)
 
-    # group block start row per redundancy column
-    block_start = np.zeros(m, dtype=np.int64)
-    r0 = 0
-    while r0 < m:
-        q = lay.check_groups[r0]
-        r1 = r0
-        while r1 < m and lay.check_groups[r1] == q:
-            r1 += 1
-        block_start[r0:r1] = r0
-        r0 = r1
+    # first row of each row's group block (rows ascend by group)
+    block_start = np.searchsorted(lay.check_groups, lay.check_groups)
 
     rows_by_group = {}
     order = np.arange(m)

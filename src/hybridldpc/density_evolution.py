@@ -35,17 +35,13 @@ from hybridldpc.ensembles import Ensemble
 from hybridldpc.groups import bits_per_symbol, symbol_weights, validate_order
 
 __all__ = [
-    "covariance_from_mean",
-    "mutual_info_mc",
     "JTable",
     "jc",
     "jc_inv",
-    "jv",
     "JvFamily",
     "jv_family",
     "mi_extend",
     "mi_truncate",
-    "exit_iteration_gfq",
     "exit_iteration_hybrid",
     "initial_state",
     "aggregate_mi",
@@ -73,9 +69,6 @@ class ClampStats:
     def __init__(self) -> None:
         self.count = 0
 
-    def reset(self) -> None:
-        self.count = 0
-
     def hit(self, n: int = 1) -> None:
         self.count += n
 
@@ -83,64 +76,8 @@ class ClampStats:
 clamp_stats = ClampStats()
 
 
-class InadmissibleMeanError(ValueError):
-    pass
-
-
 class DivergingEnsembleError(RuntimeError):
     pass
-
-
-# ---------------- symmetric Gaussian model ----------------
-
-
-def covariance_from_mean(mean: np.ndarray, order: int) -> np.ndarray:
-    """Covariance implied by symmetry: Sigma_ab = m_a + m_b - m_xor(a,b)."""
-    q = validate_order(order)
-    mean = np.asarray(mean, dtype=np.float64)
-    if mean.shape != (q - 1,):
-        raise ValueError(f"mean must have {q - 1} components")
-    mfull = np.concatenate([[0.0], mean])
-    a = np.arange(1, q)
-    cov = mfull[a][:, None] + mfull[a][None, :] - mfull[a[:, None] ^ a[None, :]]
-    w = np.linalg.eigvalsh(cov)
-    if w.min() < -1e-9:
-        raise InadmissibleMeanError(
-            f"mean vector implies a non PSD covariance (min eigenvalue {w.min():.3e})"
-        )
-    return cov
-
-
-def _ldr_mi_from_samples(neg_v: np.ndarray, order: int) -> np.ndarray:
-    """Per-sample 1 - log_q(1 + sum_a exp(-v_a)) from -v of shape (n, q-1)."""
-    mx = neg_v.max(axis=1)
-    lse = mx + np.log(np.exp(neg_v - mx[:, None]).sum(axis=1))
-    log1p_term = np.logaddexp(0.0, lse)
-    return 1.0 - log1p_term / math.log(order)
-
-
-def mutual_info_mc(mean: np.ndarray, order: int, n_samples: int = 100_000,
-                   seed: int = 0) -> tuple[float, float]:
-    """MI of a symmetric Gaussian LDR vector with the given mean vector.
-
-    Returns the Monte Carlo estimate and its standard error.
-    """
-    q = validate_order(order)
-    cov = covariance_from_mean(mean, order)
-    w, vecs = np.linalg.eigh(cov)
-    w = np.clip(w, 0.0, None)
-    root = vecs * np.sqrt(w)
-    rng = np.random.default_rng(seed)
-    vals = np.empty(n_samples)
-    done = 0
-    mean = np.asarray(mean, dtype=np.float64)
-    while done < n_samples:
-        c = min(50_000, n_samples - done)
-        z = rng.normal(size=(c, q - 1))
-        v = mean + z @ root.T
-        vals[done: done + c] = _ldr_mi_from_samples(-v, q)
-        done += c
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))
 
 
 # ---------------- J_c tables ----------------
@@ -292,13 +229,11 @@ def get_table(order: int) -> JTable:
     tab = _tables.get(q)
     if tab is None:
         path = os.path.join(_table_dir(), f"jc_q{q}.json")
-        if os.path.exists(path):
-            tab = JTable.load(path)
-        else:
-            tab = JTable.build(q)
-            os.makedirs(_table_dir(), exist_ok=True)
-            tab.save(path)
-        _tables[q] = tab
+        if not os.path.exists(path):
+            raise FileNotFoundError(
+                f"no J_c table for order {q} at {path}; build it with "
+                f"scripts/build_tables.py --orders {q}")
+        tab = _tables[q] = JTable.load(path)
     return tab
 
 
@@ -394,29 +329,6 @@ def jv_channel_offset(order: int, m_bc: float, c: float) -> float:
     return jv_family(order, m_bc).eval(c)
 
 
-def jv(mean: np.ndarray, order: int, n_samples: int = 100_000, seed: int = 0) -> float:
-    """General-mean MI. Recognizes the two structured families (all equal,
-    channel plus offset) and falls back to direct Monte Carlo otherwise."""
-    q = validate_order(order)
-    mean = np.asarray(mean, dtype=np.float64)
-    if mean.shape != (q - 1,):
-        raise ValueError(f"mean must have {q - 1} components")
-    if np.allclose(mean, mean[0], rtol=0.0, atol=1e-12):
-        return float(jc(float(mean[0]), q))
-    w = symbol_weights(q)[1:].astype(np.float64)
-    # channel+offset structure: m_a = m_bc * weight(a) + c for some c >= 0
-    pairs = np.flatnonzero(w == 2.0)
-    singles = np.flatnonzero(w == 1.0)
-    if len(singles) and len(pairs):
-        m_bc_try = float(mean[pairs[0]] - mean[singles[0]])
-        if m_bc_try > 0:
-            resid = mean - m_bc_try * w
-            if np.allclose(resid, resid[0], rtol=0.0, atol=1e-9) and resid[0] >= -1e-12:
-                return jv_channel_offset(q, m_bc_try, max(float(resid[0]), 0.0))
-    val, _se = mutual_info_mc(mean, q, n_samples=n_samples, seed=seed)
-    return val
-
-
 # ---------------- MI domain changes ----------------
 
 
@@ -447,18 +359,6 @@ def mi_truncate(x: float, q_from: int, q_to: int) -> float:
 
 
 # ---------------- EXIT recursions ----------------
-
-
-def exit_iteration_gfq(x: float, lambda_: dict[int, float], rho: dict[int, float],
-                       m_bc: float, order: int) -> float:
-    """One density evolution step of a single-group ensemble."""
-    a = jc_inv(1.0 - x, order)
-    s = sum(rj * jc((j - 1) * a, order) for j, rj in sorted(rho.items()))
-    b = jc_inv(1.0 - s, order)
-    out = 0.0
-    for i, li in sorted(lambda_.items()):
-        out += li * jv_channel_offset(order, m_bc, (i - 1) * b)
-    return out
 
 
 def initial_state(ens: Ensemble, m_bc: float) -> dict:

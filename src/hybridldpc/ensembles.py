@@ -112,13 +112,6 @@ class Ensemble:
             out[j] = out.get(j, 0.0) + m
         return dict(sorted(out.items()))
 
-    def gamma_marginal(self) -> dict[int, float]:
-        """Edge mass per variable group order."""
-        out: dict[int, float] = {}
-        for (_i, _j, qk, _ql), m in self.pi.items():
-            out[qk] = out.get(qk, 0.0) + m
-        return dict(sorted(out.items()))
-
     def pi_var(self) -> dict[tuple[int, int], float]:
         """Edge mass per (variable degree, variable order) class."""
         out: dict[tuple[int, int], float] = {}
@@ -134,17 +127,6 @@ class Ensemble:
         return dict(sorted(out.items()))
 
     # ---------------- conditionals ----------------
-
-    def lambda_given_group(self, order: int) -> dict[int, float]:
-        """Degree profile of edges conditioned on the variable group."""
-        gk = self.gamma_marginal().get(order, 0.0)
-        if gk <= 0.0:
-            raise EnsembleError(f"no edge mass in variable group {order}")
-        out: dict[int, float] = {}
-        for (i, _j, qk, _ql), m in self.pi.items():
-            if qk == order:
-                out[i] = out.get(i, 0.0) + m / gk
-        return dict(sorted(out.items()))
 
     def gamma_given_degree(self, degree: int) -> dict[int, float]:
         """Group profile of edges conditioned on the variable degree."""
@@ -200,9 +182,6 @@ class Ensemble:
 
     def avg_inverse_var_degree(self) -> float:
         return sum(m / i for (i, _j, _qk, _ql), m in self.pi.items())
-
-    def avg_inverse_check_degree(self) -> float:
-        return sum(m / j for (_i, j, _qk, _ql), m in self.pi.items())
 
     def rate(self) -> float:
         """Design rate via the general node-proportion formula."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -26,7 +25,6 @@ __all__ = [
     "SymbolMap",
     "identity_map",
     "random_injective_map",
-    "count_injective_maps",
 ]
 
 
@@ -105,36 +103,10 @@ class SymbolMap:
             c == (1 << i) for i, c in enumerate(self.cols)
         )
 
-    def apply(self, symbol: int) -> int:
-        """Image of one symbol."""
-        out = 0
-        for i, c in enumerate(self.cols):
-            if (symbol >> i) & 1:
-                out ^= c
-        return out
-
     @property
     def apply_table(self) -> np.ndarray:
         """Images of all input symbols in order, shape (in_order,)."""
         return _apply_table_cached(self.in_order, self.out_order, self.cols)
-
-    @property
-    def image(self) -> np.ndarray:
-        """Sorted image subgroup, shape (in_order,)."""
-        return np.sort(self.apply_table)
-
-    def inverse_on_image(self) -> dict[int, int]:
-        """Preimage lookup restricted to the image."""
-        return {int(y): x for x, y in enumerate(self.apply_table)}
-
-    def matrix(self) -> np.ndarray:
-        """Dense binary matrix of shape (out_bits, in_bits)."""
-        p_out = bits_per_symbol(self.out_order)
-        m = np.zeros((p_out, len(self.cols)), dtype=np.uint8)
-        for j, c in enumerate(self.cols):
-            for i in range(p_out):
-                m[i, j] = (c >> i) & 1
-        return m
 
     def code(self) -> str:
         """Compact text form: 'i' for identity, else dot-joined hex column masks."""
@@ -190,21 +162,3 @@ def random_injective_map(rng: np.random.Generator, in_order: int, out_order: int
         cols = tuple(int(v) for v in rng.integers(0, out_order, size=p_in))
         if _rank_f2(cols) == p_in:
             return SymbolMap(in_order, out_order, cols)
-
-
-def count_injective_maps(in_order: int, out_order: int) -> int:
-    """Number of injective linear maps between the two groups."""
-    p_in = bits_per_symbol(in_order)
-    validate_order(out_order)
-    n = 1
-    for i in range(p_in):
-        n *= out_order - (1 << i)
-    return n
-
-
-def xor_fold(symbols: Iterable[int]) -> int:
-    """Group sum (XOR) of a symbol sequence."""
-    out = 0
-    for s in symbols:
-        out ^= s
-    return out

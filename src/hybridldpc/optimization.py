@@ -25,7 +25,7 @@ maximizing the code rate since the check side is held fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -45,15 +45,12 @@ __all__ = [
     "ConstraintGrid",
     "LambdaDesign",
     "GammaDesign",
-    "SweepPoint",
     "binary_info_gamma",
     "lambda_exit_matrix",
     "gamma_exit_matrix",
     "optimize_lambda",
     "optimize_gamma",
-    "best_sigma_lambda",
-    "best_sigma_gamma",
-    "rate_threshold_sweep",
+    "best_sigma",
 ]
 
 _MASS_EPS = 1e-9
@@ -123,14 +120,6 @@ class GammaDesign:
     rate: float
     objective: float
     ensemble: Ensemble
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    rate: float
-    sigma: float
-    ebn0_db: float
-    design: LambdaDesign | GammaDesign
 
 
 def binary_info_gamma(max_degree: int, high_group: int) -> dict[int, dict[int, float]]:
@@ -228,19 +217,25 @@ def _solve_design_lp(
     w: np.ndarray,
     host: np.ndarray,
     red_nodes: float,
-    rate_rows: tuple[str, float] | None,
+    red_bits: float,
+    rate_min: float | None,
+    rate_eq: float | None,
     var_bounds: list[tuple[float, float]],
 ) -> np.ndarray:
     """Common LP core of both design directions.
 
     Maximizes the rate ``w @ v`` subject to the seed-grid rows
     ``A v >= xs + margin``, the simplex constraint and the redundancy
-    host row ``host @ v >= red_nodes``. With an equality rate row the
-    rate is no longer free, so the objective switches to the uniform
-    margin above the grid (an auxiliary variable added to every row).
+    host row ``host @ v >= red_nodes``. A rate R holds when
+    ``w @ v`` equals ``red_bits / (1 - R)``; ``rate_min`` makes that a
+    floor. With ``rate_eq`` the rate is no longer free, so the objective
+    switches to the uniform margin above the grid (an auxiliary variable
+    added to every row).
     """
+    if rate_min is not None and rate_eq is not None:
+        raise OptimizationError("rate_min and rate_eq are mutually exclusive")
     m_rows, n = A.shape
-    if rate_rows is not None and rate_rows[0] == "eq":
+    if rate_eq is not None:
         c = np.zeros(n + 1)
         c[-1] = -1.0
         a_ub = np.vstack([
@@ -252,15 +247,15 @@ def _solve_design_lp(
             np.hstack([np.ones((1, n)), [[0.0]]]),
             np.hstack([w[None, :], [[0.0]]]),
         ])
-        b_eq = np.array([1.0, rate_rows[1]])
+        b_eq = np.array([1.0, red_bits / (1.0 - rate_eq)])
         bounds = list(var_bounds) + [(0.0, 1.0)]
     else:
         c = -w
         a_ub = [-A, -host[None, :]]
         b_ub = [-(xs + margin), [-red_nodes]]
-        if rate_rows is not None:
+        if rate_min is not None:
             a_ub.append(-w[None, :])
-            b_ub.append([-rate_rows[1]])
+            b_ub.append([-red_bits / (1.0 - rate_min)])
         a_ub = np.vstack(a_ub)
         b_ub = np.concatenate(b_ub)
         a_eq = np.ones((1, n))
@@ -277,7 +272,6 @@ def optimize_lambda(
     gamma_profile: dict[int, dict[int, float]],
     rho: dict[int, float],
     sigma: float,
-    check_group: int | None = None,
     grid: ConstraintGrid = ConstraintGrid(),
     rate_min: float | None = None,
     rate_eq: float | None = None,
@@ -287,20 +281,17 @@ def optimize_lambda(
     """Optimize lambda at a fixed design channel.
 
     ``gamma_profile[i][k]`` fixes how degree-i edge mass splits across
-    groups. All check nodes sit in ``check_group`` (default: largest
-    group present). The convergence constraint is enforced on the seed
-    grid. Two objectives: by default maximize the code rate, optionally
-    with a ``rate_min`` floor; with ``rate_eq`` the rate is pinned
-    exactly and the uniform margin above the seed grid is maximized
-    instead (the natural objective once the rate is no longer free).
+    groups. All check nodes sit in the largest group present. The
+    convergence constraint is enforced on the seed grid. Two objectives:
+    by default maximize the code rate, optionally with a ``rate_min``
+    floor; with ``rate_eq`` the rate is pinned exactly and the uniform
+    margin above the seed grid is maximized instead (the natural
+    objective once the rate is no longer free).
     """
     if not gamma_profile:
         raise OptimizationError("empty gamma profile")
     all_groups = sorted({k for prof in gamma_profile.values() for k in prof})
-    if check_group is None:
-        check_group = all_groups[-1]
-    if any(k > check_group for k in all_groups):
-        raise OptimizationError("variable group exceeds the check group")
+    check_group = all_groups[-1]
     g22 = gamma_profile.get(2, {}).get(2, 0.0)
     if g22 > 0 and not allow_binary_degree2:
         raise OptimizationError(
@@ -311,8 +302,6 @@ def optimize_lambda(
         s = sum(prof.values())
         if abs(s - 1.0) > 1e-9:
             raise OptimizationError(f"gamma profile for degree {i} sums to {s!r}")
-    if rate_min is not None and rate_eq is not None:
-        raise OptimizationError("rate_min and rate_eq are mutually exclusive")
     m_bc = ChannelParams(sigma).m_bc
     xs = grid.xs()
     A, degrees = lambda_exit_matrix(gamma_profile, rho, check_group, m_bc, xs)
@@ -326,18 +315,12 @@ def optimize_lambda(
     red_nodes = sum(rj / j for j, rj in rho.items())
     host = np.array([gamma_profile[i].get(check_group, 0.0) / i
                      for i in degrees])
-    num = red_nodes * math.log2(check_group)
-    rate_rows = None
-    if rate_min is not None:
-        rate_rows = ("ub", num / (1.0 - rate_min))
-    elif rate_eq is not None:
-        rate_rows = ("eq", num / (1.0 - rate_eq))
-    res = _solve_design_lp(A, xs, grid.margin, w, host, red_nodes, rate_rows,
+    res = _solve_design_lp(A, xs, grid.margin, w, host, red_nodes,
+                           red_nodes * math.log2(check_group), rate_min, rate_eq,
                            [(0.0, 1.0)] * n)
     lam = _clean_weights(res[:n], degrees)
-    groups = sorted(set(all_groups) | {check_group})
     gamma = {i: dict(sorted(gamma_profile[i].items())) for i in lam}
-    ens = Ensemble.from_factored(groups, lam, dict(sorted(rho.items())),
+    ens = Ensemble.from_factored(all_groups, lam, dict(sorted(rho.items())),
                                  gamma, {check_group: 1.0}, name=name)
     return LambdaDesign(
         lambda_=lam,
@@ -356,33 +339,23 @@ def optimize_gamma(
     d_c: int,
     groups: list[int],
     sigma: float,
-    check_group: int | None = None,
     grid: ConstraintGrid = ConstraintGrid(),
     rate_min: float | None = None,
     rate_eq: float | None = None,
     name: str = "",
 ) -> GammaDesign:
     """Maximize the code rate over the group split of a (d_v, d_c)
-    regular graph at a fixed design channel. With ``rate_eq`` the rate
-    is pinned exactly and the uniform grid margin is maximized instead.
+    regular graph at a fixed design channel, all check nodes in the
+    largest group. With ``rate_eq`` the rate is pinned exactly and the
+    uniform grid margin is maximized instead.
 
     Degree-2 binary mass is structurally excluded: when d_v == 2 the
     binary group gets a hard zero bound.
     """
     gs = sorted(set(groups))
-    if check_group is None:
-        check_group = gs[-1]
-    if any(k > check_group for k in gs):
-        raise OptimizationError("variable group exceeds the check group")
-    if check_group not in gs:
-        raise OptimizationError(
-            "check group must be one of the variable groups to host "
-            "the redundancy columns"
-        )
+    check_group = gs[-1]
     if d_v < 2 or d_c < 2:
         raise OptimizationError("degrees must be at least 2")
-    if rate_min is not None and rate_eq is not None:
-        raise OptimizationError("rate_min and rate_eq are mutually exclusive")
     m_bc = ChannelParams(sigma).m_bc
     xs = grid.xs()
     A, gs = gamma_exit_matrix(d_v, d_c, gs, check_group, m_bc, xs)
@@ -397,13 +370,8 @@ def optimize_gamma(
     # redundancy columns all live in the check group: its node share
     # (equal to its edge share on a regular graph) must cover them
     host = np.array([1.0 / d_v if k == check_group else 0.0 for k in gs])
-    num = math.log2(check_group) / d_c
-    rate_rows = None
-    if rate_min is not None:
-        rate_rows = ("ub", num / (1.0 - rate_min))
-    elif rate_eq is not None:
-        rate_rows = ("eq", num / (1.0 - rate_eq))
-    res = _solve_design_lp(A, xs, grid.margin, w, host, 1.0 / d_c, rate_rows,
+    res = _solve_design_lp(A, xs, grid.margin, w, host, 1.0 / d_c,
+                           math.log2(check_group) / d_c, rate_min, rate_eq,
                            bounds)
     g = _clean_weights(res[:n], gs)
     ens_groups = sorted(set(g) | {check_group})
@@ -423,117 +391,28 @@ def optimize_gamma(
     )
 
 
-def _bisect_sigma(solve, lo: float, hi: float, tol: float):
-    """Largest sigma where ``solve`` succeeds. ``solve`` returns a design
-    or raises OptimizationError."""
-    best = None
+def best_sigma(solve, lo: float, hi: float, tol: float = 1e-3):
+    """Push the design channel as noisy as the problem allows.
+
+    ``solve(sigma)`` returns a design or raises OptimizationError; the
+    result is the design found at the largest feasible sigma in
+    [lo, hi], located by bisection to within ``tol``.
+    """
     try:
         best = solve(lo)
     except OptimizationError as exc:
         raise OptimizationError(
             f"design infeasible even at sigma={lo}: {exc}"
         ) from exc
-    best_sigma = lo
     try:
-        return solve(hi), hi
+        return solve(hi)
     except OptimizationError:
         pass
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         try:
             best = solve(mid)
-            best_sigma = mid
             lo = mid
         except OptimizationError:
             hi = mid
-    return best, best_sigma
-
-
-def best_sigma_lambda(
-    gamma_profile: dict[int, dict[int, float]],
-    rho: dict[int, float],
-    rate_min: float,
-    check_group: int | None = None,
-    grid: ConstraintGrid = ConstraintGrid(),
-    lo: float = 0.5,
-    hi: float = 2.5,
-    tol: float = 1e-3,
-    allow_binary_degree2: bool = False,
-    equality: bool = False,
-    name: str = "",
-) -> LambdaDesign:
-    """Push the design channel as noisy as the rate target allows: the
-    returned design is the rate-feasible lambda at the largest sigma.
-
-    With ``equality`` the rate is pinned to rate_min exactly instead of
-    being a floor; use it when the feasible set collapses before the
-    rate row binds and max-rate designs overshoot the target.
-    """
-    def solve(s: float) -> LambdaDesign:
-        kw = {"rate_eq": rate_min} if equality else {"rate_min": rate_min}
-        return optimize_lambda(gamma_profile, rho, s, check_group=check_group,
-                               grid=grid,
-                               allow_binary_degree2=allow_binary_degree2,
-                               name=name, **kw)
-
-    design, _ = _bisect_sigma(solve, lo, hi, tol)
-    return design
-
-
-def best_sigma_gamma(
-    d_v: int,
-    d_c: int,
-    groups: list[int],
-    rate_min: float,
-    check_group: int | None = None,
-    grid: ConstraintGrid = ConstraintGrid(),
-    lo: float = 0.5,
-    hi: float = 3.5,
-    tol: float = 1e-3,
-    equality: bool = False,
-    name: str = "",
-) -> GammaDesign:
-    def solve(s: float) -> GammaDesign:
-        kw = {"rate_eq": rate_min} if equality else {"rate_min": rate_min}
-        return optimize_gamma(d_v, d_c, groups, s, check_group=check_group,
-                              grid=grid, name=name, **kw)
-
-    design, _ = _bisect_sigma(solve, lo, hi, tol)
-    return design
-
-
-def rate_threshold_sweep(
-    rates: list[float],
-    direction: str,
-    grid: ConstraintGrid = ConstraintGrid(),
-    lo: float = 0.4,
-    hi: float = 3.5,
-    tol: float = 1e-3,
-    **problem,
-) -> list[SweepPoint]:
-    """Design threshold versus rate: for each target rate, find the
-    noisiest channel with a feasible design.
-
-    ``direction`` is "lambda" (pass gamma_profile, rho) or "gamma"
-    (pass d_v, d_c, groups). Returns one point per rate.
-    """
-    points = []
-    for r in rates:
-        if direction == "lambda":
-            design = best_sigma_lambda(
-                problem["gamma_profile"], problem["rho"], r,
-                check_group=problem.get("check_group"), grid=grid,
-                lo=lo, hi=hi, tol=tol,
-            )
-        elif direction == "gamma":
-            design = best_sigma_gamma(
-                problem["d_v"], problem["d_c"], problem["groups"], r,
-                check_group=problem.get("check_group"), grid=grid,
-                lo=lo, hi=hi, tol=tol,
-            )
-        else:
-            raise OptimizationError(f"unknown direction {direction!r}")
-        ebn0 = ChannelParams(design.sigma).ebn0_db(r)
-        points.append(SweepPoint(rate=r, sigma=design.sigma,
-                                 ebn0_db=ebn0, design=design))
-    return points
+    return best

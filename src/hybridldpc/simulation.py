@@ -19,7 +19,7 @@ import numpy as np
 from .channel import ChannelParams, transmit
 from .codec import Decoder, channel_llrs, encode, symbols_to_bits
 from .construction import HybridParityCheck
-from .groups import bits_per_symbol, symbol_weights
+from .groups import symbol_weights
 
 __all__ = [
     "CampaignConfig",
@@ -114,14 +114,6 @@ class PointResult:
         }
 
 
-def _info_bit_count(code: HybridParityCheck) -> int:
-    return int(sum(bits_per_symbol(int(q)) for q in code.var_groups[: code.n_info]))
-
-
-def _weight_tables(code: HybridParityCheck) -> list[np.ndarray]:
-    return [symbol_weights(int(q)) for q in code.var_groups[: code.n_info]]
-
-
 # Module-level state for worker processes. Populated by the pool
 # initializer; fork start method shares it with no pickling per chunk.
 _CTX: dict = {}
@@ -133,8 +125,6 @@ def _init_worker(code: HybridParityCheck, params: ChannelParams,
     _CTX["params"] = params
     _CTX["cfg"] = cfg
     _CTX["decoder"] = Decoder(code, max_iter=cfg.max_iter)
-    _CTX["info_bits"] = _info_bit_count(code)
-    _CTX["weights"] = _weight_tables(code)
 
 
 def _run_chunk(args: tuple[int, int]) -> tuple[int, int, int, int]:
@@ -164,17 +154,11 @@ def _run_chunk(args: tuple[int, int]) -> tuple[int, int, int, int]:
     chan = channel_llrs(code, y, params)
     res = decoder.decode(chan)
 
-    errs = res.symbols != tx_syms
-    frame_errors = int(np.count_nonzero(errs.any(axis=1)))
-    bit_errors = 0
-    if frame_errors:
-        weights = _CTX["weights"]
-        for c in range(code.n_info):
-            col = errs[:, c]
-            if col.any():
-                x = np.bitwise_xor(res.symbols[col.nonzero()[0], c],
-                                   tx_syms[col.nonzero()[0], c])
-                bit_errors += int(weights[c][x].sum())
+    frame_errors = int(np.count_nonzero((res.symbols != tx_syms).any(axis=1)))
+    # XOR keeps each symbol inside its group, so one popcount table of the
+    # largest order counts the bit errors of every column
+    wrong = (res.symbols ^ tx_syms)[:, : code.n_info]
+    bit_errors = int(symbol_weights(int(code.var_groups.max()))[wrong].sum())
     return count, frame_errors, bit_errors, int(res.iterations.sum())
 
 
@@ -232,7 +216,7 @@ def run_point(
         frames=frames,
         frame_errors=frame_errors,
         bit_errors=bit_errors,
-        info_bits=frames * _info_bit_count(code),
+        info_bits=frames * code.info_bits,
         mean_iterations=iter_sum / frames if frames else math.nan,
         max_iter=cfg.max_iter,
         seed=cfg.seed,

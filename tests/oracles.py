@@ -14,11 +14,13 @@ import math
 import numpy as np
 
 from hybridldpc.construction import HybridParityCheck
+from hybridldpc.density_evolution import jc, jc_inv, jv_channel_offset
 from hybridldpc.groups import (
     SymbolMap,
     bits_per_symbol,
     identity_map,
     random_injective_map,
+    validate_order,
 )
 
 
@@ -435,14 +437,14 @@ def extend_probs(probs: np.ndarray, smap: SymbolMap, q_out: int) -> np.ndarray:
     """Scatter probability vectors (n, q_in) onto the map image."""
     n = probs.shape[0]
     out = np.zeros((n, q_out))
-    img = np.array([smap.apply(a) for a in range(smap.in_order)])
+    img = smap.apply_table
     out[:, img] = probs
     return out
 
 
 def truncate_probs(probs: np.ndarray, smap: SymbolMap) -> np.ndarray:
     """Gather the image components of (n, q_out) and renormalize."""
-    img = np.array([smap.apply(a) for a in range(smap.in_order)])
+    img = smap.apply_table
     sel = probs[:, img]
     s = sel.sum(axis=1, keepdims=True)
     s[s <= 0] = 1.0
@@ -461,3 +463,116 @@ def ldr_to_probs(neg: np.ndarray) -> np.ndarray:
 def probs_to_ldr(p: np.ndarray) -> np.ndarray:
     tiny = 1e-300
     return np.log(np.clip(p[:, :1], tiny, None)) - np.log(np.clip(p[:, 1:], tiny, None))
+
+
+# ---------------------------------------------------------------------------
+# general-mean symmetric Gaussian messages
+
+
+class InadmissibleMeanError(ValueError):
+    pass
+
+
+def covariance_from_mean(mean: np.ndarray, order: int) -> np.ndarray:
+    """Covariance implied by symmetry: Sigma_ab = m_a + m_b - m_xor(a,b)."""
+    q = validate_order(order)
+    mean = np.asarray(mean, dtype=np.float64)
+    if mean.shape != (q - 1,):
+        raise ValueError(f"mean must have {q - 1} components")
+    mfull = np.concatenate([[0.0], mean])
+    a = np.arange(1, q)
+    cov = mfull[a][:, None] + mfull[a][None, :] - mfull[a[:, None] ^ a[None, :]]
+    w = np.linalg.eigvalsh(cov)
+    if w.min() < -1e-9:
+        raise InadmissibleMeanError(
+            f"mean vector implies a non PSD covariance (min eigenvalue {w.min():.3e})"
+        )
+    return cov
+
+
+def _ldr_mi_from_samples(neg_v: np.ndarray, order: int) -> np.ndarray:
+    """Per-sample 1 - log_q(1 + sum_a exp(-v_a)) from -v of shape (n, q-1)."""
+    mx = neg_v.max(axis=1)
+    lse = mx + np.log(np.exp(neg_v - mx[:, None]).sum(axis=1))
+    log1p_term = np.logaddexp(0.0, lse)
+    return 1.0 - log1p_term / math.log(order)
+
+
+def mutual_info_mc(mean: np.ndarray, order: int, n_samples: int = 100_000,
+                   seed: int = 0) -> tuple[float, float]:
+    """MI of a symmetric Gaussian LDR vector with the given mean vector,
+    sampled through the full covariance. Returns the Monte Carlo estimate
+    and its standard error.
+    """
+    q = validate_order(order)
+    cov = covariance_from_mean(mean, order)
+    w, vecs = np.linalg.eigh(cov)
+    w = np.clip(w, 0.0, None)
+    root = vecs * np.sqrt(w)
+    rng = np.random.default_rng(seed)
+    vals = np.empty(n_samples)
+    done = 0
+    mean = np.asarray(mean, dtype=np.float64)
+    while done < n_samples:
+        c = min(50_000, n_samples - done)
+        z = rng.normal(size=(c, q - 1))
+        v = mean + z @ root.T
+        vals[done: done + c] = _ldr_mi_from_samples(-v, q)
+        done += c
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))
+
+
+def exit_iteration_gfq(x: float, lambda_: dict[int, float], rho: dict[int, float],
+                       m_bc: float, order: int) -> float:
+    """One density evolution step of a single-group ensemble, written
+    directly from the scalar recursion."""
+    a = jc_inv(1.0 - x, order)
+    s = sum(rj * jc((j - 1) * a, order) for j, rj in sorted(rho.items()))
+    b = jc_inv(1.0 - s, order)
+    out = 0.0
+    for i, li in sorted(lambda_.items()):
+        out += li * jv_channel_offset(order, m_bc, (i - 1) * b)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# statistics and bit packing of built codes
+
+
+def _edge_class_mass(degrees: np.ndarray, groups: np.ndarray,
+                     n_edges: int) -> dict[tuple[int, int], float]:
+    out: dict[tuple[int, int], float] = {}
+    for d, q in zip(degrees.tolist(), groups.tolist()):
+        out[(d, q)] = out.get((d, q), 0.0) + d
+    return {k: v / n_edges for k, v in sorted(out.items())}
+
+
+def empirical_pi_var(code: HybridParityCheck) -> dict[tuple[int, int], float]:
+    """Edge mass per (column degree, column group) of a built code."""
+    return _edge_class_mass(code.col_degrees(), code.var_groups, code.n_edges)
+
+
+def empirical_pi_check(code: HybridParityCheck) -> dict[tuple[int, int], float]:
+    """Edge mass per (row degree, row group) of a built code."""
+    return _edge_class_mass(code.row_degrees(), code.check_groups, code.n_edges)
+
+
+def bits_to_symbols(code: HybridParityCheck, bits: np.ndarray,
+                    cols: slice | None = None) -> np.ndarray:
+    """Pack per-column bits (LSB first within a column) into symbols.
+
+    ``bits`` has shape (..., total bits of the selected columns); columns
+    default to the information block.
+    """
+    sel = code.var_groups[: code.n_info] if cols is None else code.var_groups[cols]
+    bits = np.asarray(bits)
+    out = np.zeros(bits.shape[:-1] + (len(sel),), dtype=np.int64)
+    pos = 0
+    for c, q in enumerate(sel):
+        p = bits_per_symbol(int(q))
+        chunk = bits[..., pos: pos + p].astype(np.int64)
+        out[..., c] = (chunk << np.arange(p)).sum(axis=-1)
+        pos += p
+    if pos != bits.shape[-1]:
+        raise ValueError(f"expected {pos} bits, got {bits.shape[-1]}")
+    return out

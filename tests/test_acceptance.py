@@ -18,7 +18,6 @@ from hybridldpc.construction import build_code
 from hybridldpc.density_evolution import (
     aggregate_mi,
     de_converges,
-    exit_iteration_gfq,
     exit_iteration_hybrid,
     initial_state,
     jc,
@@ -44,6 +43,7 @@ from oracles import (
     brute_force_posteriors,
     direct_loo_convolve,
     direct_pair_convolve,
+    exit_iteration_gfq,
     ldr_mi,
     ldr_to_probs,
     posterior_llrs_to_probs,

@@ -9,9 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hybridldpc.channel import (
     LLR_CLIP,
     ChannelParams,
-    SymbolLlr,
     bit_llr,
-    symbol_llr,
     symbol_llr_array,
     transmit,
 )
@@ -103,16 +101,6 @@ def test_symbol_llr_array_batched():
     assert np.allclose(out[2, 3], one)
 
 
-def test_symbol_llr_wrapper():
-    s = symbol_llr(np.array([2.0, -1.0]), 4)
-    assert isinstance(s, SymbolLlr)
-    assert s.order == 4
-    assert s.full()[0] == 0.0
-    assert s.values == pytest.approx((2.0, -1.0, 1.0))
-
-
 def test_symbol_llr_wrong_length():
-    with pytest.raises(ValueError):
-        SymbolLlr(8, (1.0, 2.0))
     with pytest.raises(ValueError):
         symbol_llr_array(np.zeros(3), 4)

@@ -11,6 +11,7 @@ from hybridldpc.cli import _parse_ebn0, main
 from hybridldpc.codec import symbols_to_bits
 from hybridldpc.construction import load_code
 from hybridldpc.ensembles import Ensemble, fixture_path
+from hybridldpc.optimization import ConstraintGrid, OptimizationError, optimize_gamma
 
 
 @pytest.fixture
@@ -107,6 +108,41 @@ def test_optimize_command_lambda(tmp_path, capsys):
     assert "lambda:" in capsys.readouterr().out
     ens = Ensemble.load(out_path)
     assert ens.rate() == pytest.approx(0.4, abs=1e-9)
+
+
+def _run_optimize(tmp_path, config) -> str:
+    cfg_path = os.path.join(tmp_path, "design.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(config, fh)
+    out_path = os.path.join(tmp_path, "designed.json")
+    assert main(["optimize", "--config", cfg_path, "--out", out_path]) == 0
+    return out_path
+
+
+def test_optimize_command_gamma(tmp_path, capsys):
+    config = {"direction": "gamma", "groups": [2, 4], "d_v": 3, "d_c": 6,
+              "sigma": 0.7, "rate_eq": 0.45, "grid": {"points": 30}}
+    ens = Ensemble.load(_run_optimize(tmp_path, config))
+    out = capsys.readouterr().out
+    assert "gamma:" in out and "design sigma 0.7000" in out
+    assert ens.groups == (2, 4)
+    assert ens.rate() == pytest.approx(0.45, abs=1e-9)
+
+
+def test_optimize_command_bisects_sigma(tmp_path, capsys):
+    # no "sigma" key: the design sits at the noisiest feasible channel,
+    # found to within the bisection tolerance of 1e-3
+    config = {"direction": "gamma", "groups": [2, 4], "d_v": 3, "d_c": 6,
+              "rate_min": 0.45, "grid": {"points": 30}}
+    ens = Ensemble.load(_run_optimize(tmp_path, config))
+    out = capsys.readouterr().out
+    sigma = float(out.split("design sigma")[1].split()[0])
+    assert 0.5 < sigma < 3.5
+    assert ens.rate() >= 0.45 - 1e-9
+    grid = ConstraintGrid(points=30)
+    optimize_gamma(3, 6, [2, 4], sigma - 1e-3, grid=grid, rate_min=0.45)
+    with pytest.raises(OptimizationError):
+        optimize_gamma(3, 6, [2, 4], sigma + 2e-3, grid=grid, rate_min=0.45)
 
 
 def test_optimize_rejects_conflicting_rates(tmp_path):

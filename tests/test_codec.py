@@ -10,7 +10,6 @@ from hybridldpc.channel import ChannelParams, transmit
 from hybridldpc.codec import (
     MSG_CLIP,
     Decoder,
-    bits_to_symbols,
     channel_llrs,
     encode,
     loo_convolve,
@@ -23,6 +22,7 @@ from hybridldpc.ensembles import Ensemble
 
 from oracles import (
     ReferenceBinaryBP,
+    bits_to_symbols,
     brute_force_posteriors,
     direct_loo_convolve,
     enumerate_codewords,

@@ -20,7 +20,7 @@ from hybridldpc.construction import (
 from hybridldpc.ensembles import Ensemble, fixture_path
 from hybridldpc.groups import bits_per_symbol
 
-from oracles import random_tree_code
+from oracles import empirical_pi_check, empirical_pi_var, random_tree_code
 
 
 def small_hybrid() -> Ensemble:
@@ -102,10 +102,10 @@ def test_build_code_no_parallel_edges():
 def test_build_code_empirical_pi_close():
     ens = small_hybrid()
     code = build_code(ens, 3000, seed=4)
-    emp = code.empirical_pi_var()
-    want = ens.pi_var()
-    for key, mass in want.items():
-        assert emp.get(key, 0.0) == pytest.approx(mass, abs=0.05)
+    for emp, want in ((empirical_pi_var(code), ens.pi_var()),
+                      (empirical_pi_check(code), ens.pi_check())):
+        for key, mass in want.items():
+            assert emp.get(key, 0.0) == pytest.approx(mass, abs=0.05)
 
 
 def test_build_code_deterministic():

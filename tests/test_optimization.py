@@ -15,7 +15,7 @@ from hybridldpc.ensembles import Ensemble
 from hybridldpc.optimization import (
     ConstraintGrid,
     OptimizationError,
-    _bisect_sigma,
+    best_sigma,
     binary_info_gamma,
     gamma_exit_matrix,
     lambda_exit_matrix,
@@ -116,11 +116,6 @@ def test_gamma_excludes_binary_degree2():
     assert des.gamma.get(2, 0.0) == 0.0
 
 
-def test_gamma_check_group_must_be_variable_group():
-    with pytest.raises(OptimizationError):
-        optimize_gamma(2, 3, [8, 16], 1.2, grid=QUICK, check_group=256)
-
-
 def test_designed_ensemble_converges_at_design_sigma():
     des = optimize_lambda(small_profile(), {6: 1.0}, 0.8, grid=QUICK,
                           rate_min=0.4)
@@ -156,15 +151,17 @@ def test_bisect_sigma_finds_feasibility_edge():
             raise OptimizationError("infeasible")
         return ("design", s)
 
-    design, sigma = _bisect_sigma(solve, 0.5, 2.0, 1e-4)
-    assert design[0] == "design"
+    design, sigma = best_sigma(solve, 0.5, 2.0, 1e-4)
+    assert design == "design"
     assert abs(sigma - edge) < 1e-3
+    # feasible at the upper end: no bisection
+    assert best_sigma(solve, 0.5, 1.0) == ("design", 1.0)
 
     def never(s):
         raise OptimizationError("no")
 
     with pytest.raises(OptimizationError):
-        _bisect_sigma(never, 0.5, 2.0, 1e-4)
+        best_sigma(never, 0.5, 2.0, 1e-4)
 
 
 def test_packaged_designs_converge_at_recorded_sigma():
