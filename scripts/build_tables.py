@@ -6,6 +6,11 @@ script only needs rerunning when the grid, sample count, or seed policy
 changes. Building the q=128 or q=256 table takes a few minutes on one
 core. Density evolution only loads these files; an order without one
 is an error that points here.
+
+A rebuild does not reproduce a table byte for byte on every machine:
+values move in the last bits with the platform's math library. With
+``--force``, a file whose rebuild moves no grid value by more than
+ROUNDING_ONLY is left untouched, and the largest change is printed.
 """
 
 import argparse
@@ -13,7 +18,33 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from hybridldpc.density_evolution import JTable, _table_dir
+
+ROUNDING_ONLY = 1e-12
+
+
+def table_change(old: JTable, new: JTable) -> float:
+    """Largest change of a grid value between two tables of one order;
+    inf when their sample count, seed or grid size differ."""
+    if (old.n_samples, old.seed, old.grid_m.shape) != (new.n_samples, new.seed, new.grid_m.shape):
+        return float("inf")
+    return float(max(np.max(np.abs(old.grid_m - new.grid_m)),
+                     np.max(np.abs(old.grid_i - new.grid_i))))
+
+
+def write_table(table: JTable, path: str) -> str:
+    """Save ``table`` at ``path`` unless the file there already holds it
+    up to rounding. Returns what was done."""
+    if os.path.exists(path):
+        change = table_change(JTable.load(path), table)
+        if change <= ROUNDING_ONLY:
+            return f"max |change| {change:.1e}, rounding only; kept {path}"
+        table.save(path)
+        return f"max |change| {change:.1e}; wrote {path}"
+    table.save(path)
+    return f"wrote {path}"
 
 
 def main() -> int:
@@ -32,8 +63,7 @@ def main() -> int:
             continue
         t0 = time.perf_counter()
         table = JTable.build(q)
-        table.save(path)
-        print(f"q={q}: built in {time.perf_counter() - t0:.1f}s -> {path}")
+        print(f"q={q}: built in {time.perf_counter() - t0:.1f}s, {write_table(table, path)}")
     return 0
 
 

@@ -16,7 +16,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hybridldpc.construction import build_code, load_code, save_code
+from hybridldpc.construction import build_code, built_length, load_code, save_code
 from hybridldpc.ensembles import Ensemble, fixture_path
 from hybridldpc.simulation import CampaignConfig, run_campaign
 
@@ -52,15 +52,19 @@ def thresholds(path: str) -> dict:
 
 
 def get_code(name: str, n_bits: int, seed: int, code_dir: str):
-    path = os.path.join(code_dir, f"{name}_{n_bits}.alist")
+    """The code of fixture ``name`` for a request of ``n_bits`` bits,
+    cached as ``<name>_<built bits>.alist``. ``build_code`` may build
+    fewer bits than asked (its length rule), and the rule gives the built
+    length without drawing a graph, so a rerun finds the file again."""
+    ens = Ensemble.load(fixture_path(name))
+    path = os.path.join(code_dir, f"{name}_{built_length(ens, n_bits)}.alist")
     if os.path.exists(path):
         return load_code(path)
-    ens = Ensemble.load(fixture_path(name))
     t0 = time.time()
     code = build_code(ens, n_bits, seed=seed)
     save_code(code, path)
-    log("  built %s: %d bits, n=%d cols, %d checks (%.0fs)"
-        % (name, code.n_bits, code.n, len(code.check_groups), time.time() - t0))
+    log("  built %s: %d bits, n=%d cols, %d checks (%.0fs) -> %s"
+        % (name, code.n_bits, code.n, len(code.check_groups), time.time() - t0, path))
     return code
 
 

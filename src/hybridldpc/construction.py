@@ -35,7 +35,7 @@ from hybridldpc.groups import (
     validate_order,
 )
 
-__all__ = ["ConstructionError", "HybridParityCheck", "build_code", "length_window", "save_code", "load_code", "apportion"]
+__all__ = ["ConstructionError", "HybridParityCheck", "build_code", "built_length", "length_window", "save_code", "load_code", "apportion"]
 
 
 class ConstructionError(ValueError):
@@ -443,6 +443,13 @@ def _plan(ens: Ensemble, n_bits: int) -> _Layout:
     raise ConstructionError(
         f"no length in [{lowest}, {n_bits}] bits is realisable; "
         f"at {n_bits} bits: {cause}")
+
+
+def built_length(ens: Ensemble, n_bits: int) -> int:
+    """Codeword bits of ``build_code(ens, n_bits, seed)`` for every seed,
+    from the length rule alone: no graph is drawn."""
+    lay = _plan(ens, n_bits)
+    return int(sum(bits_per_symbol(int(q)) for q in lay.var_groups))
 
 
 def build_code(ens: Ensemble, n_bits: int, seed: int) -> HybridParityCheck:

@@ -18,6 +18,17 @@ Truncation maps MI through J_c of the smaller group at the same scalar
 mean (the image subvector of an equal-mean Gaussian stays equal-mean);
 extension rescales the information content by the bit-width ratio. Both
 are exact identities when source and target group coincide.
+
+Two kernels carry the cost, and both reproduce the plain numpy and scipy
+formulation bit for bit, so thresholds and designs do not depend on
+them. A JvFamily build (one per order and channel mean, so one per
+sigma a search visits) sums a log-sum-exp over 40,000 samples at every
+grid offset; `_jv_lse` walks each sample chunk in cache-sized row blocks
+across the whole grid with preallocated buffers, transposed for q <= 8.
+J_c lookups and the 80-step bisection that inverts J_c evaluate the
+pchip segment with `_pchip_scalar`, in scipy's own arithmetic but
+without its per-call overhead. The plain walks live on in the tests as
+the references these kernels must equal.
 """
 
 from __future__ import annotations
@@ -25,6 +36,8 @@ from __future__ import annotations
 import json
 import math
 import os
+from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +45,7 @@ from scipy.interpolate import PchipInterpolator
 
 from hybridldpc.channel import ChannelParams
 from hybridldpc.ensembles import Ensemble
-from hybridldpc.groups import bits_per_symbol, symbol_weights, validate_order
+from hybridldpc.groups import bits_per_symbol, validate_order
 
 __all__ = [
     "JTable",
@@ -61,6 +74,7 @@ _TABLE_SAMPLES = 200_000
 _M_MAX = 60.0
 _JV_POINTS = 96
 _JV_SAMPLES = 40_000
+_BLOCK_ELEMS = 32_768
 
 
 class ClampStats:
@@ -114,6 +128,33 @@ def _pav_increasing(y: np.ndarray) -> np.ndarray:
     return res
 
 
+def _pchip_scalar(interp: PchipInterpolator):
+    """Evaluator of one point that returns ``float(interp(x))`` bit for bit.
+
+    A scipy call costs microseconds of overhead per scalar, which the J_c
+    bisection pays 80 times per inversion. This reads the interpolator's
+    piecewise-cubic form (breakpoints ``x``, coefficients ``c`` with the
+    highest degree first), finds the interval as scipy does (closed on the
+    right at the last breakpoint) and sums the segment in scipy's order:
+    ``res = res + c[3-k] * s**k`` with the powers built by repeated
+    multiplication. Points outside the breakpoints give NaN, as with
+    ``extrapolate=False``.
+    """
+    xs = interp.x.tolist()
+    c0, c1, c2, c3 = (row.tolist() for row in interp.c)
+    x_lo, x_hi, n = xs[0], xs[-1], len(xs)
+
+    def ev(x: float) -> float:
+        if not x_lo <= x <= x_hi:
+            return math.nan
+        i = bisect_right(xs, x, 1, n - 1) - 1
+        s = x - xs[i]
+        s2 = s * s
+        return (0.0 + c3[i]) + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+
+    return ev
+
+
 @dataclass
 class JTable:
     """Tabulated equal-mean MI functional for one group order."""
@@ -124,6 +165,7 @@ class JTable:
     n_samples: int
     seed: int
     _interp: PchipInterpolator = field(init=False, repr=False)
+    _eval1: Callable[[float], float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.grid_m = np.asarray(self.grid_m, dtype=np.float64)
@@ -131,32 +173,43 @@ class JTable:
         if np.any(np.diff(self.grid_i) <= 0):
             raise ValueError("table MI values must be strictly increasing")
         self._interp = PchipInterpolator(self.grid_m, self.grid_i, extrapolate=False)
+        self._eval1 = _pchip_scalar(self._interp)
 
     @property
     def i_max(self) -> float:
         return float(self.grid_i[-1])
 
+    @property
+    def m_max(self) -> float:
+        return float(self.grid_m[-1])
+
     def eval(self, m) -> np.ndarray | float:
+        if np.isscalar(m):
+            x = float(m)
+            if x > self.m_max:
+                clamp_stats.hit()
+                x = self.m_max
+            elif x < 0.0:
+                clamp_stats.hit()
+                x = 0.0
+            return self._eval1(x)
         m_arr = np.asarray(m, dtype=np.float64)
-        clip_hi = m_arr > self.grid_m[-1]
-        clip_lo = m_arr < 0.0
-        n_clip = int(np.count_nonzero(clip_hi) + np.count_nonzero(clip_lo))
+        n_clip = int(np.count_nonzero(m_arr > self.m_max) + np.count_nonzero(m_arr < 0.0))
         if n_clip:
             clamp_stats.hit(n_clip)
-        m_arr = np.clip(m_arr, 0.0, self.grid_m[-1])
-        out = self._interp(m_arr)
-        return float(out) if np.isscalar(m) else out
+        return self._interp(np.clip(m_arr, 0.0, self.m_max))
 
     def inverse(self, i_target: float) -> float:
         if i_target <= 0.0:
             return 0.0
         if i_target >= self.i_max:
             clamp_stats.hit()
-            return float(self.grid_m[-1])
-        lo, hi = 0.0, float(self.grid_m[-1])
+            return self.m_max
+        f = self._eval1
+        lo, hi = 0.0, self.m_max
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if float(self._interp(mid)) < i_target:
+            if f(mid) < i_target:
                 lo = mid
             else:
                 hi = mid
@@ -269,23 +322,20 @@ class JvFamily:
         p = bits_per_symbol(q)
         rng = np.random.default_rng(np.random.SeedSequence([seed, q, 7, int(m_bc * 1e9) & 0x7FFFFFFF]))
         grid = _grid(c_max, points)
-        weights = symbol_weights(q)[1:]
+        masks = ((np.arange(1, q)[:, None] >> np.arange(p)[None, :]) & 1).T.astype(np.float64)
         acc = np.zeros(len(grid))
         done = 0
         chunk = max(1, min(n_samples, 8_000_000 // q))
         while done < n_samples:
             csz = min(chunk, n_samples - done)
             bit = rng.normal(self.m_bc, math.sqrt(2.0 * self.m_bc), size=(csz, p))
-            masks = ((np.arange(1, q)[:, None] >> np.arange(p)[None, :]) & 1)
-            w_ch = bit @ masks.T.astype(np.float64)          # (csz, q-1)
+            w_ch = bit @ masks                               # (csz, q-1)
             z = rng.normal(size=(csz, q - 1))
             z0 = rng.normal(size=csz)
-            for gi, c in enumerate(grid):
-                rt = math.sqrt(c)
-                neg = -(w_ch + c + rt * z + rt * z0[:, None])
-                mx = neg.max(axis=1)
-                lse = mx + np.log(np.exp(neg - mx[:, None]).sum(axis=1))
-                acc[gi] += np.logaddexp(0.0, lse).sum()
+            lse = _jv_lse(w_ch, z, z0, grid)
+            np.logaddexp(0.0, lse, out=lse)
+            for gi in range(len(grid)):
+                acc[gi] += lse[gi].sum()
             done += csz
         vals = 1.0 - acc / n_samples / math.log(q)
         vals = _pav_increasing(vals)
@@ -294,16 +344,68 @@ class JvFamily:
         for k in range(1, len(self.grid_i)):
             if self.grid_i[k] <= self.grid_i[k - 1]:
                 self.grid_i[k] = min(1.0, self.grid_i[k - 1] + 1e-15)
-        self._interp = PchipInterpolator(self.grid_c, self.grid_i, extrapolate=False)
+        self._eval1 = _pchip_scalar(
+            PchipInterpolator(self.grid_c, self.grid_i, extrapolate=False))
+        self._c_max = float(grid[-1])
 
     def eval(self, c: float) -> float:
+        c = float(c)
         if c < 0.0:
             clamp_stats.hit()
             c = 0.0
-        if c > self.grid_c[-1]:
+        if c > self._c_max:
             clamp_stats.hit()
-            c = float(self.grid_c[-1])
-        return float(self._interp(c))
+            c = self._c_max
+        return self._eval1(c)
+
+
+def _jv_lse(w_ch: np.ndarray, z: np.ndarray, z0: np.ndarray,
+            grid: np.ndarray) -> np.ndarray:
+    """Per-sample log-sum-exp of JvFamily's message, one row per offset.
+
+    Row g of the (points, rows) result holds, for c = grid[g], the
+    elementwise value of
+
+        neg = -(w_ch + c + rt * z + rt * z0[:, None])      # rt = sqrt(c)
+        mx = neg.max(axis=1)
+        mx + log(exp(neg - mx[:, None]).sum(axis=1))
+
+    bit for bit. The work is walked in row blocks of about _BLOCK_ELEMS
+    elements, whose inputs and buffers stay in cache across the whole
+    offset grid. Each element sees the same IEEE operations in the same
+    order as above; the negation is folded away exactly, since
+    mx = -min(-neg) and a - b == -(b - a). The row sum is the one
+    order-sensitive step. With at most 7 components (q <= 8) numpy sums a
+    row strictly left to right, so blocks are transposed to (q-1, rows)
+    and summed over axis 0 in sequence, which gives long contiguous inner
+    loops. With more components numpy sums each row pairwise, so blocks
+    keep the (rows, q-1) layout and the same row-wise reduction.
+    """
+    rows, k = z.shape
+    axis = 0 if k < 8 else 1
+    step = max(1, _BLOCK_ELEMS // k)
+    out = np.empty((len(grid), rows))
+    for r0 in range(0, rows, step):
+        r1 = min(rows, r0 + step)
+        w_b, z_b, z0_b = w_ch[r0:r1], z[r0:r1], z0[r0:r1, None]
+        if axis == 0:
+            w_b, z_b, z0_b = (np.ascontiguousarray(a.T) for a in (w_b, z_b, z0_b))
+        t, u = np.empty_like(w_b), np.empty_like(w_b)
+        v, mn, s = np.empty_like(z0_b), np.empty_like(z0_b), np.empty_like(z0_b)
+        for gi, c in enumerate(grid):
+            rt = math.sqrt(c)
+            np.add(w_b, c, out=t)
+            np.multiply(rt, z_b, out=u)
+            np.add(t, u, out=t)
+            np.multiply(rt, z0_b, out=v)
+            np.add(t, v, out=t)                          # -neg
+            np.min(t, axis=axis, keepdims=True, out=mn)  # -mx
+            np.subtract(mn, t, out=t)                    # neg - mx
+            np.exp(t, out=t)
+            np.sum(t, axis=axis, keepdims=True, out=s)
+            np.log(s, out=s)
+            np.subtract(s, mn, out=out[gi, r0:r1].reshape(s.shape))
+    return out
 
 
 _jv_families: dict[tuple[int, float], JvFamily] = {}

@@ -4,7 +4,9 @@ Everything here is deliberately written with different algorithms from
 the package internals: direct convolutions instead of transforms,
 codeword enumeration instead of message passing, the scalar tanh rule
 instead of vector messages, and histogram densities instead of Gaussian
-functionals.
+functionals. The plain walks of the density-evolution kernels are the
+exception: they keep the package's arithmetic in its direct evaluation
+order, because the kernels must equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +15,21 @@ import math
 
 import numpy as np
 
+from scipy.interpolate import PchipInterpolator
+
 from hybridldpc.construction import HybridParityCheck
-from hybridldpc.density_evolution import jc, jc_inv, jv_channel_offset
+from hybridldpc.density_evolution import (
+    _JV_POINTS,
+    _JV_SAMPLES,
+    _M_MAX,
+    _TABLE_SEED,
+    JTable,
+    _grid,
+    _pav_increasing,
+    jc,
+    jc_inv,
+    jv_channel_offset,
+)
 from hybridldpc.groups import (
     SymbolMap,
     bits_per_symbol,
@@ -533,6 +548,78 @@ def exit_iteration_gfq(x: float, lambda_: dict[int, float], rho: dict[int, float
     for i, li in sorted(lambda_.items()):
         out += li * jv_channel_offset(order, m_bc, (i - 1) * b)
     return out
+
+
+# ---------------------------------------------------------------------------
+# plain walks of the density-evolution kernels, for bit-identity checks
+
+
+def reference_jv_grid_i(order: int, m_bc: float, points: int = _JV_POINTS,
+                        n_samples: int = _JV_SAMPLES, seed: int = _TABLE_SEED,
+                        c_max: float = _M_MAX) -> np.ndarray:
+    """``JvFamily(order, m_bc, ...).grid_i`` computed the direct way: the
+    same draws, each whole chunk through one numpy expression per grid
+    point, and the same post-processing."""
+    q = validate_order(order)
+    p = bits_per_symbol(q)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, q, 7, int(m_bc * 1e9) & 0x7FFFFFFF]))
+    grid = _grid(c_max, points)
+    acc = np.zeros(len(grid))
+    done = 0
+    chunk = max(1, min(n_samples, 8_000_000 // q))
+    while done < n_samples:
+        csz = min(chunk, n_samples - done)
+        bit = rng.normal(float(m_bc), math.sqrt(2.0 * m_bc), size=(csz, p))
+        masks = ((np.arange(1, q)[:, None] >> np.arange(p)[None, :]) & 1)
+        w_ch = bit @ masks.T.astype(np.float64)
+        z = rng.normal(size=(csz, q - 1))
+        z0 = rng.normal(size=csz)
+        for gi, c in enumerate(grid):
+            rt = math.sqrt(c)
+            neg = -(w_ch + c + rt * z + rt * z0[:, None])
+            mx = neg.max(axis=1)
+            lse = mx + np.log(np.exp(neg - mx[:, None]).sum(axis=1))
+            acc[gi] += np.logaddexp(0.0, lse).sum()
+        done += csz
+    vals = _pav_increasing(1.0 - acc / n_samples / math.log(q))
+    grid_i = np.clip(vals, 0.0, 1.0)
+    for k in range(1, len(grid_i)):
+        if grid_i[k] <= grid_i[k - 1]:
+            grid_i[k] = min(1.0, grid_i[k - 1] + 1e-15)
+    return grid_i
+
+
+class ReferenceJTable:
+    """J_c lookups of one table through scipy calls on its own pchip
+    interpolator. Each method returns the value and the number of clamps
+    the package's lookup should count for it."""
+
+    def __init__(self, table: JTable):
+        self.m_max = float(table.grid_m[-1])
+        self.i_max = float(table.grid_i[-1])
+        self.interp = PchipInterpolator(table.grid_m, table.grid_i, extrapolate=False)
+
+    def jc(self, m: float) -> tuple[float, int]:
+        hits = int(m > self.m_max) + int(m < 0.0)
+        return float(self.interp(np.clip(m, 0.0, self.m_max))), hits
+
+    def jc_inv(self, targets: np.ndarray) -> tuple[np.ndarray, int]:
+        """The 80-step bisection of J_c, run on all targets at once; every
+        step is one scipy call. Targets at or below 0 give 0, and targets
+        at or above the table's top give the top mean with one clamp."""
+        t = np.asarray(targets, dtype=np.float64)
+        lo = np.zeros_like(t)
+        hi = np.full_like(t, self.m_max)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            below = self.interp(mid) < t
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        out = 0.5 * (lo + hi)
+        top = (t > 0.0) & (t >= self.i_max)
+        out[top] = self.m_max
+        out[t <= 0.0] = 0.0
+        return out, int(np.count_nonzero(top))
 
 
 # ---------------------------------------------------------------------------

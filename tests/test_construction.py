@@ -13,6 +13,7 @@ from hybridldpc.construction import (
     _quantize,
     apportion,
     build_code,
+    built_length,
     length_window,
     load_code,
     save_code,
@@ -212,6 +213,7 @@ def test_length_rule(name):
                        for n in range(max(1, n_bits - window + 1), n_bits))
             continue
         got = sum(bits_per_symbol(int(q)) for q in lay.var_groups)
+        assert built_length(ens, n_bits) == got
         assert n_bits - window < got <= n_bits
         assert _exact_cause(ens, got) is None
         if cause is None:
@@ -224,6 +226,7 @@ def test_build_code_reports_built_length():
     code = build_code(ens, 1024, seed=0)
     code.validate()
     assert code.n_bits == 1020  # 1024 is no multiple of 3; 1023 fails the check side
+    assert built_length(ens, 1024) == 1020
 
 
 def test_build_code_refuses_unhostable_ensemble():

@@ -7,9 +7,12 @@ import pytest
 
 from hybridldpc.channel import ChannelParams
 from hybridldpc.density_evolution import (
+    JvFamily,
+    clamp_stats,
     de_converges,
     de_trajectory,
     exit_iteration_hybrid,
+    get_table,
     initial_state,
     jc,
     jc_inv,
@@ -20,14 +23,17 @@ from hybridldpc.density_evolution import (
 )
 from hybridldpc.ensembles import Ensemble
 from hybridldpc.groups import symbol_weights
+from scipy.interpolate import PchipInterpolator
 
 from oracles import (
     InadmissibleMeanError,
+    ReferenceJTable,
     binary_j_quadrature,
     covariance_from_mean,
     exit_iteration_gfq,
     ldr_mi,
     mutual_info_mc,
+    reference_jv_grid_i,
     sample_channel_ldr,
 )
 
@@ -113,6 +119,53 @@ def test_jv_offset_matches_general_mean_mc(q):
         ref, se = mutual_info_mc(m_bc * w + c, q, n_samples=200_000, seed=4)
         assert se < 2e-3
         assert jv_channel_offset(q, m_bc, c) == pytest.approx(ref, abs=1e-2)
+
+
+# q <= 8 walks transposed blocks, larger q row blocks; the q = 256 case
+# spans two sample chunks with a short grid to stay quick
+@pytest.mark.parametrize("q, m_bc, kw", [
+    (4, 0.8, {}), (8, 1.3, {}), (8, 0.41, {}), (16, 2.1, {}), (32, 1.7, {}),
+    (256, 1.0, {"points": 8, "n_samples": 32_000}),
+])
+def test_jv_family_bit_identical_to_direct_walk(q, m_bc, kw):
+    fam = JvFamily(q, m_bc, **kw)
+    assert np.array_equal(fam.grid_i, reference_jv_grid_i(q, m_bc, **kw))
+    interp = PchipInterpolator(fam.grid_c, fam.grid_i, extrapolate=False)
+    c_max = float(fam.grid_c[-1])
+    cs = np.concatenate([[-1.0, -0.0, 0.0, c_max, c_max + 1.0], fam.grid_c,
+                         np.random.default_rng(q).uniform(0.0, c_max, 200)])
+    for c in cs.tolist():
+        before = clamp_stats.count
+        got = fam.eval(c)
+        assert got == float(interp(min(max(c, 0.0), c_max)))
+        assert clamp_stats.count - before == int(c < 0.0) + int(c > c_max)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64, 128, 256])
+def test_jc_lookups_bit_identical_to_scipy_calls(q):
+    tab = get_table(q)
+    ref = ReferenceJTable(tab)
+    rng = np.random.default_rng(q)
+    m_top = ref.m_max
+    ms = np.concatenate([
+        [-1.0, -1e-300, -0.0, 0.0, m_top, np.nextafter(m_top, np.inf), m_top + 1.0, 1e3],
+        tab.grid_m, rng.uniform(0.0, m_top, 750), 10.0 ** rng.uniform(-4, 1.9, 750)])
+    want_hits = 0
+    before = clamp_stats.count
+    for m in ms.tolist():
+        want, hits = ref.jc(m)
+        want_hits += hits
+        assert jc(m, q) == want
+    assert clamp_stats.count - before == want_hits
+    i_top = ref.i_max
+    targets = np.concatenate([
+        [-0.1, -0.0, 0.0, 5e-324, i_top, np.nextafter(i_top, 0.0), 1.0, 1.5],
+        tab.grid_i, rng.uniform(0.0, i_top, 750), 1.0 - 10.0 ** rng.uniform(-9, 0, 750)])
+    want, want_hits = ref.jc_inv(targets)
+    before = clamp_stats.count
+    got = np.array([jc_inv(t, q) for t in targets.tolist()])
+    assert np.array_equal(got, want)
+    assert clamp_stats.count - before == want_hits
 
 
 def test_mi_extend_bounds_and_monotonicity():
