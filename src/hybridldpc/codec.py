@@ -13,8 +13,19 @@ Walsh Hadamard transform with leave-one-out prefix and suffix products,
 and the results are truncated back through each edge map (gather on the
 image, renormalize). Variable updates add log likelihood ratios and
 subtract the edge's own contribution. Messages are batched over frames
-and over node classes that share a degree and group pair, padded to the
-largest group order.
+and over node classes that share a degree and group pair, in two layouts:
+
+- variable-to-check probabilities live at the check order, component
+  major: each check class is an (order, C, j) block of a frame's row, so
+  the transform's butterflies run along the leading axis over contiguous
+  runs, and components outside an edge's image stay zero;
+- check-to-variable LLRs live at the variable's own order, one
+  (F, edges, q_k) array per variable order, so a G(8) edge carries 8
+  values in a G(256) check.
+
+Extension scatters and truncation gathers through flat indices fixed
+when the decoder is built. Only ``channel_llrs`` and the reported
+posteriors are padded to the largest group order.
 
 On an all-binary graph the same sum-product messages are scalar LLRs,
 and the decoder runs them directly: the check update is the tanh rule,
@@ -61,41 +72,60 @@ def walsh_hadamard(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Unnormalized Walsh Hadamard transform along one axis.
 
     Self-inverse up to the factor q: applying it twice multiplies by the
-    axis length, which must be a power of two.
+    axis length, which must be a power of two. The input is not modified.
+    Stages h = 1, 2, ..., q/2 run with the transform axis leading, each
+    reading one buffer and writing the other, so a stage works on
+    contiguous runs of h times the size of the other axes. The result is
+    a view of a component-leading array.
     """
-    x = np.array(x, dtype=np.float64, copy=True)
-    x = np.moveaxis(x, axis, -1)
-    q = x.shape[-1]
+    xv = np.moveaxis(np.asarray(x, dtype=np.float64), axis, 0)
+    q = xv.shape[0]
     if q & (q - 1):
         raise ValueError(f"transform length must be a power of two, got {q}")
-    h = 1
+    if q == 1:
+        return np.moveaxis(xv.copy(), 0, axis)
+    rest = xv.shape[1:]
+    bufs = (np.empty(xv.shape), np.empty(xv.shape) if q > 2 else None)
+    src, h, k = xv, 1, 0
     while h < q:
-        y = x.reshape(x.shape[:-1] + (q // (2 * h), 2, h))
-        a = y[..., 0, :].copy()
-        b = y[..., 1, :]
-        y[..., 0, :] = a + b
-        y[..., 1, :] = a - b
-        h *= 2
-    return np.moveaxis(x, -1, axis)
+        dst = bufs[k]
+        s = src.reshape((q // (2 * h), 2, h) + rest)
+        d = dst.reshape(s.shape)
+        np.add(s[:, 0], s[:, 1], out=d[:, 0])
+        np.subtract(s[:, 0], s[:, 1], out=d[:, 1])
+        src, h, k = dst, 2 * h, 1 - k
+    return np.moveaxis(src, 0, axis)
 
 
-def loo_convolve(probs: np.ndarray) -> np.ndarray:
-    """Leave-one-out group convolution along the second-to-last axis.
+def loo_convolve(probs: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Leave-one-out group convolution of probability vectors.
 
-    ``probs`` holds probability vectors with shape (..., j, q); the
-    result at position d is the convolution under component-wise XOR of
-    the other j - 1 vectors. Products are taken in the transform domain
-    with prefix/suffix accumulation, so no division is involved.
+    ``axis`` is the component axis, of length q; the leave-one-out axis
+    is the last of the other axes, so the default takes shape (..., j, q).
+    The result at position d of that axis is the convolution under
+    component-wise XOR of the other j - 1 vectors. Products are taken in
+    the transform domain with prefix/suffix accumulation, so no division
+    is involved.
     """
-    spec = walsh_hadamard(probs, axis=-1)
-    j = probs.shape[-2]
-    pref = np.ones_like(spec)
-    for d in range(1, j):
-        pref[..., d, :] = pref[..., d - 1, :] * spec[..., d - 1, :]
-    suff = np.ones_like(spec)
-    for d in range(j - 2, -1, -1):
-        suff[..., d, :] = suff[..., d + 1, :] * spec[..., d + 1, :]
-    return walsh_hadamard(pref * suff, axis=-1) / probs.shape[-1]
+    spec = np.moveaxis(walsh_hadamard(probs, axis), axis, 0)
+    j = spec.shape[-1]
+    prod = np.empty_like(spec)
+    if j < 2:
+        prod[...] = 1.0
+    else:
+        # prefix products s_0 s_1 ... s_(d-1) left to right, then each
+        # times the suffix s_(j-1) ... s_(d+1) built right to left
+        prod[..., 1] = spec[..., 0]
+        for d in range(2, j):
+            np.multiply(prod[..., d - 1], spec[..., d - 1], out=prod[..., d])
+        suff = spec[..., j - 1]
+        for d in range(j - 2, 0, -1):
+            prod[..., d] *= suff
+            suff = suff * spec[..., d]
+        prod[..., 0] = suff
+    out = walsh_hadamard(prod, 0)
+    out /= spec.shape[0]
+    return np.moveaxis(out, 0, axis)
 
 
 def symbols_to_bits(code: HybridParityCheck, symbols: np.ndarray) -> np.ndarray:
@@ -178,25 +208,35 @@ class DecodeResult:
 
 
 class _VarClass:
-    def __init__(self, degree: int, order: int, cols: np.ndarray,
-                 edges: np.ndarray, img: np.ndarray):
+    def __init__(self, degree: int, order: int, cols: np.ndarray, start: int,
+                 scatter: np.ndarray):
         self.degree = degree
         self.order = order
         self.cols = cols          # (C,)
-        self.edges = edges        # (C, degree) edge ids
-        self.img = img            # (C, degree, order) image index per edge
+        self.start = start        # first of its C * degree edges in the order's c2v
+        self.scatter = scatter    # (C * degree * order,) v2c column of each image component
 
 
 class _CheckClass:
-    def __init__(self, degree: int, order: int, rows: np.ndarray,
-                 edges: np.ndarray, img: np.ndarray, var_orders: np.ndarray):
-        self.degree = degree
+    def __init__(self, order: int, offset: int, cols: np.ndarray,
+                 table_base: np.ndarray):
         self.order = order
-        self.rows = rows
-        self.edges = edges        # (C, degree)
-        self.img = img            # (C, degree, q_max) gather table, padded with 0
-        self.var_orders = var_orders  # (C, degree)
-        self.mask = np.arange(img.shape[-1])[None, None, :] < var_orders[..., None]
+        self.offset = offset      # first v2c and conv column of its order * C * j block
+        self.cols = cols          # (C, j) column of each edge
+        self.table_base = table_base  # (C, j) start of each edge's map table
+
+
+def _mass(p: np.ndarray, q_max: int) -> np.ndarray:
+    """Row sums of messages over their last axis, keepdims.
+
+    Numpy sums a contiguous row of 8 or more pairwise and a shorter row
+    left to right. A row of 4 inside a code with larger groups is summed
+    pairwise, as its zero-padded q_max-wide row would be, so the result
+    does not depend on the storage width.
+    """
+    if p.shape[-1] == 4 and q_max > 4:
+        return (p[..., 0:1] + p[..., 1:2]) + (p[..., 2:3] + p[..., 3:4])
+    return p.sum(axis=-1, keepdims=True)
 
 
 class Decoder:
@@ -221,6 +261,14 @@ class Decoder:
             self._build_classes()
 
     def _build_classes(self) -> None:
+        # Messages of F active frames:
+        # - v2c: (F, width) rows, each check class an (order, C, j) block,
+        #   component major for the transform;
+        # - conv: the check results in the same blocks, edge major as
+        #   (C, j, order), so that truncation gathers contiguous runs;
+        # - c2v: one (F, edges, q_k) array per variable order.
+        # The frame axis leads all three, so the flat gather and scatter
+        # indices built here stay valid as frames retire.
         code = self.code
         E = code.n_edges
         col_of = code.edge_col
@@ -238,31 +286,43 @@ class Decoder:
         for e in range(E):
             t = code.edge_maps[e].apply_table
             apply_tables[e, : len(t)] = t
-        self.apply_tables = apply_tables
-
-        vclasses: dict[tuple[int, int], list[int]] = {}
-        for c in range(code.n):
-            vclasses.setdefault((int(cdeg[c]), int(code.var_groups[c])), []).append(c)
-        self.var_classes: list[_VarClass] = []
-        for (i, qk), cols in sorted(vclasses.items()):
-            cols = np.array(cols, dtype=np.int64)
-            edges = np.array([edges_by_col[c] for c in cols], dtype=np.int64)
-            img = apply_tables[edges][:, :, :qk]
-            self.var_classes.append(_VarClass(i, qk, cols, edges, img))
+        self._apply_flat = apply_tables.ravel()
 
         cclasses: dict[tuple[int, int], list[int]] = {}
         for r in range(code.m):
             cclasses.setdefault((int(rdeg[r]), int(code.check_groups[r])), []).append(r)
+        v2c_first = np.empty(E, dtype=np.int64)   # v2c column of component 0
+        v2c_step = np.empty(E, dtype=np.int64)    # v2c columns between components
+        conv_first = np.empty(E, dtype=np.int64)  # conv column of component 0
         self.check_classes: list[_CheckClass] = []
-        for (j, ql), rows in sorted(cclasses.items()):
-            rows = np.array(rows, dtype=np.int64)
+        width = 0
+        for (_j, ql), rows in sorted(cclasses.items()):
             edges = np.array([edges_by_row[r] for r in rows], dtype=np.int64)
-            img = apply_tables[edges]
-            vord = code.var_groups[col_of[edges]]
-            self.check_classes.append(_CheckClass(j, ql, rows, edges, img, vord))
+            slot = np.arange(edges.size).reshape(edges.shape)
+            v2c_first[edges] = width + slot
+            v2c_step[edges] = edges.size
+            conv_first[edges] = width + ql * slot
+            self.check_classes.append(
+                _CheckClass(ql, width, col_of[edges], edges * self.q_max))
+            width += ql * edges.size
+        self._width = width
 
-        # syndrome helper: per check class, column ids of each edge
-        self._synd_cols = [code.edge_col[cc.edges] for cc in self.check_classes]
+        vclasses: dict[tuple[int, int], list[int]] = {}
+        for c in range(code.n):
+            vclasses.setdefault((int(code.var_groups[c]), int(cdeg[c])), []).append(c)
+        self.var_classes: list[_VarClass] = []
+        gather: dict[int, list[np.ndarray]] = {}
+        for (qk, i), cols in sorted(vclasses.items()):
+            cols = np.array(cols, dtype=np.int64)
+            edges = np.array([edges_by_col[c] for c in cols], dtype=np.int64)
+            img = apply_tables[edges][:, :, :qk]
+            scatter = v2c_first[edges][..., None] + v2c_step[edges][..., None] * img
+            parts = gather.setdefault(qk, [])
+            start = sum(len(g) for g in parts) // qk
+            parts.append((conv_first[edges][..., None] + img).ravel())
+            self.var_classes.append(_VarClass(i, qk, cols, start, scatter.ravel()))
+        # order -> conv column of each c2v entry, variable classes in turn
+        self._gather = {qk: np.concatenate(parts) for qk, parts in gather.items()}
 
     def _build_binary(self) -> None:
         # Messages are (edge, frame) arrays. Edges are renumbered so that
@@ -293,161 +353,6 @@ class Decoder:
             edges = by_row[row_start[rows][:, None] + np.arange(j)]
             self._bchk.append((internal[edges], col_of[edges]))
 
-    # ---------------- scalar binary message passing ----------------
-
-    def _bin_var_update(self, c2v: np.ndarray, chan: np.ndarray,
-                        v2c: np.ndarray) -> np.ndarray:
-        """Variable update on (E, F) LLRs; returns the (n, F) posteriors."""
-        post = chan.copy()
-        for cols, start, i in self._bvar:
-            stop = start + len(cols) * i
-            inc = c2v[start:stop].reshape(len(cols), i, -1)
-            tot = post[cols] + inc.sum(axis=1)
-            post[cols] = tot
-            np.subtract(tot[:, None, :], inc,
-                        out=v2c[start:stop].reshape(len(cols), i, -1))
-        np.clip(v2c, -MSG_CLIP, MSG_CLIP, out=v2c)
-        return post
-
-    def _bin_check_update(self, v2c: np.ndarray, c2v: np.ndarray) -> None:
-        """Tanh rule with leave-one-out prefix and suffix products."""
-        t = np.tanh(0.5 * v2c)
-        for idx, _cols in self._bchk:
-            tt = t[idx]                                        # (C, j, F)
-            loo = np.ones_like(tt)
-            np.cumprod(tt[:, :-1], axis=1, out=loo[:, 1:])
-            suff = np.cumprod(tt[:, :0:-1], axis=1)[:, ::-1]
-            loo[:, :-1] *= suff
-            c2v[idx] = loo
-        cap = math.tanh(0.5 * MSG_CLIP)
-        np.clip(c2v, -cap, cap, out=c2v)
-        np.arctanh(c2v, out=c2v)
-        c2v *= 2.0
-        np.clip(c2v, -MSG_CLIP, MSG_CLIP, out=c2v)
-
-    def _bin_syndrome_ok(self, hard: np.ndarray) -> np.ndarray:
-        ok = np.ones(hard.shape[1], dtype=bool)
-        for _idx, cols in self._bchk:
-            ok &= ~np.bitwise_xor.reduce(hard[cols], axis=1).any(axis=0)
-        return ok
-
-    def _decode_binary(self, chan: np.ndarray, iters: int,
-                       want_posteriors: bool, early_stop: bool) -> DecodeResult:
-        n, E = self.code.n, self.code.n_edges
-        F = chan.shape[0]
-        symbols = np.zeros((F, n), dtype=np.int64)
-        success = np.zeros(F, dtype=bool)
-        used = np.full(F, iters, dtype=np.int64)
-        post_out = np.zeros((F, n, 2)) if want_posteriors else None
-
-        active = np.arange(F)
-        ch = np.ascontiguousarray((chan[:, :, 1] - chan[:, :, 0]).T)  # (n, F)
-        c2v = np.zeros((E, F))
-        v2c = np.empty((E, F))
-        it = 0
-        while True:
-            if it:
-                self._bin_check_update(v2c, c2v)
-            post = self._bin_var_update(c2v, ch, v2c)
-            hard = post < 0
-            ok = self._bin_syndrome_ok(hard)
-            symbols[active] = hard.T
-            if want_posteriors:
-                post_out[active, :, 1] = post.T
-            used[active[ok & ~success[active]]] = it
-            success[active[ok]] = True
-            if early_stop and not ok.all():
-                keep = ~ok
-                active = active[keep]
-                c2v, v2c, ch = c2v[:, keep], v2c[:, keep], ch[:, keep]
-            elif early_stop:
-                break
-            if it == iters:
-                break
-            it += 1
-        return DecodeResult(symbols, success, used, post_out)
-
-    # ---------------- message passing steps ----------------
-
-    def _var_update(self, m_cv: np.ndarray, chan: np.ndarray, m_vc: np.ndarray) -> None:
-        """LLR-domain variable update and extension into the check groups."""
-        F = m_cv.shape[0]
-        for vc in self.var_classes:
-            qk = vc.order
-            inc = m_cv[:, vc.edges, :qk]                       # (F, C, i, qk)
-            ch = chan[:, vc.cols, :qk]                         # (F, C, qk)
-            total = ch[:, :, None, :] + inc.sum(axis=2, keepdims=True)
-            out = total - inc
-            # to probabilities; clip the spread after re-anchoring to the min
-            # so the cap lands on the same components under any relabeling of
-            # the transmitted codeword
-            out -= out.min(axis=-1, keepdims=True)
-            np.clip(out, None, MSG_CLIP, out=out)
-            np.exp(-out, out=out)
-            out /= out.sum(axis=-1, keepdims=True)
-            # extension: scatter mass onto each edge map's image
-            C, i = vc.edges.shape
-            ext = np.zeros((F, C, i, self.q_max), dtype=np.float64)
-            idx = np.broadcast_to(vc.img[None], (F, C, i, qk))
-            np.put_along_axis(ext, idx, out, axis=-1)
-            m_vc[:, vc.edges.reshape(-1), :] = ext.reshape(F, C * i, self.q_max)
-
-    def _check_update(self, m_vc: np.ndarray, m_cv: np.ndarray) -> None:
-        """Group-convolution check update and truncation into var groups."""
-        F = m_vc.shape[0]
-        for cc in self.check_classes:
-            ql = cc.order
-            probs = m_vc[:, cc.edges, :ql]                     # (F, C, j, ql)
-            conv = loo_convolve(probs)
-            np.clip(conv, 0.0, None, out=conv)
-            # truncation: gather the image components, renormalize, to LLRs
-            full = np.zeros((F,) + cc.edges.shape + (self.q_max,), dtype=np.float64)
-            full[..., :ql] = conv
-            idx = np.broadcast_to(cc.img[None], full.shape)
-            trunc = np.take_along_axis(full, idx, axis=-1)
-            trunc = np.where(cc.mask[None], trunc, 0.0)
-            tsum = trunc.sum(axis=-1, keepdims=True)
-            flat = tsum[..., 0] <= _PROB_FLOOR
-            if np.any(flat):
-                # degenerate all-zero message: fall back to uniform on the group
-                unif = cc.mask.astype(np.float64) / cc.var_orders[..., None]
-                trunc = np.where(flat[..., None], np.broadcast_to(unif[None], trunc.shape), trunc)
-                tsum = trunc.sum(axis=-1, keepdims=True)
-            trunc /= tsum
-            np.clip(trunc, _PROB_FLOOR, None, out=trunc)
-            # LLRs anchored at the largest mass in the group, spread capped;
-            # component 0 is not a safe anchor under codeword relabeling
-            logp = np.log(trunc)
-            ref = np.max(np.where(cc.mask[None], logp, -np.inf), axis=-1, keepdims=True)
-            llr = ref - logp
-            np.clip(llr, None, MSG_CLIP, out=llr)
-            llr = np.where(cc.mask[None], llr, PAD)
-            m_cv[:, cc.edges.reshape(-1), :] = llr.reshape(F, -1, self.q_max)
-
-    def _posteriors(self, m_cv: np.ndarray, chan: np.ndarray) -> np.ndarray:
-        F = m_cv.shape[0]
-        post = np.array(chan, copy=True)
-        for vc in self.var_classes:
-            qk = vc.order
-            inc = m_cv[:, vc.edges, :qk].sum(axis=2)
-            post[:, vc.cols, :qk] += inc
-        return post
-
-    def _syndrome_ok(self, symbols: np.ndarray) -> np.ndarray:
-        F = symbols.shape[0]
-        ok = np.ones(F, dtype=bool)
-        for cc, cols in zip(self.check_classes, self._synd_cols):
-            syms = symbols[:, cols]                            # (F, C, j)
-            tables = self.apply_tables[cc.edges]               # (C, j, q_max)
-            mapped = np.take_along_axis(
-                np.broadcast_to(tables[None], (F,) + tables.shape),
-                syms[..., None], axis=-1)[..., 0]
-            row_sum = np.bitwise_xor.reduce(mapped, axis=-1)   # (F, C)
-            ok &= ~row_sum.any(axis=-1)
-        return ok
-
-    # ---------------- main loop ----------------
-
     def decode(self, chan_llr: np.ndarray, max_iter: int | None = None,
                want_posteriors: bool = False, early_stop: bool = True) -> DecodeResult:
         """Run flooding BP on channel symbol LLRs of shape (F, n, q_max).
@@ -464,53 +369,193 @@ class Decoder:
                 f"channel LLRs must have shape (F, {self.code.n}, {self.q_max})"
             )
         iters = self.max_iter if max_iter is None else max_iter
-        if self.binary:
-            return self._decode_binary(chan, iters, want_posteriors, early_stop)
-        F = chan.shape[0]
-        E = self.code.n_edges
+        F, n = chan.shape[0], self.code.n
+        run = _BinaryRun(self, chan) if self.binary else _VectorRun(self, chan)
 
-        symbols = np.zeros((F, self.code.n), dtype=np.int64)
+        symbols = np.zeros((F, n), dtype=np.int64)
         success = np.zeros(F, dtype=bool)
         used = np.full(F, iters, dtype=np.int64)
-        post_out = np.zeros((F, self.code.n, self.q_max)) if want_posteriors else None
+        post_out = None
+        if want_posteriors:
+            # the scalar path reports L(1) - L(0) in component 1
+            post_out = np.zeros((F, n, 2)) if self.binary else chan.copy()
 
         active = np.arange(F)
-        chan_a = chan
-        m_cv = np.zeros((F, E, self.q_max), dtype=np.float64)
-        m_vc = np.zeros((F, E, self.q_max), dtype=np.float64)
-        self._var_update(m_cv, chan_a, m_vc)
-
-        # iteration 0 state: check hard decisions straight off the channel
-        post = self._posteriors(m_cv, chan_a)
-        hard = np.argmin(np.where(np.isfinite(post), post, PAD), axis=-1)
-        ok = self._syndrome_ok(hard)
-        symbols[active] = hard
-        success[active] = ok
-        used[active[ok]] = 0
-        if want_posteriors:
-            post_out[active] = post
-        if early_stop:
-            keep = ~ok
-            active = active[keep]
-            m_cv, m_vc, chan_a = m_cv[keep], m_vc[keep], chan_a[keep]
-
         it = 0
-        while len(active) and it < iters:
-            it += 1
-            self._check_update(m_vc, m_cv)
-            self._var_update(m_cv, chan_a, m_vc)
-            post = self._posteriors(m_cv, chan_a)
-            hard = np.argmin(np.where(np.isfinite(post), post, PAD), axis=-1)
-            ok = self._syndrome_ok(hard)
+        while True:
+            # iteration 0 checks the hard decisions straight off the channel
+            hard, ok = run.step(it)
             symbols[active] = hard
             if want_posteriors:
-                post_out[active] = post
-            newly = ok & ~success[active]
+                run.write_posteriors(post_out, active)
+            used[active[ok & ~success[active]]] = it
             success[active[ok]] = True
-            used[active[newly]] = it
+            if it == iters:
+                break
             if early_stop:
                 keep = ~ok
                 active = active[keep]
-                m_cv, m_vc, chan_a = m_cv[keep], m_vc[keep], chan_a[keep]
-
+                if not len(active):
+                    break
+                run.keep(keep)
+            it += 1
         return DecodeResult(symbols, success, used, post_out)
+
+
+class _BinaryRun:
+    """Scalar LLR messages of one decode on an all-binary code, as
+    (edge, frame) arrays over the active frames."""
+
+    def __init__(self, dec: Decoder, chan: np.ndarray):
+        self.dec = dec
+        F, E = chan.shape[0], dec.code.n_edges
+        self.chan = np.ascontiguousarray((chan[:, :, 1] - chan[:, :, 0]).T)  # (n, F)
+        self.c2v = np.zeros((E, F))
+        self.v2c = np.empty((E, F))
+        self.post = self.chan
+
+    def step(self, it: int) -> tuple[np.ndarray, np.ndarray]:
+        if it:
+            self._check_update()
+        self._var_update()
+        hard = self.post < 0
+        ok = np.ones(hard.shape[1], dtype=bool)
+        for _idx, cols in self.dec._bchk:
+            ok &= ~np.bitwise_xor.reduce(hard[cols], axis=1).any(axis=0)
+        return hard.T, ok
+
+    def write_posteriors(self, out: np.ndarray, active: np.ndarray) -> None:
+        out[active, :, 1] = self.post.T
+
+    def keep(self, mask: np.ndarray) -> None:
+        # Column selection returns Fortran-ordered arrays, each frame's
+        # edges adjacent, even when every frame stays. Under early stop the
+        # selection after iteration 0 thus fixes the order in which the
+        # variable update sums each degree class, the same for every frame
+        # of a batch.
+        self.c2v, self.v2c = self.c2v[:, mask], self.v2c[:, mask]
+        self.chan = self.chan[:, mask]
+
+    def _var_update(self) -> None:
+        """Variable update on (E, F) LLRs and the (n, F) posteriors."""
+        c2v, v2c = self.c2v, self.v2c
+        post = self.chan.copy()
+        for cols, start, i in self.dec._bvar:
+            stop = start + len(cols) * i
+            inc = c2v[start:stop].reshape(len(cols), i, -1)
+            tot = post[cols] + inc.sum(axis=1)
+            post[cols] = tot
+            np.subtract(tot[:, None, :], inc,
+                        out=v2c[start:stop].reshape(len(cols), i, -1))
+        np.clip(v2c, -MSG_CLIP, MSG_CLIP, out=v2c)
+        self.post = post
+
+    def _check_update(self) -> None:
+        """Tanh rule with leave-one-out prefix and suffix products."""
+        c2v = self.c2v
+        t = np.tanh(0.5 * self.v2c)
+        for idx, _cols in self.dec._bchk:
+            tt = t[idx]                                        # (C, j, F)
+            loo = np.ones_like(tt)
+            np.cumprod(tt[:, :-1], axis=1, out=loo[:, 1:])
+            suff = np.cumprod(tt[:, :0:-1], axis=1)[:, ::-1]
+            loo[:, :-1] *= suff
+            c2v[idx] = loo
+        cap = math.tanh(0.5 * MSG_CLIP)
+        np.clip(c2v, -cap, cap, out=c2v)
+        np.arctanh(c2v, out=c2v)
+        c2v *= 2.0
+        np.clip(c2v, -MSG_CLIP, MSG_CLIP, out=c2v)
+
+
+class _VectorRun:
+    """Vector messages of one decode, over the active frames: v2c at check
+    order in (F, width) rows, c2v at each variable's own order."""
+
+    def __init__(self, dec: Decoder, chan: np.ndarray):
+        self.dec = dec
+        F = chan.shape[0]
+        # components outside each edge's image stay zero
+        self.v2c = np.zeros((F, dec._width))
+        self.conv = np.empty((F, dec._width))
+        self.c2v = {qk: np.zeros((F, len(idx) // qk, qk)) for qk, idx in dec._gather.items()}
+        self.chan = [chan[:, vc.cols, : vc.order] for vc in dec.var_classes]
+        self.post: list[np.ndarray] = []
+
+    def step(self, it: int) -> tuple[np.ndarray, np.ndarray]:
+        if it:
+            self._check_update()
+        return self._var_update()
+
+    def write_posteriors(self, out: np.ndarray, active: np.ndarray) -> None:
+        for vc, post in zip(self.dec.var_classes, self.post):
+            out[active[:, None], vc.cols, : vc.order] = post
+
+    def keep(self, mask: np.ndarray) -> None:
+        if mask.all():  # row selection would only copy
+            return
+        self.v2c = self.v2c[mask]
+        self.conv = np.empty_like(self.v2c)
+        self.c2v = {qk: m[mask] for qk, m in self.c2v.items()}
+        self.chan = [ch[mask] for ch in self.chan]
+
+    def _var_update(self) -> tuple[np.ndarray, np.ndarray]:
+        """LLR-domain variable update, extension into the check groups,
+        posteriors, hard decisions and syndrome check."""
+        dec = self.dec
+        F = self.v2c.shape[0]
+        hard = np.empty((F, dec.code.n), dtype=np.int64)
+        self.post = []
+        for vc, ch in zip(dec.var_classes, self.chan):
+            qk, C, i = vc.order, len(vc.cols), vc.degree
+            inc = self.c2v[qk][:, vc.start: vc.start + C * i].reshape(F, C, i, qk)
+            total = ch[:, :, None, :] + inc.sum(axis=2, keepdims=True)
+            out = total - inc
+            # to probabilities; clip the spread after re-anchoring to the min
+            # so the cap lands on the same components under any relabeling of
+            # the transmitted codeword. min - out is exactly -(out - min).
+            np.subtract(out.min(axis=-1, keepdims=True), out, out=out)
+            np.clip(out, -MSG_CLIP, None, out=out)
+            np.exp(out, out=out)
+            out /= out.sum(axis=-1, keepdims=True)
+            # extension: each edge's mass lands on its map's image
+            flat = out.reshape(F, -1)
+            for f in range(F):
+                self.v2c[f, vc.scatter] = flat[f]
+            post = total[:, :, 0, :]
+            self.post.append(post)
+            hard[:, vc.cols] = post.argmin(axis=-1)
+        ok = np.ones(F, dtype=bool)
+        for cc in dec.check_classes:
+            mapped = dec._apply_flat[cc.table_base + hard[:, cc.cols]]   # (F, C, j)
+            ok &= ~np.bitwise_xor.reduce(mapped, axis=-1).any(axis=-1)
+        return hard, ok
+
+    def _check_update(self) -> None:
+        """Group-convolution check update and truncation into var groups."""
+        dec = self.dec
+        F = self.v2c.shape[0]
+        for cc in dec.check_classes:
+            ql, (C, j) = cc.order, cc.cols.shape
+            block = slice(cc.offset, cc.offset + ql * C * j)
+            conv = loo_convolve(self.v2c[:, block].reshape(F, ql, C, j), axis=1)
+            # edge major, so that the truncation gathers contiguous runs
+            self.conv[:, block].reshape(F, C, j, ql)[...] = np.moveaxis(conv, 1, -1)
+        for qk, idx in dec._gather.items():
+            # truncation: gather the image components, renormalize, to LLRs
+            p = np.take(self.conv, idx, axis=1).reshape(F, -1, qk)
+            np.clip(p, 0.0, None, out=p)
+            tsum = _mass(p, dec.q_max)
+            flat = tsum[..., 0] <= _PROB_FLOOR
+            if np.any(flat):
+                # degenerate all-zero message: fall back to uniform on the group
+                p[flat] = 1.0 / qk
+                tsum = _mass(p, dec.q_max)
+            p /= tsum
+            np.clip(p, _PROB_FLOOR, None, out=p)
+            # LLRs anchored at the largest mass in the group, spread capped;
+            # component 0 is not a safe anchor under codeword relabeling
+            np.log(p, out=p)
+            llr = self.c2v[qk]
+            np.subtract(p.max(axis=-1, keepdims=True), p, out=llr)
+            np.clip(llr, None, MSG_CLIP, out=llr)

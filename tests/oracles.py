@@ -4,9 +4,10 @@ Everything here is deliberately written with different algorithms from
 the package internals: direct convolutions instead of transforms,
 codeword enumeration instead of message passing, the scalar tanh rule
 instead of vector messages, and histogram densities instead of Gaussian
-functionals. The plain walks of the density-evolution kernels are the
-exception: they keep the package's arithmetic in its direct evaluation
-order, because the kernels must equal them bit for bit.
+functionals. The plain walks of the density-evolution kernels and the
+padded vector decoder are the exception: they keep the package's
+arithmetic in its direct evaluation order, because the package must
+equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 
 from scipy.interpolate import PchipInterpolator
 
+from hybridldpc.codec import MSG_CLIP, PAD, DecodeResult
+from hybridldpc.codec import _PROB_FLOOR as PROB_FLOOR
 from hybridldpc.construction import HybridParityCheck
 from hybridldpc.density_evolution import (
     _JV_POINTS,
@@ -276,6 +279,188 @@ class ReferenceBinaryBP:
             keep = ~ok
             active, v2c, ch = active[keep], v2c[keep], ch[keep]
         return out, success, used
+
+
+# ---------------------------------------------------------------------------
+# reference vector decoder (padded messages)
+
+
+def reference_walsh_hadamard(x: np.ndarray) -> np.ndarray:
+    """Walsh Hadamard transform along the last axis, stage by stage with a
+    copy, in the butterfly order the package must keep bit for bit."""
+    x = np.array(x, dtype=np.float64, copy=True)
+    q = x.shape[-1]
+    h = 1
+    while h < q:
+        y = x.reshape(x.shape[:-1] + (q // (2 * h), 2, h))
+        a = y[..., 0, :].copy()
+        b = y[..., 1, :]
+        y[..., 0, :] = a + b
+        y[..., 1, :] = a - b
+        h *= 2
+    return x
+
+
+def reference_loo_convolve(probs: np.ndarray) -> np.ndarray:
+    """Leave-one-out group convolution of (..., j, q) by transform with
+    explicit prefix and suffix product arrays."""
+    spec = reference_walsh_hadamard(probs)
+    j = probs.shape[-2]
+    pref = np.ones_like(spec)
+    for d in range(1, j):
+        pref[..., d, :] = pref[..., d - 1, :] * spec[..., d - 1, :]
+    suff = np.ones_like(spec)
+    for d in range(j - 2, -1, -1):
+        suff[..., d, :] = suff[..., d + 1, :] * spec[..., d + 1, :]
+    return reference_walsh_hadamard(pref * suff) / probs.shape[-1]
+
+
+class ReferenceVectorDecoder:
+    """The sum-product decoder with every message padded to q_max.
+
+    Messages are (F, edges, q_max) arrays: v2c probabilities extended onto
+    each map image with zeros elsewhere, c2v LLRs padded with
+    ``codec.PAD``. Extension and truncation go through broadcast
+    ``put_along_axis``/``take_along_axis`` index arrays and masks. It keeps
+    the arithmetic of ``codec.Decoder``'s vector path, so fixed-seed
+    decodes must agree bit for bit.
+    """
+
+    def __init__(self, code: HybridParityCheck, max_iter: int = 100):
+        self.code = code
+        self.max_iter = max_iter
+        self.q_max = q_max = int(max(code.var_groups.max(), code.check_groups.max()))
+        E = code.n_edges
+        self.tables = np.zeros((E, q_max), dtype=np.int64)
+        for e in range(E):
+            t = code.edge_maps[e].apply_table
+            self.tables[e, : len(t)] = t
+        cdeg, rdeg = code.col_degrees(), code.row_degrees()
+        by_col = [np.flatnonzero(code.edge_col == c) for c in range(code.n)]
+        by_row = [np.flatnonzero(code.edge_row == r) for r in range(code.m)]
+        self.var_classes = []   # (order, cols (C,), edges (C, i), image (C, i, order))
+        keys = sorted({(int(cdeg[c]), int(code.var_groups[c])) for c in range(code.n)})
+        for i, qk in keys:
+            cols = np.array([c for c in range(code.n)
+                             if (cdeg[c], code.var_groups[c]) == (i, qk)], dtype=np.int64)
+            edges = np.array([by_col[c] for c in cols], dtype=np.int64).reshape(len(cols), i)
+            self.var_classes.append((qk, cols, edges, self.tables[edges][:, :, :qk]))
+        self.check_classes = []  # (order, edges (C, j), var orders (C, j), mask)
+        keys = sorted({(int(rdeg[r]), int(code.check_groups[r])) for r in range(code.m)})
+        for j, ql in keys:
+            edges = np.array([by_row[r] for r in range(code.m)
+                              if (rdeg[r], code.check_groups[r]) == (j, ql)], dtype=np.int64)
+            vord = code.var_groups[code.edge_col[edges]]
+            mask = np.arange(q_max)[None, None, :] < vord[..., None]
+            self.check_classes.append((ql, edges, vord, mask))
+
+    def _var_update(self, m_cv: np.ndarray, chan: np.ndarray, m_vc: np.ndarray) -> None:
+        F = m_cv.shape[0]
+        for qk, cols, edges, img in self.var_classes:
+            inc = m_cv[:, edges, :qk]
+            ch = chan[:, cols, :qk]
+            total = ch[:, :, None, :] + inc.sum(axis=2, keepdims=True)
+            out = total - inc
+            out -= out.min(axis=-1, keepdims=True)
+            np.clip(out, None, MSG_CLIP, out=out)
+            np.exp(-out, out=out)
+            out /= out.sum(axis=-1, keepdims=True)
+            C, i = edges.shape
+            ext = np.zeros((F, C, i, self.q_max))
+            np.put_along_axis(ext, np.broadcast_to(img[None], (F, C, i, qk)), out, axis=-1)
+            m_vc[:, edges.reshape(-1), :] = ext.reshape(F, C * i, self.q_max)
+
+    def _check_update(self, m_vc: np.ndarray, m_cv: np.ndarray) -> None:
+        F = m_vc.shape[0]
+        for ql, edges, vord, mask in self.check_classes:
+            conv = reference_loo_convolve(m_vc[:, edges, :ql])
+            np.clip(conv, 0.0, None, out=conv)
+            full = np.zeros((F,) + edges.shape + (self.q_max,))
+            full[..., :ql] = conv
+            idx = np.broadcast_to(self.tables[edges][None], full.shape)
+            trunc = np.where(mask[None], np.take_along_axis(full, idx, axis=-1), 0.0)
+            tsum = trunc.sum(axis=-1, keepdims=True)
+            flat = tsum[..., 0] <= PROB_FLOOR
+            if np.any(flat):
+                unif = mask.astype(np.float64) / vord[..., None]
+                trunc = np.where(flat[..., None], np.broadcast_to(unif[None], trunc.shape), trunc)
+                tsum = trunc.sum(axis=-1, keepdims=True)
+            trunc /= tsum
+            np.clip(trunc, PROB_FLOOR, None, out=trunc)
+            logp = np.log(trunc)
+            ref = np.max(np.where(mask[None], logp, -np.inf), axis=-1, keepdims=True)
+            llr = np.clip(ref - logp, None, MSG_CLIP)
+            m_cv[:, edges.reshape(-1), :] = np.where(mask[None], llr, PAD).reshape(F, -1, self.q_max)
+
+    def _posteriors(self, m_cv: np.ndarray, chan: np.ndarray) -> np.ndarray:
+        post = np.array(chan, copy=True)
+        for qk, cols, edges, _img in self.var_classes:
+            post[:, cols, :qk] += m_cv[:, edges, :qk].sum(axis=2)
+        return post
+
+    def _syndrome_ok(self, symbols: np.ndarray) -> np.ndarray:
+        F = symbols.shape[0]
+        ok = np.ones(F, dtype=bool)
+        for _ql, edges, _vord, _mask in self.check_classes:
+            syms = symbols[:, self.code.edge_col[edges]]
+            tables = self.tables[edges]
+            mapped = np.take_along_axis(
+                np.broadcast_to(tables[None], (F,) + tables.shape), syms[..., None], axis=-1)[..., 0]
+            ok &= ~np.bitwise_xor.reduce(mapped, axis=-1).any(axis=-1)
+        return ok
+
+    def _hard(self, post: np.ndarray) -> np.ndarray:
+        return np.argmin(np.where(np.isfinite(post), post, PAD), axis=-1)
+
+    def decode(self, chan: np.ndarray, max_iter: int | None = None,
+               want_posteriors: bool = False, early_stop: bool = True) -> DecodeResult:
+        chan = np.asarray(chan, dtype=np.float64)
+        if chan.ndim == 2:
+            chan = chan[None]
+        iters = self.max_iter if max_iter is None else max_iter
+        F, n, E = chan.shape[0], self.code.n, self.code.n_edges
+        symbols = np.zeros((F, n), dtype=np.int64)
+        success = np.zeros(F, dtype=bool)
+        used = np.full(F, iters, dtype=np.int64)
+        post_out = np.zeros((F, n, self.q_max)) if want_posteriors else None
+
+        active = np.arange(F)
+        chan_a = chan
+        m_cv = np.zeros((F, E, self.q_max))
+        m_vc = np.zeros((F, E, self.q_max))
+        self._var_update(m_cv, chan_a, m_vc)
+        post = self._posteriors(m_cv, chan_a)
+        hard = self._hard(post)
+        ok = self._syndrome_ok(hard)
+        symbols[active] = hard
+        success[active] = ok
+        used[active[ok]] = 0
+        if want_posteriors:
+            post_out[active] = post
+        if early_stop:
+            keep = ~ok
+            active = active[keep]
+            m_cv, m_vc, chan_a = m_cv[keep], m_vc[keep], chan_a[keep]
+
+        it = 0
+        while len(active) and it < iters:
+            it += 1
+            self._check_update(m_vc, m_cv)
+            self._var_update(m_cv, chan_a, m_vc)
+            post = self._posteriors(m_cv, chan_a)
+            hard = self._hard(post)
+            ok = self._syndrome_ok(hard)
+            symbols[active] = hard
+            if want_posteriors:
+                post_out[active] = post
+            newly = ok & ~success[active]
+            success[active[ok]] = True
+            used[active[newly]] = it
+            if early_stop:
+                keep = ~ok
+                active = active[keep]
+                m_cv, m_vc, chan_a = m_cv[keep], m_vc[keep], chan_a[keep]
+        return DecodeResult(symbols, success, used, post_out)
 
 
 # ---------------------------------------------------------------------------

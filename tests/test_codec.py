@@ -1,5 +1,6 @@
 """Encoder, WHT check convolution, and BP decoder behavior."""
 
+import json
 import math
 
 import numpy as np
@@ -17,17 +18,20 @@ from hybridldpc.codec import (
     syndrome,
     walsh_hadamard,
 )
-from hybridldpc.construction import build_code
-from hybridldpc.ensembles import Ensemble
+from hybridldpc.construction import HybridParityCheck, build_code
+from hybridldpc.ensembles import Ensemble, fixture_path
+from hybridldpc.groups import SymbolMap
 
 from oracles import (
     ReferenceBinaryBP,
+    ReferenceVectorDecoder,
     bits_to_symbols,
     brute_force_posteriors,
     direct_loo_convolve,
     enumerate_codewords,
     posterior_llrs_to_probs,
     random_tree_code,
+    reference_walsh_hadamard,
 )
 
 
@@ -51,6 +55,20 @@ def test_walsh_hadamard_axis(rng):
     a = walsh_hadamard(x, axis=-2)
     b = walsh_hadamard(x.T, axis=-1).T
     assert np.allclose(a, b)
+    # component axis leading, as the decoder stores check messages: the
+    # same butterflies, so equal bit for bit to the last-axis transform
+    for q in (2, 8, 256):
+        x = rng.random((q, 3, 5, 4))
+        before = x.copy()
+        lead = walsh_hadamard(x, axis=0)
+        last = walsh_hadamard(np.moveaxis(x, 0, -1))
+        assert np.array_equal(np.moveaxis(lead, 0, -1), last)
+        assert np.array_equal(last, reference_walsh_hadamard(np.moveaxis(x, 0, -1)))
+        assert np.array_equal(x, before)
+        # a strided input, the frame axis outside the component axis
+        staged = np.moveaxis(x, 0, 1)
+        assert np.array_equal(walsh_hadamard(staged, axis=1), np.moveaxis(lead, 0, 1))
+        assert np.array_equal(x, before)
 
 
 def test_walsh_hadamard_convolution_theorem(rng):
@@ -72,6 +90,22 @@ def test_loo_convolve_matches_direct(rng, q):
     got = loo_convolve(probs)
     want = direct_loo_convolve(probs)
     assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("q", [2, 8, 256])
+def test_loo_convolve_component_axis(rng, q):
+    # (q, F, C, j) with the component axis leading; the leave-one-out axis
+    # is the last of the others
+    probs = rng.random((q, 2, 3, 4))
+    probs /= probs.sum(axis=0, keepdims=True)
+    before = probs.copy()
+    lead = loo_convolve(probs, axis=0)
+    last = loo_convolve(np.moveaxis(probs, 0, -1))
+    assert np.array_equal(np.moveaxis(lead, 0, -1), last)
+    assert np.array_equal(probs, before)
+    if q <= 8:
+        want = direct_loo_convolve(np.moveaxis(probs, 0, -1))
+        assert np.allclose(last, want, atol=1e-12)
 
 
 def test_loo_convolve_degree_two(rng):
@@ -168,19 +202,26 @@ def test_decode_moderate_noise_roundtrip():
 
 
 def test_decode_batch_matches_single():
-    code = build_code(small_hybrid(), 600, seed=6)
-    rng = np.random.default_rng(11)
-    bits = np.zeros((3, code.n_bits), dtype=np.int64)
-    params = ChannelParams(0.9)
-    y = transmit(bits, params, rng)
-    chan = channel_llrs(code, y, params)
-    dec = Decoder(code, max_iter=30)
-    batch = dec.decode(chan)
-    for f in range(3):
-        one = dec.decode(chan[f])
-        assert np.array_equal(one.symbols[0], batch.symbols[f])
-        assert one.success[0] == batch.success[f]
-        assert one.iterations[0] == batch.iterations[f]
+    # a frame decodes bit for bit the same alone as in a batch whose other
+    # frames retire earlier or later: on the vector path, and on the scalar
+    # path with variable degree classes of 8 and more
+    binary = build_code(Ensemble.load(fixture_path("r12_binary_irregular")), 1024, seed=1)
+    for code, frames in ((build_code(small_hybrid(), 600, seed=6), 3), (binary, 6)):
+        rng = np.random.default_rng(11)
+        bits = np.zeros((frames, code.n_bits), dtype=np.int64)
+        params = ChannelParams(0.9)
+        y = transmit(bits, params, rng)
+        chan = channel_llrs(code, y, params)
+        dec = Decoder(code, max_iter=30)
+        batch = dec.decode(chan, want_posteriors=True)
+        if code is binary:
+            assert len(np.unique(batch.iterations)) > 1
+        for f in range(frames):
+            one = dec.decode(chan[f], want_posteriors=True)
+            assert np.array_equal(one.symbols[0], batch.symbols[f])
+            assert one.success[0] == batch.success[f]
+            assert one.iterations[0] == batch.iterations[f]
+            assert np.array_equal(one.posterior_llr[0], batch.posterior_llr[f])
 
 
 def test_decode_reports_failure_on_garbage():
@@ -321,3 +362,93 @@ def test_decoder_agrees_with_reference_on_shared_noise():
         theirs = (bits != 0).any(axis=1)
         only_mine += int((mine & ~theirs).sum())
     assert only_mine <= 6
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the padded reference decoder
+
+ORACLE_FIXTURES = ["r16_hybrid_g256g16g8", "r12_hybrid_g8g2", "r12_gf8_regular36",
+                   "r12_binary_irregular"]
+
+
+def fixture_frames(name: str, frames: int) -> tuple:
+    """A 1024-bit build of a fixture and channel LLRs of random codewords
+    1.2 dB above its threshold, where frames converge after different
+    numbers of iterations and some fail within 16. The last frame is
+    noiseless, so it passes at iteration 0."""
+    with open(fixture_path("designs")) as fh:
+        ebn0 = json.load(fh)[name]["threshold_ebn0_db"] + 1.2
+    code = build_code(Ensemble.load(fixture_path(name)), 1024, seed=1)
+    rng = np.random.default_rng(7)
+    info = np.stack([rng.integers(0, code.var_groups[: code.n_info]) for _ in range(frames)])
+    bits = symbols_to_bits(code, encode(code, info))
+    params = ChannelParams.from_ebn0_db(ebn0, code.rate())
+    y = transmit(bits, params, rng)
+    y[-1] = 1.0 - 2.0 * bits[-1]
+    return code, channel_llrs(code, y, params)
+
+
+def assert_same_decode(a, b) -> None:
+    for field in ("symbols", "success", "iterations", "posterior_llr"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+@pytest.mark.parametrize("name", ORACLE_FIXTURES)
+def test_vector_decoder_bit_identical_to_padded_reference(name):
+    code, chan = fixture_frames(name, 8)
+    dec = Decoder(code, max_iter=16, scalar_binary=False)
+    ref = ReferenceVectorDecoder(code, max_iter=16)
+    assert not dec.binary
+    for frames in (chan[:1], chan):
+        for early_stop in (True, False):
+            a = dec.decode(frames, want_posteriors=True, early_stop=early_stop)
+            b = ref.decode(frames, want_posteriors=True, early_stop=early_stop)
+            assert_same_decode(a, b)
+    # the batch retires frames part way: one at iteration 0, one later
+    # while others still run
+    its = dec.decode(chan).iterations
+    assert its[-1] == 0
+    assert 0 < its[its > 0].min() < its.max()
+
+
+def test_vector_decoder_bit_identical_on_tree_codes(rng):
+    # orders 2, 4 and 8 mixed within a row, so group-4 messages sit in
+    # group-8 checks
+    mixed = 0
+    for _ in range(25):
+        code = random_tree_code(rng)
+        vq = code.var_groups[code.edge_col]
+        mixed += int(np.any((vq == 4) & (code.check_groups[code.edge_row] == 8)))
+        params = ChannelParams(0.9)
+        y = transmit(np.zeros((3, code.n_bits), dtype=np.int64), params, rng)
+        chan = channel_llrs(code, y, params)
+        a = Decoder(code, max_iter=6, scalar_binary=False).decode(
+            chan, want_posteriors=True, early_stop=False)
+        b = ReferenceVectorDecoder(code, max_iter=6).decode(
+            chan, want_posteriors=True, early_stop=False)
+        assert_same_decode(a, b)
+    assert mixed >= 3
+
+
+def test_check_message_with_no_mass_on_image_is_uniform():
+    # One group-8 check on three binary columns with images {0, 1}, {0, 2}
+    # and {0, 4}. The first two are certain of 1, so the check puts its
+    # mass on 3 and none on the third column's image: its message falls
+    # back to uniform, which leaves that column at its channel LLRs. Rows
+    # of built codes cannot get there: each has a diagonal column of the
+    # check's own group, whose capped message keeps every component
+    # resolvable.
+    code = HybridParityCheck(
+        var_groups=np.array([2, 2, 2]), check_groups=np.array([8]), n_info=2,
+        edge_row=np.array([0, 0, 0]), edge_col=np.array([0, 1, 2]),
+        edge_maps=[SymbolMap(2, 8, (1,)), SymbolMap(2, 8, (2,)), SymbolMap(2, 8, (4,))])
+    chan = np.zeros((1, 3, 8))
+    chan[..., 2:] = 1e30
+    chan[0, :2, 0] = 40.0
+    chan[0, 2, 1] = 3.0
+    a = Decoder(code, max_iter=1).decode(chan, want_posteriors=True, early_stop=False)
+    b = ReferenceVectorDecoder(code, max_iter=1).decode(
+        chan, want_posteriors=True, early_stop=False)
+    assert_same_decode(a, b)
+    assert np.array_equal(a.posterior_llr[0, 2, :2], [0.0, 3.0])
+    assert np.all(np.isfinite(a.posterior_llr))
