@@ -7,25 +7,31 @@ pass over the edges.
 
 The decoder is a flooding sum-product scheme working symbolwise. Check
 updates run in the check group: incoming variable messages are extended
-through their edge maps (probability mass scattered onto the map image,
-zero elsewhere), combined under the group convolution via the fast
-Walsh Hadamard transform with leave-one-out prefix and suffix products,
-and the results are truncated back through each edge map (gather on the
-image, renormalize). Variable updates add log likelihood ratios and
-subtract the edge's own contribution. Messages are batched over frames
-and over node classes that share a degree and group pair, in two layouts:
+through their edge maps (probability mass placed on the map image, zero
+elsewhere), combined under the group convolution via the fast Walsh
+Hadamard transform with leave-one-out prefix and suffix products, and
+the results are truncated back through each edge map (read on the image,
+renormalized). Variable updates add log likelihood ratios and subtract
+the edge's own contribution. Messages are batched over frames and over
+node classes that share a degree and group pair.
 
-- variable-to-check probabilities live at the check order, component
-  major: each check class is an (order, C, j) block of a frame's row, so
-  the transform's butterflies run along the leading axis over contiguous
-  runs, and components outside an edge's image stay zero;
-- check-to-variable LLRs live at the variable's own order, one
-  (F, edges, q_k) array per variable order, so a G(8) edge carries 8
-  values in a G(256) check.
+Both message directions live at each variable's own order, in one
+(F, width) array each: variable classes in turn, each a (C, degree,
+q_k) block of a frame's row, so a G(8) edge carries 8 values in a
+G(256) check. The variable-to-check row has one more slot, always zero.
 
-Extension scatters and truncation gathers through flat indices fixed
-when the decoder is built. Only ``channel_llrs`` and the reported
-posteriors are padded to the largest group order.
+The check group's width exists only inside one block of the check walk,
+at most CHECK_BLOCK values: a run of checks of one class, for one frame
+or, when a class is narrower, for a few frames. An index fixed when the
+decoder is built gathers the block as (frames, order, checks, j), the
+zero slot outside each edge's image, so the transform's butterflies run
+over contiguous runs of the checks' components; a second index pair
+writes each edge's image components of the result into the
+check-to-variable row. Each variable class then renormalizes these,
+turns them into LLRs and runs its update in frame blocks sized like the
+walk's, so that the dozen passes over a block stay close to the cache.
+Only ``channel_llrs`` and the reported posteriors are padded to the
+largest group order.
 
 On an all-binary graph the same sum-product messages are scalar LLRs,
 and the decoder runs them directly: the check update is the tanh rule,
@@ -56,6 +62,12 @@ _PROB_FLOOR = 1e-300
 # it to about 0.1 percent: ln(2^42) = 29.1.
 MSG_CLIP = math.log(1.0 / (2.0**10 * np.finfo(np.float64).eps))
 
+# Float64 values in one block of the check walk, frames x order x checks
+# x j, and at most in one frame block of a variable update unless a
+# single frame is wider: 768 KiB, so that the two buffers a transform
+# stage reads and writes stay in a 2 MiB L2 cache.
+CHECK_BLOCK = 98_304
+
 __all__ = [
     "MSG_CLIP",
     "walsh_hadamard",
@@ -68,48 +80,70 @@ __all__ = [
 ]
 
 
-def walsh_hadamard(x: np.ndarray, axis: int = -1) -> np.ndarray:
+def walsh_hadamard(x: np.ndarray, axis: int = -1,
+                   work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Unnormalized Walsh Hadamard transform along one axis.
 
     Self-inverse up to the factor q: applying it twice multiplies by the
     axis length, which must be a power of two. The input is not modified.
-    Stages h = 1, 2, ..., q/2 run with the transform axis leading, each
-    reading one buffer and writing the other, so a stage works on
-    contiguous runs of h times the size of the other axes. The result is
-    a view of a component-leading array.
+    The result is a C-ordered array of the input's shape. Stages h = 1, 2,
+    ..., q/2 each read one buffer and write the other; a stage works on
+    contiguous runs of h times the size of the axes after ``axis``, so
+    the transform is fastest with the transform axis ahead of large axes.
+    ``work`` is an optional pair of flat float64 buffers of at least
+    ``x.size`` elements, neither overlapping ``x``; the stages then run in
+    them instead of in new arrays, and the result is a view of one of
+    them.
     """
-    xv = np.moveaxis(np.asarray(x, dtype=np.float64), axis, 0)
-    q = xv.shape[0]
+    x = np.asarray(x, dtype=np.float64)
+    axis = axis % x.ndim
+    q = x.shape[axis]
     if q & (q - 1):
         raise ValueError(f"transform length must be a power of two, got {q}")
     if q == 1:
-        return np.moveaxis(xv.copy(), 0, axis)
-    rest = xv.shape[1:]
-    bufs = (np.empty(xv.shape), np.empty(xv.shape) if q > 2 else None)
-    src, h, k = xv, 1, 0
+        return x.copy()
+    if work is None:
+        work = (np.empty(x.size), np.empty(x.size))
+    outer = math.prod(x.shape[:axis])
+    rest = math.prod(x.shape[axis + 1:])
+    src = x.reshape(outer, q, rest)
+    bufs = [w[: x.size].reshape(src.shape) for w in work]
+    h, k = 1, 0
     while h < q:
         dst = bufs[k]
-        s = src.reshape((q // (2 * h), 2, h) + rest)
+        s = src.reshape(outer, q // (2 * h), 2, h * rest)
         d = dst.reshape(s.shape)
-        np.add(s[:, 0], s[:, 1], out=d[:, 0])
-        np.subtract(s[:, 0], s[:, 1], out=d[:, 1])
+        np.add(s[:, :, 0], s[:, :, 1], out=d[:, :, 0])
+        np.subtract(s[:, :, 0], s[:, :, 1], out=d[:, :, 1])
         src, h, k = dst, 2 * h, 1 - k
-    return np.moveaxis(src, 0, axis)
+    return src.reshape(x.shape)
 
 
-def loo_convolve(probs: np.ndarray, axis: int = -1) -> np.ndarray:
+def loo_convolve(probs: np.ndarray, axis: int = -1,
+                 work: np.ndarray | None = None) -> np.ndarray:
     """Leave-one-out group convolution of probability vectors.
 
     ``axis`` is the component axis, of length q; the leave-one-out axis
     is the last of the other axes, so the default takes shape (..., j, q).
-    The result at position d of that axis is the convolution under
-    component-wise XOR of the other j - 1 vectors. Products are taken in
-    the transform domain with prefix/suffix accumulation, so no division
-    is involved.
+    The result, a C-ordered array of the input's shape, holds at position
+    d of that axis the convolution under component-wise XOR of the other
+    j - 1 vectors. Products are taken in the transform domain with
+    prefix/suffix accumulation, so no division is involved. ``work`` is
+    an optional (4, n) float64 array, n at least ``probs.size``, not
+    overlapping ``probs``: the transforms and products then run in it,
+    and the result is a view into it, valid until the next call with the
+    same ``work``.
     """
-    spec = np.moveaxis(walsh_hadamard(probs, axis), axis, 0)
+    probs = np.asarray(probs, dtype=np.float64)
+    axis = axis % probs.ndim
+    if work is None:
+        work = np.empty((4, probs.size))
+    pair = (work[0], work[1])
+    loo = probs.ndim - 2 if axis == probs.ndim - 1 else probs.ndim - 1
+    spec_t = walsh_hadamard(probs, axis, work=pair)
+    prod_t = work[2][: spec_t.size].reshape(spec_t.shape)
+    spec, prod = np.moveaxis(spec_t, loo, -1), np.moveaxis(prod_t, loo, -1)
     j = spec.shape[-1]
-    prod = np.empty_like(spec)
     if j < 2:
         prod[...] = 1.0
     else:
@@ -119,13 +153,14 @@ def loo_convolve(probs: np.ndarray, axis: int = -1) -> np.ndarray:
         for d in range(2, j):
             np.multiply(prod[..., d - 1], spec[..., d - 1], out=prod[..., d])
         suff = spec[..., j - 1]
+        buf = work[3][: suff.size].reshape(suff.shape)
         for d in range(j - 2, 0, -1):
             prod[..., d] *= suff
-            suff = suff * spec[..., d]
+            suff = np.multiply(suff, spec[..., d], out=buf)
         prod[..., 0] = suff
-    out = walsh_hadamard(prod, 0)
-    out /= spec.shape[0]
-    return np.moveaxis(out, 0, axis)
+    out = walsh_hadamard(prod_t, axis, work=pair)
+    out /= probs.shape[axis]
+    return out
 
 
 def symbols_to_bits(code: HybridParityCheck, symbols: np.ndarray) -> np.ndarray:
@@ -204,26 +239,36 @@ class DecodeResult:
     symbols: np.ndarray       # (F, n) hard decisions
     success: np.ndarray       # (F,) syndrome reached zero
     iterations: np.ndarray    # (F,) iterations used (max_iter when failed)
+    # per iteration run, iteration 0 being the channel's hard decisions:
+    active_frames: np.ndarray       # frames decoded in that iteration
+    unsatisfied_checks: np.ndarray  # unsatisfied checks summed over them
     posterior_llr: np.ndarray | None = None  # (F, n, q_max) when requested
 
 
+def _frames_per_block(width: int) -> int:
+    """Frames in one block at ``width`` values a frame: as many as fit in
+    CHECK_BLOCK, and at least one."""
+    return max(1, CHECK_BLOCK // width)
+
+
 class _VarClass:
-    def __init__(self, degree: int, order: int, cols: np.ndarray, start: int,
-                 scatter: np.ndarray):
+    def __init__(self, degree: int, order: int, cols: np.ndarray, start: int):
         self.degree = degree
         self.order = order
         self.cols = cols          # (C,)
-        self.start = start        # first of its C * degree edges in the order's c2v
-        self.scatter = scatter    # (C * degree * order,) v2c column of each image component
+        self.start = start        # first message column of its C * degree * order block
+        self.frames = _frames_per_block(len(cols) * degree * order)
 
 
 class _CheckClass:
-    def __init__(self, order: int, offset: int, cols: np.ndarray,
-                 table_base: np.ndarray):
-        self.order = order
-        self.offset = offset      # first v2c and conv column of its order * C * j block
+    def __init__(self, cols: np.ndarray, table_base: np.ndarray, blocks: list):
         self.cols = cols          # (C, j) column of each edge
         self.table_base = table_base  # (C, j) start of each edge's map table
+        # per block of checks, for each of up to G frames in turn:
+        # - (G, order, checks, j) v2c positions from the block's first row;
+        # - (G, k) flat positions of the edges' image components in the
+        #   block, and (G, k) the c2v positions they go to
+        self.blocks = blocks
 
 
 def _mass(p: np.ndarray, q_max: int) -> np.ndarray:
@@ -237,6 +282,25 @@ def _mass(p: np.ndarray, q_max: int) -> np.ndarray:
     if p.shape[-1] == 4 and q_max > 4:
         return (p[..., 0:1] + p[..., 1:2]) + (p[..., 2:3] + p[..., 3:4])
     return p.sum(axis=-1, keepdims=True)
+
+
+def _truncate(p: np.ndarray, q_max: int) -> None:
+    """Check results on each edge's image, in place: renormalize over the
+    last axis, then to LLRs anchored at the largest mass, spread capped."""
+    qk = p.shape[-1]
+    np.clip(p, 0.0, None, out=p)
+    tsum = _mass(p, q_max)
+    flat = tsum[..., 0] <= _PROB_FLOOR
+    if np.any(flat):
+        # degenerate all-zero message: fall back to uniform on the group
+        p[flat] = 1.0 / qk
+        tsum = _mass(p, q_max)
+    p /= tsum
+    np.clip(p, _PROB_FLOOR, None, out=p)
+    # component 0 is not a safe anchor under codeword relabeling
+    np.log(p, out=p)
+    np.subtract(p.max(axis=-1, keepdims=True), p, out=p)
+    np.clip(p, None, MSG_CLIP, out=p)
 
 
 class Decoder:
@@ -261,14 +325,10 @@ class Decoder:
             self._build_classes()
 
     def _build_classes(self) -> None:
-        # Messages of F active frames:
-        # - v2c: (F, width) rows, each check class an (order, C, j) block,
-        #   component major for the transform;
-        # - conv: the check results in the same blocks, edge major as
-        #   (C, j, order), so that truncation gathers contiguous runs;
-        # - c2v: one (F, edges, q_k) array per variable order.
-        # The frame axis leads all three, so the flat gather and scatter
-        # indices built here stay valid as frames retire.
+        # Messages of F active frames are (F, width) rows at native order,
+        # variable classes in turn; v2c has a trailing zero slot. The frame
+        # axis leads, so the column indices built here stay valid as
+        # frames retire.
         code = self.code
         E = code.n_edges
         col_of = code.edge_col
@@ -288,46 +348,56 @@ class Decoder:
             apply_tables[e, : len(t)] = t
         self._apply_flat = apply_tables.ravel()
 
-        cclasses: dict[tuple[int, int], list[int]] = {}
-        for r in range(code.m):
-            cclasses.setdefault((int(rdeg[r]), int(code.check_groups[r])), []).append(r)
-        v2c_first = np.empty(E, dtype=np.int64)   # v2c column of component 0
-        v2c_step = np.empty(E, dtype=np.int64)    # v2c columns between components
-        conv_first = np.empty(E, dtype=np.int64)  # conv column of component 0
-        self.check_classes: list[_CheckClass] = []
-        width = 0
-        for (_j, ql), rows in sorted(cclasses.items()):
-            edges = np.array([edges_by_row[r] for r in rows], dtype=np.int64)
-            slot = np.arange(edges.size).reshape(edges.shape)
-            v2c_first[edges] = width + slot
-            v2c_step[edges] = edges.size
-            conv_first[edges] = width + ql * slot
-            self.check_classes.append(
-                _CheckClass(ql, width, col_of[edges], edges * self.q_max))
-            width += ql * edges.size
-        self._width = width
-
         vclasses: dict[tuple[int, int], list[int]] = {}
         for c in range(code.n):
             vclasses.setdefault((int(code.var_groups[c]), int(cdeg[c])), []).append(c)
         self.var_classes: list[_VarClass] = []
-        gather: dict[int, list[np.ndarray]] = {}
+        first = np.empty(E, dtype=np.int64)  # message column of component 0
+        width = 0
         for (qk, i), cols in sorted(vclasses.items()):
             cols = np.array(cols, dtype=np.int64)
             edges = np.array([edges_by_col[c] for c in cols], dtype=np.int64)
-            img = apply_tables[edges][:, :, :qk]
-            scatter = v2c_first[edges][..., None] + v2c_step[edges][..., None] * img
-            parts = gather.setdefault(qk, [])
-            start = sum(len(g) for g in parts) // qk
-            parts.append((conv_first[edges][..., None] + img).ravel())
-            self.var_classes.append(_VarClass(i, qk, cols, start, scatter.ravel()))
-        # order -> conv column of each c2v entry, variable classes in turn
-        self._gather = {qk: np.concatenate(parts) for qk, parts in gather.items()}
+            first[edges] = width + qk * np.arange(edges.size).reshape(edges.shape)
+            self.var_classes.append(_VarClass(i, qk, cols, width))
+            width += qk * edges.size
+        self._msg_width = width
+
+        # A block of the check walk is G frames of a run of checks, at most
+        # CHECK_BLOCK values: a class narrower than that takes several
+        # frames whole, a wider one is cut into runs of checks.
+        vq = code.var_groups[col_of]
+        comp = np.arange(self.q_max)
+        cclasses: dict[tuple[int, int], list[int]] = {}
+        for r in range(code.m):
+            cclasses.setdefault((int(rdeg[r]), int(code.check_groups[r])), []).append(r)
+        self.check_classes: list[_CheckClass] = []
+        for (j, ql), rows in sorted(cclasses.items()):
+            edges = np.array([edges_by_row[r] for r in rows], dtype=np.int64)
+            # v2c column of each component of the class, (ql, C, j),
+            # the zero slot outside each edge's image
+            gather = np.full((ql,) + edges.shape, width, dtype=np.intp)
+            c, d, t = np.nonzero(comp < vq[edges][..., None])
+            gather[apply_tables[edges[c, d], t], c, d] = first[edges[c, d]] + t
+            frames = _frames_per_block(gather.size)
+            step = len(rows) if frames > 1 else max(1, CHECK_BLOCK // (ql * j))
+            k = np.arange(frames)[:, None]
+            blocks = []
+            for lo in range(0, len(rows), step):
+                g = gather[:, lo: lo + step]
+                src = np.flatnonzero(g != width)
+                dst = g.ravel()[src]
+                order = np.argsort(dst)  # c2v written in column order
+                blocks.append((g[None] + (width + 1) * k[..., None, None],
+                               src[order] + g.size * k, dst[order] + width * k))
+            self.check_classes.append(
+                _CheckClass(col_of[edges], edges * self.q_max, blocks))
+        self._block = max(gi.size for cc in self.check_classes for gi, _s, _d in cc.blocks)
 
     def _build_binary(self) -> None:
-        # Messages are (edge, frame) arrays. Edges are renumbered so that
-        # each variable degree class is one contiguous (C, i) block; the
-        # check side gathers and scatters through (C, j) index tables.
+        # Messages are C-ordered (frame, edge) arrays. Edges are renumbered
+        # so that each variable degree class is one contiguous (C, i) block
+        # of a frame's row; the check side gathers and scatters through
+        # (C, j) index tables.
         code = self.code
         col_of, row_of = code.edge_col, code.edge_row
         cdeg, rdeg = code.col_degrees(), code.row_degrees()
@@ -381,10 +451,15 @@ class Decoder:
             post_out = np.zeros((F, n, 2)) if self.binary else chan.copy()
 
         active = np.arange(F)
+        n_active: list[int] = []
+        n_unsat: list[int] = []
         it = 0
         while True:
             # iteration 0 checks the hard decisions straight off the channel
-            hard, ok = run.step(it)
+            hard, unsat = run.step(it)
+            ok = unsat == 0
+            n_active.append(len(active))
+            n_unsat.append(int(unsat.sum()))
             symbols[active] = hard
             if want_posteriors:
                 run.write_posteriors(post_out, active)
@@ -399,19 +474,20 @@ class Decoder:
                     break
                 run.keep(keep)
             it += 1
-        return DecodeResult(symbols, success, used, post_out)
+        return DecodeResult(symbols, success, used, np.array(n_active),
+                            np.array(n_unsat), post_out)
 
 
 class _BinaryRun:
     """Scalar LLR messages of one decode on an all-binary code, as
-    (edge, frame) arrays over the active frames."""
+    C-ordered (frame, edge) arrays over the active frames."""
 
     def __init__(self, dec: Decoder, chan: np.ndarray):
         self.dec = dec
         F, E = chan.shape[0], dec.code.n_edges
-        self.chan = np.ascontiguousarray((chan[:, :, 1] - chan[:, :, 0]).T)  # (n, F)
-        self.c2v = np.zeros((E, F))
-        self.v2c = np.empty((E, F))
+        self.chan = chan[:, :, 1] - chan[:, :, 0]  # (F, n)
+        self.c2v = np.zeros((F, E))
+        self.v2c = np.empty((F, E))
         self.post = self.chan
 
     def step(self, it: int) -> tuple[np.ndarray, np.ndarray]:
@@ -419,34 +495,31 @@ class _BinaryRun:
             self._check_update()
         self._var_update()
         hard = self.post < 0
-        ok = np.ones(hard.shape[1], dtype=bool)
+        unsat = np.zeros(hard.shape[0], dtype=np.int64)
         for _idx, cols in self.dec._bchk:
-            ok &= ~np.bitwise_xor.reduce(hard[cols], axis=1).any(axis=0)
-        return hard.T, ok
+            unsat += np.count_nonzero(np.bitwise_xor.reduce(hard[:, cols], axis=-1), axis=-1)
+        return hard, unsat
 
     def write_posteriors(self, out: np.ndarray, active: np.ndarray) -> None:
-        out[active, :, 1] = self.post.T
+        out[active, :, 1] = self.post
 
     def keep(self, mask: np.ndarray) -> None:
-        # Column selection returns Fortran-ordered arrays, each frame's
-        # edges adjacent, even when every frame stays. Under early stop the
-        # selection after iteration 0 thus fixes the order in which the
-        # variable update sums each degree class, the same for every frame
-        # of a batch.
-        self.c2v, self.v2c = self.c2v[:, mask], self.v2c[:, mask]
-        self.chan = self.chan[:, mask]
+        if mask.all():  # row selection would only copy
+            return
+        self.c2v, self.v2c = self.c2v[mask], self.v2c[mask]
+        self.chan = self.chan[mask]
 
     def _var_update(self) -> None:
-        """Variable update on (E, F) LLRs and the (n, F) posteriors."""
+        """Variable update on (F, E) LLRs and the (F, n) posteriors."""
         c2v, v2c = self.c2v, self.v2c
+        F = c2v.shape[0]
         post = self.chan.copy()
         for cols, start, i in self.dec._bvar:
             stop = start + len(cols) * i
-            inc = c2v[start:stop].reshape(len(cols), i, -1)
-            tot = post[cols] + inc.sum(axis=1)
-            post[cols] = tot
-            np.subtract(tot[:, None, :], inc,
-                        out=v2c[start:stop].reshape(len(cols), i, -1))
+            inc = c2v[:, start:stop].reshape(F, len(cols), i)
+            tot = post[:, cols] + inc.sum(axis=-1)
+            post[:, cols] = tot
+            np.subtract(tot[..., None], inc, out=v2c[:, start:stop].reshape(F, len(cols), i))
         np.clip(v2c, -MSG_CLIP, MSG_CLIP, out=v2c)
         self.post = post
 
@@ -455,12 +528,12 @@ class _BinaryRun:
         c2v = self.c2v
         t = np.tanh(0.5 * self.v2c)
         for idx, _cols in self.dec._bchk:
-            tt = t[idx]                                        # (C, j, F)
+            tt = t[:, idx]                                     # (F, C, j)
             loo = np.ones_like(tt)
-            np.cumprod(tt[:, :-1], axis=1, out=loo[:, 1:])
-            suff = np.cumprod(tt[:, :0:-1], axis=1)[:, ::-1]
-            loo[:, :-1] *= suff
-            c2v[idx] = loo
+            np.cumprod(tt[..., :-1], axis=-1, out=loo[..., 1:])
+            suff = np.cumprod(tt[..., :0:-1], axis=-1)[..., ::-1]
+            loo[..., :-1] *= suff
+            c2v[:, idx] = loo
         cap = math.tanh(0.5 * MSG_CLIP)
         np.clip(c2v, -cap, cap, out=c2v)
         np.arctanh(c2v, out=c2v)
@@ -469,23 +542,20 @@ class _BinaryRun:
 
 
 class _VectorRun:
-    """Vector messages of one decode, over the active frames: v2c at check
-    order in (F, width) rows, c2v at each variable's own order."""
+    """Vector messages of one decode, over the active frames: v2c and c2v
+    at each variable's own order in (F, width) rows, and the work
+    buffers of one block of the check walk."""
 
     def __init__(self, dec: Decoder, chan: np.ndarray):
         self.dec = dec
         F = chan.shape[0]
-        # components outside each edge's image stay zero
-        self.v2c = np.zeros((F, dec._width))
-        self.conv = np.empty((F, dec._width))
-        self.c2v = {qk: np.zeros((F, len(idx) // qk, qk)) for qk, idx in dec._gather.items()}
+        # the trailing slot stays zero: components outside an edge's image
+        self.v2c = np.zeros((F, dec._msg_width + 1))
+        self.c2v = np.zeros((F, dec._msg_width))
+        self.block = np.empty(dec._block)
+        self.work = np.empty((4, dec._block))
         self.chan = [chan[:, vc.cols, : vc.order] for vc in dec.var_classes]
         self.post: list[np.ndarray] = []
-
-    def step(self, it: int) -> tuple[np.ndarray, np.ndarray]:
-        if it:
-            self._check_update()
-        return self._var_update()
 
     def write_posteriors(self, out: np.ndarray, active: np.ndarray) -> None:
         for vc, post in zip(self.dec.var_classes, self.post):
@@ -494,68 +564,62 @@ class _VectorRun:
     def keep(self, mask: np.ndarray) -> None:
         if mask.all():  # row selection would only copy
             return
-        self.v2c = self.v2c[mask]
-        self.conv = np.empty_like(self.v2c)
-        self.c2v = {qk: m[mask] for qk, m in self.c2v.items()}
+        self.v2c, self.c2v = self.v2c[mask], self.c2v[mask]
         self.chan = [ch[mask] for ch in self.chan]
 
-    def _var_update(self) -> tuple[np.ndarray, np.ndarray]:
-        """LLR-domain variable update, extension into the check groups,
-        posteriors, hard decisions and syndrome check."""
+    def step(self, it: int) -> tuple[np.ndarray, np.ndarray]:
+        """Check update (after iteration 0), then the LLR-domain variable
+        update into v2c probabilities, posteriors, hard decisions and
+        syndrome check. Each variable class runs in blocks of frames, its
+        c2v truncated just before the variable update reads it."""
         dec = self.dec
+        if it:
+            self._check_walk()
         F = self.v2c.shape[0]
         hard = np.empty((F, dec.code.n), dtype=np.int64)
         self.post = []
         for vc, ch in zip(dec.var_classes, self.chan):
             qk, C, i = vc.order, len(vc.cols), vc.degree
-            inc = self.c2v[qk][:, vc.start: vc.start + C * i].reshape(F, C, i, qk)
-            total = ch[:, :, None, :] + inc.sum(axis=2, keepdims=True)
-            out = total - inc
-            # to probabilities; clip the spread after re-anchoring to the min
-            # so the cap lands on the same components under any relabeling of
-            # the transmitted codeword. min - out is exactly -(out - min).
-            np.subtract(out.min(axis=-1, keepdims=True), out, out=out)
-            np.clip(out, -MSG_CLIP, None, out=out)
-            np.exp(out, out=out)
-            out /= out.sum(axis=-1, keepdims=True)
-            # extension: each edge's mass lands on its map's image
-            flat = out.reshape(F, -1)
-            for f in range(F):
-                self.v2c[f, vc.scatter] = flat[f]
-            post = total[:, :, 0, :]
+            cols = slice(vc.start, vc.start + C * i * qk)
+            post = np.empty((F, C, qk))
+            for lo in range(0, F, vc.frames):
+                g = min(vc.frames, F - lo)
+                rows = slice(lo, lo + g)
+                inc = self.c2v[rows, cols].reshape(g, C, i, qk)
+                if it:
+                    _truncate(inc, dec.q_max)
+                total = post[rows][:, :, None, :]
+                np.add(ch[rows][:, :, None, :], inc.sum(axis=2, keepdims=True), out=total)
+                out = self.v2c[rows, cols].reshape(g, C, i, qk)
+                np.subtract(total, inc, out=out)
+                # to probabilities; clip the spread after re-anchoring to the
+                # min so the cap lands on the same components under any
+                # relabeling of the transmitted codeword. min - out is
+                # exactly -(out - min).
+                np.subtract(out.min(axis=-1, keepdims=True), out, out=out)
+                np.clip(out, -MSG_CLIP, None, out=out)
+                np.exp(out, out=out)
+                out /= out.sum(axis=-1, keepdims=True)
             self.post.append(post)
             hard[:, vc.cols] = post.argmin(axis=-1)
-        ok = np.ones(F, dtype=bool)
+        unsat = np.zeros(F, dtype=np.int64)
         for cc in dec.check_classes:
             mapped = dec._apply_flat[cc.table_base + hard[:, cc.cols]]   # (F, C, j)
-            ok &= ~np.bitwise_xor.reduce(mapped, axis=-1).any(axis=-1)
-        return hard, ok
+            unsat += np.count_nonzero(np.bitwise_xor.reduce(mapped, axis=-1), axis=-1)
+        return hard, unsat
 
-    def _check_update(self) -> None:
-        """Group-convolution check update and truncation into var groups."""
-        dec = self.dec
-        F = self.v2c.shape[0]
-        for cc in dec.check_classes:
-            ql, (C, j) = cc.order, cc.cols.shape
-            block = slice(cc.offset, cc.offset + ql * C * j)
-            conv = loo_convolve(self.v2c[:, block].reshape(F, ql, C, j), axis=1)
-            # edge major, so that the truncation gathers contiguous runs
-            self.conv[:, block].reshape(F, C, j, ql)[...] = np.moveaxis(conv, 1, -1)
-        for qk, idx in dec._gather.items():
-            # truncation: gather the image components, renormalize, to LLRs
-            p = np.take(self.conv, idx, axis=1).reshape(F, -1, qk)
-            np.clip(p, 0.0, None, out=p)
-            tsum = _mass(p, dec.q_max)
-            flat = tsum[..., 0] <= _PROB_FLOOR
-            if np.any(flat):
-                # degenerate all-zero message: fall back to uniform on the group
-                p[flat] = 1.0 / qk
-                tsum = _mass(p, dec.q_max)
-            p /= tsum
-            np.clip(p, _PROB_FLOOR, None, out=p)
-            # LLRs anchored at the largest mass in the group, spread capped;
-            # component 0 is not a safe anchor under codeword relabeling
-            np.log(p, out=p)
-            llr = self.c2v[qk]
-            np.subtract(p.max(axis=-1, keepdims=True), p, out=llr)
-            np.clip(llr, None, MSG_CLIP, out=llr)
+    def _check_walk(self) -> None:
+        """Group convolution of each block of each check class, with the
+        results on the edges' images written to c2v."""
+        v2c, c2v = self.v2c, self.c2v
+        F = v2c.shape[0]
+        for cc in self.dec.check_classes:
+            for gather, src, dst in cc.blocks:
+                for lo in range(0, F, len(gather)):
+                    g = min(len(gather), F - lo)
+                    x = self.block[: g * gather[0].size].reshape((g,) + gather.shape[1:])
+                    # every index is in range; "clip" only lets take fill x
+                    # without a temporary
+                    np.take(v2c[lo: lo + g].ravel(), gather[:g], out=x, mode="clip")
+                    conv = loo_convolve(x, axis=1, work=self.work)
+                    c2v[lo: lo + g].ravel()[dst[:g].ravel()] = conv.ravel()[src[:g].ravel()]

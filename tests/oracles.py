@@ -398,16 +398,17 @@ class ReferenceVectorDecoder:
             post[:, cols, :qk] += m_cv[:, edges, :qk].sum(axis=2)
         return post
 
-    def _syndrome_ok(self, symbols: np.ndarray) -> np.ndarray:
+    def _unsatisfied(self, symbols: np.ndarray) -> np.ndarray:
+        """Unsatisfied checks of each frame."""
         F = symbols.shape[0]
-        ok = np.ones(F, dtype=bool)
+        count = np.zeros(F, dtype=np.int64)
         for _ql, edges, _vord, _mask in self.check_classes:
             syms = symbols[:, self.code.edge_col[edges]]
             tables = self.tables[edges]
             mapped = np.take_along_axis(
                 np.broadcast_to(tables[None], (F,) + tables.shape), syms[..., None], axis=-1)[..., 0]
-            ok &= ~np.bitwise_xor.reduce(mapped, axis=-1).any(axis=-1)
-        return ok
+            count += (np.bitwise_xor.reduce(mapped, axis=-1) != 0).sum(axis=-1)
+        return count
 
     def _hard(self, post: np.ndarray) -> np.ndarray:
         return np.argmin(np.where(np.isfinite(post), post, PAD), axis=-1)
@@ -431,7 +432,9 @@ class ReferenceVectorDecoder:
         self._var_update(m_cv, chan_a, m_vc)
         post = self._posteriors(m_cv, chan_a)
         hard = self._hard(post)
-        ok = self._syndrome_ok(hard)
+        unsat = self._unsatisfied(hard)
+        ok = unsat == 0
+        n_active, n_unsat = [F], [int(unsat.sum())]
         symbols[active] = hard
         success[active] = ok
         used[active[ok]] = 0
@@ -449,7 +452,10 @@ class ReferenceVectorDecoder:
             self._var_update(m_cv, chan_a, m_vc)
             post = self._posteriors(m_cv, chan_a)
             hard = self._hard(post)
-            ok = self._syndrome_ok(hard)
+            unsat = self._unsatisfied(hard)
+            ok = unsat == 0
+            n_active.append(len(active))
+            n_unsat.append(int(unsat.sum()))
             symbols[active] = hard
             if want_posteriors:
                 post_out[active] = post
@@ -460,7 +466,8 @@ class ReferenceVectorDecoder:
                 keep = ~ok
                 active = active[keep]
                 m_cv, m_vc, chan_a = m_cv[keep], m_vc[keep], chan_a[keep]
-        return DecodeResult(symbols, success, used, post_out)
+        return DecodeResult(symbols, success, used, np.array(n_active), np.array(n_unsat),
+                            post_out)
 
 
 # ---------------------------------------------------------------------------

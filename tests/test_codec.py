@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hybridldpc import codec
 from hybridldpc.channel import ChannelParams, transmit
 from hybridldpc.codec import (
     MSG_CLIP,
@@ -18,7 +21,7 @@ from hybridldpc.codec import (
     syndrome,
     walsh_hadamard,
 )
-from hybridldpc.construction import HybridParityCheck, build_code
+from hybridldpc.construction import HybridParityCheck, build_code, load_code
 from hybridldpc.ensembles import Ensemble, fixture_path
 from hybridldpc.groups import SymbolMap
 
@@ -33,6 +36,9 @@ from oracles import (
     random_tree_code,
     reference_walsh_hadamard,
 )
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def small_hybrid() -> Ensemble:
@@ -389,16 +395,44 @@ def fixture_frames(name: str, frames: int) -> tuple:
 
 
 def assert_same_decode(a, b) -> None:
-    for field in ("symbols", "success", "iterations", "posterior_llr"):
+    for field in ("symbols", "success", "iterations", "active_frames",
+                  "unsatisfied_checks", "posterior_llr"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
-@pytest.mark.parametrize("name", ORACLE_FIXTURES)
-def test_vector_decoder_bit_identical_to_padded_reference(name):
+def few_check_blocks(code: HybridParityCheck) -> int:
+    """A CHECK_BLOCK of a few checks of the widest check class, at which
+    every class of more than one check spans several blocks and its last
+    block is shorter than the others."""
+    classes = Counter(zip(code.row_degrees().tolist(), code.check_groups.tolist()))
+    widest = max(j * ql for j, ql in classes)
+    for block in range(3 * widest, 20 * widest):
+        step = {key: block // (key[0] * key[1]) for key in classes}
+        if all(C == 1 or (C > step[key] and C % step[key]) for key, C in classes.items()):
+            return block
+    raise AssertionError("no block size splits every class")
+
+
+@pytest.mark.parametrize(
+    "name, small_blocks",
+    [(name, False) for name in ORACLE_FIXTURES] + [(name, True) for name in ORACLE_FIXTURES],
+    ids=ORACLE_FIXTURES + [f"{name}-few_checks" for name in ORACLE_FIXTURES])
+def test_vector_decoder_bit_identical_to_padded_reference(name, small_blocks, monkeypatch):
     code, chan = fixture_frames(name, 8)
+    if small_blocks:
+        monkeypatch.setattr(codec, "CHECK_BLOCK", few_check_blocks(code))
     dec = Decoder(code, max_iter=16, scalar_binary=False)
     ref = ReferenceVectorDecoder(code, max_iter=16)
     assert not dec.binary
+    if small_blocks:
+        split = [cc for cc in dec.check_classes if len(cc.cols) > 1]
+        assert split and all(len(cc.blocks) > 1 for cc in split)
+        assert all(cc.blocks[-1][0].size < cc.blocks[0][0].size for cc in split)
+    else:
+        # classes narrower than a block take several frames whole; the
+        # batch of 8 leaves a shorter last frame block
+        assert any(len(cc.blocks[0][0]) > 1 and 8 % len(cc.blocks[0][0])
+                   for cc in dec.check_classes)
     for frames in (chan[:1], chan):
         for early_stop in (True, False):
             a = dec.decode(frames, want_posteriors=True, early_stop=early_stop)
@@ -409,6 +443,66 @@ def test_vector_decoder_bit_identical_to_padded_reference(name):
     its = dec.decode(chan).iterations
     assert its[-1] == 0
     assert 0 < its[its > 0].min() < its.max()
+
+
+def test_vector_decoder_bit_identical_on_shipped_r16_code():
+    # the 6144-bit code: its G(256) class spans several blocks of checks
+    code = load_code(os.path.join(ROOT, "fer_results", "codes",
+                                  "r16_hybrid_g256g16g8_6144.alist"))
+    with open(fixture_path("designs")) as fh:
+        ebn0 = json.load(fh)["r16_hybrid_g256g16g8"]["threshold_ebn0_db"] + 1.0
+    rng = np.random.default_rng(3)
+    info = np.stack([rng.integers(0, code.var_groups[: code.n_info]) for _ in range(2)])
+    bits = symbols_to_bits(code, encode(code, info))
+    params = ChannelParams.from_ebn0_db(ebn0, code.rate())
+    chan = channel_llrs(code, transmit(bits, params, rng), params)
+    dec = Decoder(code, max_iter=3)
+    assert max(len(cc.blocks) for cc in dec.check_classes) > 1
+    a = dec.decode(chan, want_posteriors=True, early_stop=False)
+    b = ReferenceVectorDecoder(code, max_iter=3).decode(
+        chan, want_posteriors=True, early_stop=False)
+    assert_same_decode(a, b)
+
+
+@pytest.mark.parametrize("name", ["r12_hybrid_g8g2", "r12_binary_irregular"])
+def test_decode_reports_active_frames_and_unsatisfied_checks(name):
+    # on the vector path and, for the binary code, the scalar path
+    code, chan = fixture_frames(name, 8)
+    dec = Decoder(code, max_iter=16)
+    # the noiseless last frame alone: every check satisfied at iteration 0
+    one = dec.decode(chan[-1:])
+    assert one.active_frames.tolist() == [1]
+    assert one.unsatisfied_checks.tolist() == [0]
+    res = dec.decode(chan)
+    assert len(res.active_frames) == len(res.unsatisfied_checks) == res.iterations.max() + 1
+    assert res.active_frames[0] == 8
+    assert np.all(np.diff(res.active_frames) <= 0)
+    # the frames that ran iteration t are those not done before it
+    for t, n in enumerate(res.active_frames):
+        assert n == int((res.iterations >= t).sum())
+    assert res.unsatisfied_checks[0] > 0
+    # without early stop every frame runs every iteration, and the last
+    # count is the syndrome of the reported decisions
+    full = dec.decode(chan, max_iter=4, early_stop=False)
+    assert full.active_frames.tolist() == [8] * 5
+    assert full.unsatisfied_checks[-1] == np.count_nonzero(syndrome(code, full.symbols))
+
+
+def test_binary_posteriors_do_not_depend_on_early_stop():
+    # The scalar path keeps one (frame, edge) layout, so a frame that is
+    # still active after k iterations has summed its messages in the same
+    # order with early stop on and off. Variable degrees of 8 and more
+    # make numpy sum pairwise, which an edge-major layout would not.
+    code, chan = fixture_frames("r12_binary_irregular", 8)
+    dec = Decoder(code, max_iter=16)
+    assert dec.binary
+    for k in (2, 6, 12):
+        on = dec.decode(chan, max_iter=k, want_posteriors=True)
+        off = dec.decode(chan, max_iter=k, want_posteriors=True, early_stop=False)
+        still = ~on.success
+        assert still.any() and on.success.any()
+        assert np.array_equal(on.posterior_llr[still], off.posterior_llr[still])
+        assert np.array_equal(on.symbols[still], off.symbols[still])
 
 
 def test_vector_decoder_bit_identical_on_tree_codes(rng):
