@@ -3,9 +3,13 @@
 
 Tables land in the package data directory and ship with the wheel; this
 script only needs rerunning when the grid, sample count, or seed policy
-changes. Building the q=128 or q=256 table takes a few minutes on one
-core. Density evolution only loads these files; an order without one
+changes. Density evolution only loads these files; an order without one
 is an error that points here.
+
+``JTable.build`` runs the blocked Monte Carlo walk that J_v families
+use. Measured build times on one core of a 2-core x86 machine (Python
+3.11, numpy 2.4): q=2 4.4 s, q=4 5.3 s, q=8 6.3 s, q=16 23.0 s, q=32
+27.5 s, q=64 45.9 s, q=128 68.7 s, q=256 127 s.
 
 A rebuild does not reproduce a table byte for byte on every machine:
 values move in the last bits with the platform's math library. With

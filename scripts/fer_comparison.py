@@ -80,7 +80,7 @@ def main() -> int:
     ap.add_argument("--max-iter", type=int, default=500)
     ap.add_argument("--chunk-frames", type=int, default=64)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--workers", type=int, default=None)
+    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out-dir", default="fer_results")
     args = ap.parse_args()
 

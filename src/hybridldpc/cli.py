@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -105,11 +106,10 @@ def _cmd_optimize(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
     grid_cfg = cfg.get("grid", {})
-    grid = ConstraintGrid(
-        points=grid_cfg.get("points", 100),
-        x_max=grid_cfg.get("x_max", 1.0 - 1e-4),
-        margin=grid_cfg.get("margin", 1e-5),
-    )
+    unknown = sorted(set(grid_cfg) - {f.name for f in fields(ConstraintGrid)})
+    if unknown:
+        raise SystemExit(f"unknown grid key(s) {', '.join(unknown)} in {args.config}")
+    grid = ConstraintGrid(**grid_cfg)
     direction = cfg["direction"]
     rate_eq = cfg.get("rate_eq")
     if rate_eq is not None and cfg.get("rate_min") is not None:
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk-frames", type=int, default=256)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--random-codewords", action="store_true")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(fn=_cmd_simulate)
     return ap

@@ -5,30 +5,28 @@ Messages are modeled as symmetric Gaussian LDR vectors: a mean vector m
 Sigma_ab = m_a + m_b - m_xor(a,b). Two mutual information functionals
 drive the analysis. mutual_info_check, called J_c here and below, is the
 MI of an equal-mean vector and depends on one scalar; it is tabulated per
-group order by Monte Carlo on a fixed grid and inverted by bisection.
-mutual_info_var (J_v) is the MI of a channel-plus-offset mean vector,
-evaluated by structured Monte Carlo with common random numbers and cached
-per (order, channel mean) as a one dimensional family in the offset.
+group order and inverted by bisection. mutual_info_var (J_v) is the MI of
+a channel-plus-offset mean vector m_ch + c * 1, cached per (order, channel
+mean) as a one dimensional family in the offset c.
 
-The EXIT style recursion runs per class: check classes combine incoming
-MI, apply the dual equal-mean update in the check group, and truncate the
-result into each variable group; variable classes add the channel and the
-weighted check-side offset and extend back into each check group.
-Truncation maps MI through J_c of the smaller group at the same scalar
-mean (the image subvector of an equal-mean Gaussian stays equal-mean);
-extension rescales the information content by the bit-width ratio. Both
-are exact identities when source and target group coincide.
+One Monte Carlo kernel estimates both: a J_c table is the J_v family
+without a channel part. `_mi_grid` samples the message as w_ch + c +
+sqrt(c) (z_a + z_0) with one fixed sample block for every grid offset,
+and `_jv_lse` walks each chunk in cache-sized row blocks across the whole
+grid, transposed for q <= 8. Tables and families keep their own seeds,
+chunking and post-processing. J_c lookups and the 80-step bisection that
+inverts J_c evaluate the pchip segment with `_pchip_scalar`, in scipy's
+arithmetic but without its per-call overhead. The plain walks live on in
+the tests as the references these kernels must match.
 
-Two kernels carry the cost, and both reproduce the plain numpy and scipy
-formulation bit for bit, so thresholds and designs do not depend on
-them. A JvFamily build (one per order and channel mean, so one per
-sigma a search visits) sums a log-sum-exp over 40,000 samples at every
-grid offset; `_jv_lse` walks each sample chunk in cache-sized row blocks
-across the whole grid with preallocated buffers, transposed for q <= 8.
-J_c lookups and the 80-step bisection that inverts J_c evaluate the
-pchip segment with `_pchip_scalar`, in scipy's own arithmetic but
-without its per-call overhead. The plain walks live on in the tests as
-the references these kernels must equal.
+The EXIT recursion and the LP design rows share the node updates:
+`check_node_mi` applies the dual equal-mean update in the check group and
+`var_node_mi` adds the channel to the weighted check-side offset. Check
+outputs are truncated into each variable group, variable outputs extended
+into each check group. Truncation maps MI through J_c of the smaller group
+at the same scalar mean (the image subvector of an equal-mean Gaussian
+stays equal-mean); extension rescales the information content by the
+bit-width ratio. Both are exact identities when the groups coincide.
 """
 
 from __future__ import annotations
@@ -53,6 +51,8 @@ __all__ = [
     "jc_inv",
     "JvFamily",
     "jv_family",
+    "check_node_mi",
+    "var_node_mi",
     "mi_extend",
     "mi_truncate",
     "exit_iteration_hybrid",
@@ -71,6 +71,7 @@ DEFAULT_MAX_ITER = 2000
 _TABLE_SEED = 20260815
 _TABLE_POINTS = 512
 _TABLE_SAMPLES = 200_000
+_TABLE_CHUNK = 20_000
 _M_MAX = 60.0
 _JV_POINTS = 96
 _JV_SAMPLES = 40_000
@@ -164,7 +165,6 @@ class JTable:
     grid_i: np.ndarray
     n_samples: int
     seed: int
-    _interp: PchipInterpolator = field(init=False, repr=False)
     _eval1: Callable[[float], float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -172,8 +172,8 @@ class JTable:
         self.grid_i = np.asarray(self.grid_i, dtype=np.float64)
         if np.any(np.diff(self.grid_i) <= 0):
             raise ValueError("table MI values must be strictly increasing")
-        self._interp = PchipInterpolator(self.grid_m, self.grid_i, extrapolate=False)
-        self._eval1 = _pchip_scalar(self._interp)
+        self._eval1 = _pchip_scalar(
+            PchipInterpolator(self.grid_m, self.grid_i, extrapolate=False))
 
     @property
     def i_max(self) -> float:
@@ -183,21 +183,15 @@ class JTable:
     def m_max(self) -> float:
         return float(self.grid_m[-1])
 
-    def eval(self, m) -> np.ndarray | float:
-        if np.isscalar(m):
-            x = float(m)
-            if x > self.m_max:
-                clamp_stats.hit()
-                x = self.m_max
-            elif x < 0.0:
-                clamp_stats.hit()
-                x = 0.0
-            return self._eval1(x)
-        m_arr = np.asarray(m, dtype=np.float64)
-        n_clip = int(np.count_nonzero(m_arr > self.m_max) + np.count_nonzero(m_arr < 0.0))
-        if n_clip:
-            clamp_stats.hit(n_clip)
-        return self._interp(np.clip(m_arr, 0.0, self.m_max))
+    def eval(self, m: float) -> float:
+        x = float(m)
+        if x > self.m_max:
+            clamp_stats.hit()
+            x = self.m_max
+        elif x < 0.0:
+            clamp_stats.hit()
+            x = 0.0
+        return self._eval1(x)
 
     def inverse(self, i_target: float) -> float:
         if i_target <= 0.0:
@@ -219,31 +213,12 @@ class JTable:
 
     @classmethod
     def build(cls, order: int, n_samples: int = _TABLE_SAMPLES,
-              seed: int | None = None, points: int = _TABLE_POINTS,
-              m_max: float = _M_MAX, chunk: int = 20_000) -> "JTable":
+              seed: int = _TABLE_SEED, points: int = _TABLE_POINTS) -> "JTable":
         """Monte Carlo table with common random numbers across the grid."""
         q = validate_order(order)
-        if seed is None:
-            seed = _TABLE_SEED
-        grid = _grid(m_max, points)
+        grid = _grid(_M_MAX, points)
         rng = np.random.default_rng(np.random.SeedSequence([seed, q]))
-        acc = np.zeros(len(grid))
-        done = 0
-        while done < n_samples:
-            c = min(chunk, n_samples - done)
-            z = rng.normal(size=(c, q - 1))
-            z0 = rng.normal(size=c)
-            for gi, m in enumerate(grid):
-                if m == 0.0:
-                    continue
-                rt = math.sqrt(m)
-                neg = -rt * z
-                mx = neg.max(axis=1)
-                lse = mx + np.log(np.exp(neg - mx[:, None]).sum(axis=1))
-                lse = lse - m - rt * z0
-                acc[gi] += np.logaddexp(0.0, lse).sum()
-            done += c
-        vals = 1.0 - acc / n_samples / math.log(q)
+        vals = _mi_grid(q, grid, n_samples, rng, _TABLE_CHUNK)
         vals[0] = 0.0
         vals = _pav_increasing(vals)
         vals[0] = 0.0
@@ -290,7 +265,7 @@ def get_table(order: int) -> JTable:
     return tab
 
 
-def jc(m, order: int):
+def jc(m: float, order: int) -> float:
     """Equal-mean MI functional J_c(m, q) from the cached table."""
     return get_table(order).eval(m)
 
@@ -319,26 +294,10 @@ class JvFamily:
         q = validate_order(order)
         self.order = q
         self.m_bc = float(m_bc)
-        p = bits_per_symbol(q)
         rng = np.random.default_rng(np.random.SeedSequence([seed, q, 7, int(m_bc * 1e9) & 0x7FFFFFFF]))
         grid = _grid(c_max, points)
-        masks = ((np.arange(1, q)[:, None] >> np.arange(p)[None, :]) & 1).T.astype(np.float64)
-        acc = np.zeros(len(grid))
-        done = 0
         chunk = max(1, min(n_samples, 8_000_000 // q))
-        while done < n_samples:
-            csz = min(chunk, n_samples - done)
-            bit = rng.normal(self.m_bc, math.sqrt(2.0 * self.m_bc), size=(csz, p))
-            w_ch = bit @ masks                               # (csz, q-1)
-            z = rng.normal(size=(csz, q - 1))
-            z0 = rng.normal(size=csz)
-            lse = _jv_lse(w_ch, z, z0, grid)
-            np.logaddexp(0.0, lse, out=lse)
-            for gi in range(len(grid)):
-                acc[gi] += lse[gi].sum()
-            done += csz
-        vals = 1.0 - acc / n_samples / math.log(q)
-        vals = _pav_increasing(vals)
+        vals = _pav_increasing(_mi_grid(q, grid, n_samples, rng, chunk, self.m_bc))
         self.grid_c = grid
         self.grid_i = np.clip(vals, 0.0, 1.0)
         for k in range(1, len(self.grid_i)):
@@ -359,9 +318,40 @@ class JvFamily:
         return self._eval1(c)
 
 
-def _jv_lse(w_ch: np.ndarray, z: np.ndarray, z0: np.ndarray,
+def _mi_grid(q: int, grid: np.ndarray, n_samples: int,
+             rng: np.random.Generator, chunk: int,
+             m_bc: float | None = None) -> np.ndarray:
+    """Monte Carlo MI of the message m_ch + c * 1 at every offset c of the
+    grid, with common random numbers across the grid.
+
+    Each chunk of at most ``chunk`` samples draws the bit LLRs of the
+    channel part (only when ``m_bc`` is given), then z, then z0. Without
+    ``m_bc`` the message is the equal-mean vector of J_c.
+    """
+    p = bits_per_symbol(q)
+    masks = ((np.arange(1, q)[:, None] >> np.arange(p)[None, :]) & 1).T.astype(np.float64)
+    acc = np.zeros(len(grid))
+    done = 0
+    while done < n_samples:
+        csz = min(chunk, n_samples - done)
+        w_ch = None
+        if m_bc is not None:
+            bit = rng.normal(m_bc, math.sqrt(2.0 * m_bc), size=(csz, p))
+            w_ch = bit @ masks                               # (csz, q-1)
+        z = rng.normal(size=(csz, q - 1))
+        z0 = rng.normal(size=csz)
+        lse = _jv_lse(w_ch, z, z0, grid)
+        np.logaddexp(0.0, lse, out=lse)
+        for gi in range(len(grid)):
+            acc[gi] += lse[gi].sum()
+        done += csz
+        del w_ch, z, z0, lse    # free this chunk before the next is drawn
+    return 1.0 - acc / n_samples / math.log(q)
+
+
+def _jv_lse(w_ch: np.ndarray | None, z: np.ndarray, z0: np.ndarray,
             grid: np.ndarray) -> np.ndarray:
-    """Per-sample log-sum-exp of JvFamily's message, one row per offset.
+    """Per-sample log-sum-exp of the sampled message, one row per offset.
 
     Row g of the (points, rows) result holds, for c = grid[g], the
     elementwise value of
@@ -370,7 +360,8 @@ def _jv_lse(w_ch: np.ndarray, z: np.ndarray, z0: np.ndarray,
         mx = neg.max(axis=1)
         mx + log(exp(neg - mx[:, None]).sum(axis=1))
 
-    bit for bit. The work is walked in row blocks of about _BLOCK_ELEMS
+    bit for bit; without a channel part (``w_ch`` None) the first sum is
+    c + rt * z. The work is walked in row blocks of about _BLOCK_ELEMS
     elements, whose inputs and buffers stay in cache across the whole
     offset grid. Each element sees the same IEEE operations in the same
     order as above; the negation is folded away exactly, since
@@ -387,16 +378,22 @@ def _jv_lse(w_ch: np.ndarray, z: np.ndarray, z0: np.ndarray,
     out = np.empty((len(grid), rows))
     for r0 in range(0, rows, step):
         r1 = min(rows, r0 + step)
-        w_b, z_b, z0_b = w_ch[r0:r1], z[r0:r1], z0[r0:r1, None]
-        if axis == 0:
-            w_b, z_b, z0_b = (np.ascontiguousarray(a.T) for a in (w_b, z_b, z0_b))
-        t, u = np.empty_like(w_b), np.empty_like(w_b)
+
+        def block(a: np.ndarray) -> np.ndarray:
+            return np.ascontiguousarray(a[r0:r1].T) if axis == 0 else a[r0:r1]
+
+        w_b = None if w_ch is None else block(w_ch)
+        z_b, z0_b = block(z), block(z0[:, None])
+        t, u = np.empty_like(z_b), np.empty_like(z_b)
         v, mn, s = np.empty_like(z0_b), np.empty_like(z0_b), np.empty_like(z0_b)
         for gi, c in enumerate(grid):
             rt = math.sqrt(c)
-            np.add(w_b, c, out=t)
             np.multiply(rt, z_b, out=u)
-            np.add(t, u, out=t)
+            if w_b is None:
+                np.add(u, c, out=t)
+            else:
+                np.add(w_b, c, out=t)
+                np.add(t, u, out=t)
             np.multiply(rt, z0_b, out=v)
             np.add(t, v, out=t)                          # -neg
             np.min(t, axis=axis, keepdims=True, out=mn)  # -mx
@@ -463,6 +460,18 @@ def mi_truncate(x: float, q_from: int, q_to: int) -> float:
 # ---------------- EXIT recursions ----------------
 
 
+def check_node_mi(x: float, j: int, q: int) -> float:
+    """Output MI of a degree-j check in G(q) whose incoming messages carry
+    MI x in G(q), by the dual equal-mean update."""
+    return 1.0 - jc((j - 1) * jc_inv(1.0 - x, q), q)
+
+
+def var_node_mi(z: float, i: int, q: int, m_bc: float) -> float:
+    """Output MI of a degree-i variable in G(q) whose incoming check
+    messages carry MI z in G(q), on the channel of bit mean m_bc."""
+    return jv_channel_offset(q, m_bc, (i - 1) * jc_inv(min(z, 1.0), q))
+
+
 def initial_state(ens: Ensemble, m_bc: float) -> dict:
     """Variable-to-check MI per ((i, qk), ql): channel-only messages."""
     state: dict[tuple[tuple[int, int], int], float] = {}
@@ -482,8 +491,7 @@ def exit_iteration_hybrid(state: dict, ens: Ensemble, m_bc: float) -> dict:
     for (j, ql), _mass in sorted(ens.pi_check().items()):
         w = ens.var_class_given_check_class(j, ql)
         s = sum(wi * state[((i, qk), ql)] for (i, qk), wi in sorted(w.items()))
-        a = jc_inv(1.0 - s, ql)
-        x_check = 1.0 - jc((j - 1) * a, ql)
+        x_check = check_node_mi(s, j, ql)
         for (i, qk) in w:
             if ((j, ql), qk) not in x_cv:
                 x_cv[((j, ql), qk)] = mi_truncate(x_check, ql, qk)
@@ -492,9 +500,7 @@ def exit_iteration_hybrid(state: dict, ens: Ensemble, m_bc: float) -> dict:
     for (i, qk), _mass in sorted(ens.pi_var().items()):
         w = ens.check_class_given_var_class(i, qk)
         z = sum(wj * x_cv[((j, ql), qk)] for (j, ql), wj in sorted(w.items()))
-        z = min(z, 1.0)
-        c = jc_inv(z, qk)
-        y = jv_channel_offset(qk, m_bc, (i - 1) * c)
+        y = var_node_mi(z, i, qk, m_bc)
         for (j, ql) in w:
             new_state[((i, qk), ql)] = mi_extend(y, qk, ql)
     return new_state

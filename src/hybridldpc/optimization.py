@@ -31,13 +31,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .channel import ChannelParams
-from .density_evolution import (
-    jc,
-    jc_inv,
-    jv_channel_offset,
-    mi_extend,
-    mi_truncate,
-)
+from .density_evolution import check_node_mi, mi_extend, mi_truncate, var_node_mi
 from .ensembles import Ensemble
 
 __all__ = [
@@ -132,27 +126,6 @@ def binary_info_gamma(max_degree: int, high_group: int) -> dict[int, dict[int, f
     return profile
 
 
-def _check_outputs(rho: dict[int, float], check_group: int,
-                   var_groups: list[int], x: float) -> dict[tuple[int, int], float]:
-    """Check-class output MI truncated into each variable group, with the
-    whole incoming state seeded at the scalar x."""
-    out: dict[tuple[int, int], float] = {}
-    a = jc_inv(1.0 - x, check_group)
-    for j in sorted(rho):
-        x_check = 1.0 - jc((j - 1) * a, check_group)
-        for k in var_groups:
-            out[(j, k)] = mi_truncate(x_check, check_group, k)
-    return out
-
-
-def _var_output(i: int, k: int, rho: dict[int, float],
-                xcv: dict[tuple[int, int], float], m_bc: float) -> float:
-    z = sum(rj * xcv[(j, k)] for j, rj in sorted(rho.items()))
-    z = min(z, 1.0)
-    c = jc_inv(z, k)
-    return jv_channel_offset(k, m_bc, (i - 1) * c)
-
-
 def lambda_exit_matrix(
     gamma_profile: dict[int, dict[int, float]],
     rho: dict[int, float],
@@ -162,20 +135,25 @@ def lambda_exit_matrix(
 ) -> tuple[np.ndarray, list[int]]:
     """Rows: grid points. Columns: degrees. Entry (g, i) is the aggregate
     MI after one iteration contributed per unit of lambda_i when the
-    state is seeded at xs[g]."""
+    state is seeded at xs[g]. The node updates are those of
+    ``exit_iteration_hybrid``."""
     degrees = sorted(gamma_profile)
     var_groups = sorted({k for prof in gamma_profile.values()
                          for k, v in prof.items() if v > 0})
     A = np.zeros((len(xs), len(degrees)))
     for g, x in enumerate(xs):
-        xcv = _check_outputs(rho, check_group, var_groups, float(x))
+        xcv = {}
+        for j in sorted(rho):
+            x_check = check_node_mi(float(x), j, check_group)
+            for k in var_groups:
+                xcv[(j, k)] = mi_truncate(x_check, check_group, k)
         for col, i in enumerate(degrees):
             acc = 0.0
             for k, gik in sorted(gamma_profile[i].items()):
                 if gik <= 0:
                     continue
-                y = _var_output(i, k, rho, xcv, m_bc)
-                acc += gik * mi_extend(y, k, check_group)
+                z = sum(rj * xcv[(j, k)] for j, rj in sorted(rho.items()))
+                acc += gik * mi_extend(var_node_mi(z, i, k, m_bc), k, check_group)
             A[g, col] = acc
     return A, degrees
 
@@ -191,13 +169,12 @@ def gamma_exit_matrix(
     """Same linearization for the regular-connectivity direction: entry
     (g, k) is the one-iteration aggregate per unit of group-k edge mass."""
     gs = sorted(groups)
-    rho = {d_c: 1.0}
     A = np.zeros((len(xs), len(gs)))
     for g, x in enumerate(xs):
-        xcv = _check_outputs(rho, check_group, gs, float(x))
+        x_check = check_node_mi(float(x), d_c, check_group)
         for col, k in enumerate(gs):
-            y = _var_output(d_v, k, rho, xcv, m_bc)
-            A[g, col] = mi_extend(y, k, check_group)
+            z = mi_truncate(x_check, check_group, k)
+            A[g, col] = mi_extend(var_node_mi(z, d_v, k, m_bc), k, check_group)
     return A, gs
 
 

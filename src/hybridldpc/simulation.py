@@ -35,9 +35,6 @@ CSV_FIELDS = [
     "mean_iterations", "max_iter", "seed",
 ]
 
-_WORKER_ENV = "HYBRIDLDPC_WORKERS"
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     """Knobs for one measurement campaign."""
@@ -48,15 +45,11 @@ class CampaignConfig:
     chunk_frames: int = 256
     seed: int = 0
     random_codewords: bool = False
-    workers: int | None = None
+    workers: int = 1
 
-    def resolved_workers(self) -> int:
-        if self.workers is not None:
-            return max(1, self.workers)
-        env = os.environ.get(_WORKER_ENV)
-        if env:
-            return max(1, int(env))
-        return 1
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +163,6 @@ def run_point(
 ) -> PointResult:
     """Measure one Eb/N0 point until the error or frame budget is hit."""
     params = ChannelParams.from_ebn0_db(ebn0_db, rate)
-    n_workers = cfg.resolved_workers()
 
     frames = 0
     frame_errors = 0
@@ -193,14 +185,14 @@ def run_point(
         iter_sum += it
         return frame_errors >= cfg.min_frame_errors or frames >= cfg.max_frames
 
-    if n_workers == 1:
+    if cfg.workers == 1:
         _init_worker(code, params, cfg)
         for args in chunk_args():
             if consume(_run_chunk(args)):
                 break
     else:
         with ProcessPoolExecutor(
-            max_workers=n_workers,
+            max_workers=cfg.workers,
             initializer=_init_worker,
             initargs=(code, params, cfg),
         ) as pool:

@@ -25,6 +25,8 @@ from hybridldpc.density_evolution import (
     _JV_POINTS,
     _JV_SAMPLES,
     _M_MAX,
+    _TABLE_POINTS,
+    _TABLE_SAMPLES,
     _TABLE_SEED,
     JTable,
     _grid,
@@ -744,6 +746,41 @@ def exit_iteration_gfq(x: float, lambda_: dict[int, float], rho: dict[int, float
 
 # ---------------------------------------------------------------------------
 # plain walks of the density-evolution kernels, for bit-identity checks
+
+
+def reference_jc_grid_i(order: int, n_samples: int = _TABLE_SAMPLES,
+                        seed: int = _TABLE_SEED,
+                        points: int = _TABLE_POINTS) -> np.ndarray:
+    """``JTable.build(order, ...).grid_i`` computed the direct way: the
+    same draws, each whole chunk through one numpy expression per grid
+    point (the log-sum-exp of the z part first, then the common terms
+    subtracted), and the same post-processing. Equal to the blocked build
+    up to rounding, not bit for bit, since the sums are grouped
+    differently."""
+    q = validate_order(order)
+    grid = _grid(_M_MAX, points)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, q]))
+    acc = np.zeros(len(grid))
+    done = 0
+    while done < n_samples:
+        c = min(20_000, n_samples - done)
+        z = rng.normal(size=(c, q - 1))
+        z0 = rng.normal(size=c)
+        for gi, m in enumerate(grid):
+            if m == 0.0:
+                continue
+            rt = math.sqrt(m)
+            neg = -rt * z
+            mx = neg.max(axis=1)
+            lse = mx + np.log(np.exp(neg - mx[:, None]).sum(axis=1))
+            lse = lse - m - rt * z0
+            acc[gi] += np.logaddexp(0.0, lse).sum()
+        done += c
+    vals = 1.0 - acc / n_samples / math.log(q)
+    vals[0] = 0.0
+    vals = _pav_increasing(vals)
+    vals[0] = 0.0
+    return vals
 
 
 def reference_jv_grid_i(order: int, m_bc: float, points: int = _JV_POINTS,

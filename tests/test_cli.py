@@ -145,6 +145,13 @@ def test_optimize_command_bisects_sigma(tmp_path, capsys):
         optimize_gamma(3, 6, [2, 4], sigma + 2e-3, grid=grid, rate_min=0.45)
 
 
+def test_optimize_rejects_unknown_grid_key(tmp_path):
+    config = {"direction": "gamma", "groups": [2, 4], "d_v": 3, "d_c": 6,
+              "sigma": 0.7, "rate_eq": 0.45, "grid": {"point": 40}}
+    with pytest.raises(SystemExit, match="unknown grid key.*point"):
+        _run_optimize(tmp_path, config)
+
+
 def test_optimize_rejects_conflicting_rates(tmp_path):
     config = {"direction": "lambda", "gamma_profile": {"3": {"2": 1.0}},
               "rho": {"6": 1.0}, "sigma": 0.8,

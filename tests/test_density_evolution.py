@@ -7,6 +7,7 @@ import pytest
 
 from hybridldpc.channel import ChannelParams
 from hybridldpc.density_evolution import (
+    JTable,
     JvFamily,
     clamp_stats,
     de_converges,
@@ -33,6 +34,7 @@ from oracles import (
     exit_iteration_gfq,
     ldr_mi,
     mutual_info_mc,
+    reference_jc_grid_i,
     reference_jv_grid_i,
     sample_channel_ldr,
 )
@@ -139,6 +141,16 @@ def test_jv_family_bit_identical_to_direct_walk(q, m_bc, kw):
         got = fam.eval(c)
         assert got == float(interp(min(max(c, 0.0), c_max)))
         assert clamp_stats.count - before == int(c < 0.0) + int(c > c_max)
+
+
+def test_jtable_build_matches_direct_walk():
+    # q = 32 walks row blocks; 4000 samples span four, the last one short.
+    # The blocked walk groups the sums differently, so it agrees up to
+    # rounding only.
+    tab = JTable.build(32, n_samples=4000, points=16)
+    ref = reference_jc_grid_i(32, n_samples=4000, points=16)
+    assert tab.grid_i.shape == ref.shape == (16,)
+    assert np.max(np.abs(tab.grid_i - ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64, 128, 256])

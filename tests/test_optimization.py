@@ -103,6 +103,25 @@ def test_lambda_linearization_matches_full_iteration(rng):
             assert out == pytest.approx(float(A[g] @ lam_vec), abs=1e-10)
 
 
+def test_gamma_linearization_matches_full_iteration(rng):
+    # the LP rows of the regular direction, evaluated at a group split,
+    # equal the true one-iteration aggregate MI of that ensemble
+    gs = [8, 16, 256]
+    m_bc = ChannelParams(1.45).m_bc
+    xs = ConstraintGrid(points=30).xs()
+    A, cols = gamma_exit_matrix(2, 3, gs, 256, m_bc, xs)
+    assert cols == gs
+    for _ in range(5):
+        raw = rng.random(len(gs))
+        gamma = {k: float(v / raw.sum()) for k, v in zip(gs, raw)}
+        ens = Ensemble.from_factored(gs, {2: 1.0}, {3: 1.0}, {2: gamma}, {256: 1.0})
+        gamma_vec = np.array([gamma[k] for k in gs])
+        for g, x in enumerate(xs):
+            state = {((i, qk), ql): float(x) for (i, _j, qk, ql) in ens.pi}
+            out = aggregate_mi(exit_iteration_hybrid(state, ens, m_bc), ens)
+            assert out == pytest.approx(float(A[g] @ gamma_vec), abs=1e-10)
+
+
 def test_gamma_design_is_structurally_valid():
     des = optimize_gamma(2, 3, [8, 16, 256], 1.45, grid=QUICK, rate_eq=1 / 6)
     assert abs(sum(des.gamma.values()) - 1.0) < 1e-12

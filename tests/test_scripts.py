@@ -41,6 +41,13 @@ def test_build_tables_keeps_file_on_rounding_only_rebuild(tmp_path):
     assert np.array_equal(JTable.load(path).grid_i, tab.grid_i + 1e-9)
 
 
+@pytest.mark.parametrize("q", [2, 4])
+def test_full_size_table_build_reproduces_shipped_table(q):
+    # full-size builds of the orders whose blocks are transposed
+    mod = load_script("build_tables")
+    assert mod.table_change(get_table(q), JTable.build(q)) <= mod.ROUNDING_ONLY
+
+
 def test_fer_codes_are_named_after_the_built_length(tmp_path, monkeypatch):
     mod = load_script("fer_comparison")
     monkeypatch.setattr(mod, "log", lambda msg: None)

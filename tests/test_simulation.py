@@ -81,6 +81,13 @@ def test_worker_count_does_not_change_totals():
     assert serial == pooled
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_fewer_than_one_worker_is_an_error(workers):
+    assert CampaignConfig().workers == 1
+    with pytest.raises(ValueError, match="workers"):
+        CampaignConfig(workers=workers)
+
+
 def test_random_codewords_path_matches_all_zero_statistics():
     # decoder is translation covariant, so both transmit modes estimate
     # the same FER; with different noise realizations they differ only
