@@ -98,6 +98,13 @@ def _cmd_threshold(args) -> int:
     return 0
 
 
+# the keys an optimize config may set, in common and per direction
+_COMMON_KEYS = {"direction", "name", "grid", "sigma", "sigma_lo", "sigma_hi",
+                "rate_min", "rate_eq"}
+_DIRECTION_KEYS = {"lambda": {"gamma_profile", "rho", "allow_binary_degree2"},
+                   "gamma": {"groups", "d_v", "d_c"}}
+
+
 def _intkeys(d: dict) -> dict:
     return {int(k): v for k, v in d.items()}
 
@@ -110,7 +117,12 @@ def _cmd_optimize(args) -> int:
     if unknown:
         raise SystemExit(f"unknown grid key(s) {', '.join(unknown)} in {args.config}")
     grid = ConstraintGrid(**grid_cfg)
-    direction = cfg["direction"]
+    direction = cfg.get("direction")
+    if direction not in _DIRECTION_KEYS:
+        raise SystemExit(f"unknown direction {direction!r}")
+    unknown = sorted(set(cfg) - _COMMON_KEYS - _DIRECTION_KEYS[direction])
+    if unknown:
+        raise SystemExit(f"unknown key(s) {', '.join(unknown)} in {args.config}")
     rate_eq = cfg.get("rate_eq")
     if rate_eq is not None and cfg.get("rate_min") is not None:
         raise SystemExit("config sets both rate_min and rate_eq")
@@ -125,14 +137,12 @@ def _cmd_optimize(args) -> int:
         def solve(sigma):
             return optimize_lambda(profile, rho, sigma,
                                    allow_binary_degree2=allow, **common)
-    elif direction == "gamma":
+    else:
         groups = [int(q) for q in cfg["groups"]]
         sigma_hi = 3.5
 
         def solve(sigma):
             return optimize_gamma(cfg["d_v"], cfg["d_c"], groups, sigma, **common)
-    else:
-        raise SystemExit(f"unknown direction {direction!r}")
     if "sigma" in cfg:
         design = solve(cfg["sigma"])
     else:
@@ -169,6 +179,7 @@ def _cmd_simulate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    campaign = CampaignConfig()
     ap = argparse.ArgumentParser(prog="hybridldpc", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -215,13 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=None,
                    help="rate used for the Eb/N0 conversion "
                         "(default: information bits / codeword bits)")
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--min-frame-errors", type=int, default=200)
-    p.add_argument("--max-frames", type=int, default=10_000_000)
-    p.add_argument("--chunk-frames", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-iter", type=int, default=campaign.max_iter)
+    p.add_argument("--min-frame-errors", type=int, default=campaign.min_frame_errors)
+    p.add_argument("--max-frames", type=int, default=campaign.max_frames)
+    p.add_argument("--chunk-frames", type=int, default=campaign.chunk_frames)
+    p.add_argument("--seed", type=int, default=campaign.seed)
     p.add_argument("--random-codewords", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=campaign.workers)
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(fn=_cmd_simulate)
     return ap

@@ -159,7 +159,7 @@ def loo_convolve(probs: np.ndarray, axis: int = -1,
             suff = np.multiply(suff, spec[..., d], out=buf)
         prod[..., 0] = suff
     out = walsh_hadamard(prod_t, axis, work=pair)
-    out /= probs.shape[axis]
+    out *= 1.0 / probs.shape[axis]  # exact: q is a power of two
     return out
 
 
@@ -423,9 +423,10 @@ class Decoder:
             edges = by_row[row_start[rows][:, None] + np.arange(j)]
             self._bchk.append((internal[edges], col_of[edges]))
 
-    def decode(self, chan_llr: np.ndarray, max_iter: int | None = None,
-               want_posteriors: bool = False, early_stop: bool = True) -> DecodeResult:
-        """Run flooding BP on channel symbol LLRs of shape (F, n, q_max).
+    def decode(self, chan_llr: np.ndarray, want_posteriors: bool = False,
+               early_stop: bool = True) -> DecodeResult:
+        """Run flooding BP on channel symbol LLRs of shape (F, n, q_max),
+        for at most ``max_iter`` iterations.
 
         With ``early_stop`` a frame retires as soon as its hard decision
         satisfies every check; without it all frames run every iteration
@@ -438,13 +439,12 @@ class Decoder:
             raise ValueError(
                 f"channel LLRs must have shape (F, {self.code.n}, {self.q_max})"
             )
-        iters = self.max_iter if max_iter is None else max_iter
         F, n = chan.shape[0], self.code.n
         run = _BinaryRun(self, chan) if self.binary else _VectorRun(self, chan)
 
         symbols = np.zeros((F, n), dtype=np.int64)
         success = np.zeros(F, dtype=bool)
-        used = np.full(F, iters, dtype=np.int64)
+        used = np.full(F, self.max_iter, dtype=np.int64)
         post_out = None
         if want_posteriors:
             # the scalar path reports L(1) - L(0) in component 1
@@ -465,7 +465,7 @@ class Decoder:
                 run.write_posteriors(post_out, active)
             used[active[ok & ~success[active]]] = it
             success[active[ok]] = True
-            if it == iters:
+            if it == self.max_iter:
                 break
             if early_stop:
                 keep = ~ok

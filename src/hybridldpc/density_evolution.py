@@ -73,6 +73,8 @@ _TABLE_POINTS = 512
 _TABLE_SAMPLES = 200_000
 _TABLE_CHUNK = 20_000
 _M_MAX = 60.0
+_LO_DB = -6.0           # threshold_search bracket, Eb/N0 in dB
+_HI_DB = 10.0
 _JV_POINTS = 96
 _JV_SAMPLES = 40_000
 _BLOCK_ELEMS = 32_768
@@ -213,16 +215,16 @@ class JTable:
 
     @classmethod
     def build(cls, order: int, n_samples: int = _TABLE_SAMPLES,
-              seed: int = _TABLE_SEED, points: int = _TABLE_POINTS) -> "JTable":
+              points: int = _TABLE_POINTS) -> "JTable":
         """Monte Carlo table with common random numbers across the grid."""
         q = validate_order(order)
         grid = _grid(_M_MAX, points)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, q]))
+        rng = np.random.default_rng(np.random.SeedSequence([_TABLE_SEED, q]))
         vals = _mi_grid(q, grid, n_samples, rng, _TABLE_CHUNK)
         vals[0] = 0.0
         vals = _pav_increasing(vals)
         vals[0] = 0.0
-        return cls(q, grid, vals, n_samples, seed)
+        return cls(q, grid, vals, n_samples, _TABLE_SEED)
 
     def to_json_dict(self) -> dict:
         return {
@@ -289,13 +291,12 @@ class JvFamily:
     """
 
     def __init__(self, order: int, m_bc: float, points: int = _JV_POINTS,
-                 n_samples: int = _JV_SAMPLES, seed: int = _TABLE_SEED,
-                 c_max: float = _M_MAX):
+                 n_samples: int = _JV_SAMPLES):
         q = validate_order(order)
         self.order = q
         self.m_bc = float(m_bc)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, q, 7, int(m_bc * 1e9) & 0x7FFFFFFF]))
-        grid = _grid(c_max, points)
+        rng = np.random.default_rng(np.random.SeedSequence([_TABLE_SEED, q, 7, int(m_bc * 1e9) & 0x7FFFFFFF]))
+        grid = _grid(_M_MAX, points)
         chunk = max(1, min(n_samples, 8_000_000 // q))
         vals = _pav_increasing(_mi_grid(q, grid, n_samples, rng, chunk, self.m_bc))
         self.grid_c = grid
@@ -518,49 +519,47 @@ def aggregate_mi(state: dict, ens: Ensemble) -> float:
     return out
 
 
-def de_trajectory(ens: Ensemble, sigma: float, target: float = DEFAULT_TARGET,
-                  max_iter: int = DEFAULT_MAX_ITER) -> tuple[bool, list[float]]:
-    """Iterate density evolution; stop at the target, the iteration cap,
-    or the first non-increasing step of the aggregate MI."""
+def de_trajectory(ens: Ensemble, sigma: float) -> tuple[bool, list[float]]:
+    """Iterate density evolution; stop at DEFAULT_TARGET, after
+    DEFAULT_MAX_ITER iterations, or at the first non-increasing step of
+    the aggregate MI."""
     m_bc = ChannelParams(sigma).m_bc
     state = initial_state(ens, m_bc)
     traj = [aggregate_mi(state, ens)]
-    if traj[-1] >= target:
+    if traj[-1] >= DEFAULT_TARGET:
         return True, traj
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         state = exit_iteration_hybrid(state, ens, m_bc)
         x = aggregate_mi(state, ens)
         traj.append(x)
-        if x >= target:
+        if x >= DEFAULT_TARGET:
             return True, traj
         if x <= traj[-2]:
             return False, traj
     return False, traj
 
 
-def de_converges(ens: Ensemble, sigma: float, target: float = DEFAULT_TARGET,
-                 max_iter: int = DEFAULT_MAX_ITER) -> bool:
-    ok, _ = de_trajectory(ens, sigma, target, max_iter)
+def de_converges(ens: Ensemble, sigma: float) -> bool:
+    ok, _ = de_trajectory(ens, sigma)
     return ok
 
 
-def threshold_search(ens: Ensemble, tol_db: float = 0.01, lo_db: float = -6.0,
-                     hi_db: float = 10.0, target: float = DEFAULT_TARGET,
-                     max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """Smallest Eb/N0 (dB) where density evolution converges, by bisection."""
+def threshold_search(ens: Ensemble, tol_db: float = 0.01) -> float:
+    """Smallest Eb/N0 (dB) in [-6, 10] where density evolution converges,
+    by bisection."""
     rate = ens.rate()
 
     def ok(db: float) -> bool:
         sigma = ChannelParams.from_ebn0_db(db, rate).sigma
-        return de_converges(ens, sigma, target, max_iter)
+        return de_converges(ens, sigma)
 
-    if not ok(hi_db):
+    if not ok(_HI_DB):
         raise DivergingEnsembleError(
-            f"density evolution does not converge even at {hi_db} dB"
+            f"density evolution does not converge even at {_HI_DB} dB"
         )
-    if ok(lo_db):
-        return lo_db
-    lo, hi = lo_db, hi_db
+    if ok(_LO_DB):
+        return _LO_DB
+    lo, hi = _LO_DB, _HI_DB
     while hi - lo > tol_db:
         mid = 0.5 * (lo + hi)
         if ok(mid):

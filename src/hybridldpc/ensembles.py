@@ -7,9 +7,8 @@ degree j in the group of order q_l. Group orders are powers of two and an
 edge never goes from a larger variable group to a smaller check group.
 
 The module provides the marginals and conditionals of pi used by density
-evolution, the edge-to-node perspective conversion, and the three code rate
-formulas (general node-proportion form, variable-profile form, regular
-form), which agree wherever more than one applies.
+evolution, the edge-to-node perspective conversion and the code rate by
+the general node-proportion formula.
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ __all__ = [
     "fixture_path",
     "node_proportions",
     "rate_general",
-    "rate_lambda_profile",
-    "rate_regular",
 ]
+
+_FORMAT = "hybrid-ensemble-1"
 
 
 def fixture_path(name: str) -> str:
@@ -43,13 +42,6 @@ def fixture_path(name: str) -> str:
 
 class EnsembleError(ValueError):
     pass
-
-
-def _norm_items(d: Mapping) -> dict:
-    out = {}
-    for key, v in d.items():
-        out[int(key)] = float(v)
-    return out
 
 
 @dataclass(frozen=True)
@@ -98,20 +90,6 @@ class Ensemble:
 
     # ---------------- marginals ----------------
 
-    def lambda_marginal(self) -> dict[int, float]:
-        """Edge mass per variable degree."""
-        out: dict[int, float] = {}
-        for (i, _j, _qk, _ql), m in self.pi.items():
-            out[i] = out.get(i, 0.0) + m
-        return dict(sorted(out.items()))
-
-    def rho_marginal(self) -> dict[int, float]:
-        """Edge mass per check degree."""
-        out: dict[int, float] = {}
-        for (_i, j, _qk, _ql), m in self.pi.items():
-            out[j] = out.get(j, 0.0) + m
-        return dict(sorted(out.items()))
-
     def pi_var(self) -> dict[tuple[int, int], float]:
         """Edge mass per (variable degree, variable order) class."""
         out: dict[tuple[int, int], float] = {}
@@ -127,17 +105,6 @@ class Ensemble:
         return dict(sorted(out.items()))
 
     # ---------------- conditionals ----------------
-
-    def gamma_given_degree(self, degree: int) -> dict[int, float]:
-        """Group profile of edges conditioned on the variable degree."""
-        li = self.lambda_marginal().get(degree, 0.0)
-        if li <= 0.0:
-            raise EnsembleError(f"no edge mass at variable degree {degree}")
-        out: dict[int, float] = {}
-        for (i, _j, qk, _ql), m in self.pi.items():
-            if i == degree:
-                out[qk] = out.get(qk, 0.0) + m / li
-        return dict(sorted(out.items()))
 
     def var_class_given_check_class(
         self, j: int, ql: int
@@ -191,7 +158,7 @@ class Ensemble:
 
     def to_json_dict(self) -> dict:
         return {
-            "format": "hybrid-ensemble-1",
+            "format": _FORMAT,
             "name": self.name,
             "groups": list(self.groups),
             "pi": [
@@ -207,20 +174,16 @@ class Ensemble:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "Ensemble":
-        if "pi" in doc:
-            pi = {
-                (int(i), int(j), int(qk), int(ql)): float(m)
-                for i, j, qk, ql, m in doc["pi"]
-            }
-            return cls(tuple(doc["groups"]), pi, name=str(doc.get("name", "")))
-        return cls.from_factored(
-            groups=tuple(doc["groups"]),
-            lambda_=_norm_items(doc["lambda"]),
-            rho=_norm_items(doc["rho"]),
-            gamma={int(i): _norm_items(g) for i, g in doc["gamma"].items()},
-            check_groups=_norm_items(doc["check_groups"]) if "check_groups" in doc else None,
-            name=str(doc.get("name", "")),
-        )
+        if doc.get("format") != _FORMAT:
+            raise EnsembleError(
+                f"ensemble format {doc.get('format')!r}, expected {_FORMAT!r}")
+        if "pi" not in doc:
+            raise EnsembleError("ensemble document has no pi rows")
+        pi = {
+            (int(i), int(j), int(qk), int(ql)): float(m)
+            for i, j, qk, ql, m in doc["pi"]
+        }
+        return cls(tuple(doc["groups"]), pi, name=str(doc.get("name", "")))
 
     @classmethod
     def load(cls, path: str) -> "Ensemble":
@@ -234,21 +197,18 @@ class Ensemble:
         lambda_: Mapping[int, float],
         rho: Mapping[int, float],
         gamma: Mapping[int, Mapping[int, float]],
-        check_groups: Mapping[int, float] | None = None,
         name: str = "",
     ) -> "Ensemble":
-        """Build pi from the factored form lambda_i * gamma(k|i) * rho(j,l).
+        """Build pi from the factored form lambda_i * gamma(k|i) * rho_j,
+        every check in the largest group.
 
-        ``gamma[i][q]`` is the group profile of degree-i edges. ``rho`` maps
-        check degree to mass; ``check_groups`` maps check order to mass
-        (default: all check mass in the largest group). The check side is
-        taken independent of (j): rho(j, l) = rho_j * check_groups_l, which
-        is the factored family used for optimization.
+        ``gamma[i][q]`` is the group profile of degree-i edges and ``rho``
+        maps check degree to mass: the factored family used for
+        optimization.
         """
         groups = tuple(sorted(validate_order(q) for q in set(groups)))
-        if check_groups is None:
-            check_groups = {groups[-1]: 1.0}
-        for dist, what in ((lambda_, "lambda"), (rho, "rho"), (check_groups, "check_groups")):
+        q_check = groups[-1]
+        for dist, what in ((lambda_, "lambda"), (rho, "rho")):
             s = sum(dist.values())
             if abs(s - 1.0) > 1e-9:
                 raise EnsembleError(f"{what} masses sum to {s!r}, expected 1")
@@ -268,10 +228,7 @@ class Ensemble:
                 for j, rj in rho.items():
                     if rj <= 0:
                         continue
-                    for ql, cl in check_groups.items():
-                        if cl <= 0:
-                            continue
-                        pi[(int(i), int(j), int(qk), int(ql))] = li * gik * rj * cl
+                    pi[(int(i), int(j), int(qk), q_check)] = li * gik * rj
         return cls(groups, pi, name=name)
 
 
@@ -349,34 +306,3 @@ def rate_general(np_: NodeProportions) -> float:
     if den <= 0:
         raise EnsembleError("node proportions carry no bits")
     return num / den
-
-
-def rate_lambda_profile(
-    lambda_: Mapping[int, float],
-    rho: Mapping[int, float],
-    gamma: Mapping[int, Mapping[int, float]],
-    q_max: int,
-) -> float:
-    """Rate from the variable profile, all checks in the largest group."""
-    num = sum(rj / j for j, rj in rho.items()) * math.log2(q_max)
-    den = 0.0
-    for i, li in lambda_.items():
-        if li <= 0:
-            continue
-        den += (li / i) * sum(g * math.log2(q) for q, g in gamma[i].items())
-    if den <= 0:
-        raise EnsembleError("zero denominator in profile rate")
-    return 1.0 - num / den
-
-
-def rate_regular(
-    d_v: int, d_c: int, gamma_tilde: Mapping[int, float], q_max: int
-) -> float:
-    """Rate of a (d_v, d_c)-regular hybrid ensemble from node-wise group
-    proportions, all checks in the largest group."""
-    if d_v < 1 or d_c < 1:
-        raise EnsembleError("degrees must be positive")
-    den = (1.0 / d_v) * sum(f * math.log2(q) for q, f in gamma_tilde.items())
-    if den <= 0:
-        raise EnsembleError("zero denominator in regular rate")
-    return 1.0 - (math.log2(q_max) / d_c) / den

@@ -298,7 +298,7 @@ def optimize_lambda(
     lam = _clean_weights(res[:n], degrees)
     gamma = {i: dict(sorted(gamma_profile[i].items())) for i in lam}
     ens = Ensemble.from_factored(all_groups, lam, dict(sorted(rho.items())),
-                                 gamma, {check_group: 1.0}, name=name)
+                                 gamma, name=name)
     return LambdaDesign(
         lambda_=lam,
         gamma_profile=gamma,
@@ -353,8 +353,7 @@ def optimize_gamma(
     g = _clean_weights(res[:n], gs)
     ens_groups = sorted(set(g) | {check_group})
     ens = Ensemble.from_factored(
-        ens_groups, {d_v: 1.0}, {d_c: 1.0}, {d_v: g}, {check_group: 1.0},
-        name=name,
+        ens_groups, {d_v: 1.0}, {d_c: 1.0}, {d_v: g}, name=name,
     )
     return GammaDesign(
         gamma=g,

@@ -13,6 +13,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -34,6 +35,8 @@ CSV_FIELDS = [
     "info_bits", "fer", "ber", "fer_ci_lo", "fer_ci_hi",
     "mean_iterations", "max_iter", "seed",
 ]
+_Z95 = 1.96  # two-sided 95 percent normal quantile
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -74,7 +77,7 @@ class PointResult:
     def ber(self) -> float:
         return self.bit_errors / self.info_bits if self.info_bits else math.nan
 
-    def fer_ci(self, z: float = 1.96) -> tuple[float, float]:
+    def fer_ci(self) -> tuple[float, float]:
         """95 percent interval on the frame error rate.
 
         Normal approximation on the log scale; with zero observed errors
@@ -86,7 +89,7 @@ class PointResult:
             return (0.0, 3.0 / self.frames)
         p = self.fer
         sig_log = math.sqrt(max(1.0 - p, 0.0) / self.frame_errors)
-        return (p * math.exp(-z * sig_log), p * math.exp(z * sig_log))
+        return (p * math.exp(-_Z95 * sig_log), p * math.exp(_Z95 * sig_log))
 
     def csv_row(self) -> dict:
         lo, hi = self.fer_ci()
@@ -107,28 +110,15 @@ class PointResult:
         }
 
 
-# Module-level state for worker processes. Populated by the pool
-# initializer; fork start method shares it with no pickling per chunk.
-_CTX: dict = {}
-
-
-def _init_worker(code: HybridParityCheck, params: ChannelParams,
-                 cfg: CampaignConfig) -> None:
-    _CTX["code"] = code
-    _CTX["params"] = params
-    _CTX["cfg"] = cfg
-    _CTX["decoder"] = Decoder(code, max_iter=cfg.max_iter)
-
-
-def _run_chunk(args: tuple[int, int]) -> tuple[int, int, int, int]:
+def _run_chunk(code: HybridParityCheck, params: ChannelParams,
+               cfg: CampaignConfig, args: tuple[int, int],
+               decoder: Decoder | None = None) -> tuple[int, int, int, int]:
     """Decode frames [first, first + count): returns frame count, frame
-    errors, info bit errors, summed iterations."""
+    errors, info bit errors, summed iterations. Without a ``decoder`` the
+    chunk builds its own."""
     first, count = args
-    code: HybridParityCheck = _CTX["code"]
-    params: ChannelParams = _CTX["params"]
-    cfg: CampaignConfig = _CTX["cfg"]
-    decoder: Decoder = _CTX["decoder"]
-
+    if decoder is None:
+        decoder = Decoder(code, max_iter=cfg.max_iter)
     n_bits = code.n_bits
     tx_syms = np.zeros((count, code.n), dtype=np.int64)
     y = np.empty((count, n_bits), dtype=np.float64)
@@ -185,20 +175,17 @@ def run_point(
         iter_sum += it
         return frame_errors >= cfg.min_frame_errors or frames >= cfg.max_frames
 
+    run = partial(_run_chunk, code, params, cfg)
     if cfg.workers == 1:
-        _init_worker(code, params, cfg)
+        decoder = Decoder(code, max_iter=cfg.max_iter)
         for args in chunk_args():
-            if consume(_run_chunk(args)):
+            if consume(run(args, decoder)):
                 break
     else:
-        with ProcessPoolExecutor(
-            max_workers=cfg.workers,
-            initializer=_init_worker,
-            initargs=(code, params, cfg),
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             # consume strictly in submission order: totals do not depend
             # on the worker count
-            for out in pool.map(_run_chunk, chunk_args()):
+            for out in pool.map(run, chunk_args()):
                 if consume(out):
                     break
 

@@ -13,6 +13,7 @@ equal them bit for bit.
 from __future__ import annotations
 
 import math
+from typing import Mapping
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from hybridldpc.density_evolution import (
     jc_inv,
     jv_channel_offset,
 )
+from hybridldpc.ensembles import Ensemble, EnsembleError
 from hybridldpc.groups import (
     SymbolMap,
     bits_per_symbol,
@@ -42,6 +44,69 @@ from hybridldpc.groups import (
     random_injective_map,
     validate_order,
 )
+
+
+# ---------------------------------------------------------------------------
+# marginals of an ensemble and the closed-form rates
+
+
+def lambda_marginal(ens: Ensemble) -> dict[int, float]:
+    """Edge mass per variable degree."""
+    out: dict[int, float] = {}
+    for (i, _j, _qk, _ql), m in ens.pi.items():
+        out[i] = out.get(i, 0.0) + m
+    return dict(sorted(out.items()))
+
+
+def rho_marginal(ens: Ensemble) -> dict[int, float]:
+    """Edge mass per check degree."""
+    out: dict[int, float] = {}
+    for (_i, j, _qk, _ql), m in ens.pi.items():
+        out[j] = out.get(j, 0.0) + m
+    return dict(sorted(out.items()))
+
+
+def gamma_given_degree(ens: Ensemble, degree: int) -> dict[int, float]:
+    """Group profile of edges conditioned on the variable degree."""
+    li = lambda_marginal(ens).get(degree, 0.0)
+    if li <= 0.0:
+        raise EnsembleError(f"no edge mass at variable degree {degree}")
+    out: dict[int, float] = {}
+    for (i, _j, qk, _ql), m in ens.pi.items():
+        if i == degree:
+            out[qk] = out.get(qk, 0.0) + m / li
+    return dict(sorted(out.items()))
+
+
+def rate_lambda_profile(
+    lambda_: Mapping[int, float],
+    rho: Mapping[int, float],
+    gamma: Mapping[int, Mapping[int, float]],
+    q_max: int,
+) -> float:
+    """Rate from the variable profile, all checks in the largest group."""
+    num = sum(rj / j for j, rj in rho.items()) * math.log2(q_max)
+    den = 0.0
+    for i, li in lambda_.items():
+        if li <= 0:
+            continue
+        den += (li / i) * sum(g * math.log2(q) for q, g in gamma[i].items())
+    if den <= 0:
+        raise EnsembleError("zero denominator in profile rate")
+    return 1.0 - num / den
+
+
+def rate_regular(
+    d_v: int, d_c: int, gamma_tilde: Mapping[int, float], q_max: int
+) -> float:
+    """Rate of a (d_v, d_c)-regular hybrid ensemble from node-wise group
+    proportions, all checks in the largest group."""
+    if d_v < 1 or d_c < 1:
+        raise EnsembleError("degrees must be positive")
+    den = (1.0 / d_v) * sum(f * math.log2(q) for q, f in gamma_tilde.items())
+    if den <= 0:
+        raise EnsembleError("zero denominator in regular rate")
+    return 1.0 - (math.log2(q_max) / d_c) / den
 
 
 # ---------------------------------------------------------------------------

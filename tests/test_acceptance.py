@@ -27,7 +27,7 @@ from hybridldpc.density_evolution import (
     mi_truncate,
     threshold_search,
 )
-from hybridldpc.ensembles import Ensemble, rate_lambda_profile, rate_regular
+from hybridldpc.ensembles import Ensemble
 from hybridldpc.groups import random_injective_map
 from hybridldpc.optimization import (
     ConstraintGrid,
@@ -49,6 +49,8 @@ from oracles import (
     posterior_llrs_to_probs,
     probs_to_ldr,
     random_tree_code,
+    rate_lambda_profile,
+    rate_regular,
     sample_channel_ldr,
     truncate_probs,
 )
@@ -366,7 +368,7 @@ def test_criterion_08_lp_validity():
         raw = rng.random(len(degrees))
         lam = {i: float(v / raw.sum()) for i, v in zip(degrees, raw)}
         ens = Ensemble.from_factored(groups, lam, rho,
-                                     {i: prof[i] for i in lam}, {8: 1.0})
+                                     {i: prof[i] for i in lam})
         lam_vec = np.array([lam[i] for i in degrees])
         for g, x in enumerate(xs):
             state = {((i, qk), ql): float(x) for (i, _j, qk, ql) in ens.pi}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hybridldpc.channel import ChannelParams, transmit
-from hybridldpc.cli import _parse_ebn0, main
+from hybridldpc.cli import _COMMON_KEYS, _DIRECTION_KEYS, _parse_ebn0, main
 from hybridldpc.codec import symbols_to_bits
 from hybridldpc.construction import load_code
 from hybridldpc.ensembles import Ensemble, fixture_path
@@ -150,6 +150,25 @@ def test_optimize_rejects_unknown_grid_key(tmp_path):
               "sigma": 0.7, "rate_eq": 0.45, "grid": {"point": 40}}
     with pytest.raises(SystemExit, match="unknown grid key.*point"):
         _run_optimize(tmp_path, config)
+
+
+@pytest.mark.parametrize("key", ["rate_mn", "rho"])
+def test_optimize_rejects_unknown_key(tmp_path, key):
+    # a misspelled key, and a key of the other direction
+    config = {"direction": "gamma", "groups": [2, 4], "d_v": 3, "d_c": 6,
+              "sigma": 0.7, key: 0.45}
+    with pytest.raises(SystemExit, match=f"unknown key.*{key}"):
+        _run_optimize(tmp_path, config)
+
+
+def test_every_optimize_key_is_documented():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    section = text.split("## Optimizer config", 1)[1].split("\n## ", 1)[0]
+    keys = _COMMON_KEYS.union(*_DIRECTION_KEYS.values())
+    missing = sorted(k for k in keys if f"`{k}`" not in section)
+    assert not missing, f"README's Optimizer config does not name {missing}"
 
 
 def test_optimize_rejects_conflicting_rates(tmp_path):

@@ -322,8 +322,10 @@ def test_scalar_binary_path_matches_vector_path():
         & (a.symbols == b.symbols).all(axis=1)
     assert (~same).sum() <= 1
     # posterior LLRs after three full iterations
-    pa = scalar.decode(chan[:8], max_iter=3, want_posteriors=True, early_stop=False)
-    pb = vector.decode(chan[:8], max_iter=3, want_posteriors=True, early_stop=False)
+    pa = Decoder(code, max_iter=3).decode(
+        chan[:8], want_posteriors=True, early_stop=False)
+    pb = Decoder(code, max_iter=3, scalar_binary=False).decode(
+        chan[:8], want_posteriors=True, early_stop=False)
     za = pa.posterior_llr[..., 1] - pa.posterior_llr[..., 0]
     zb = pb.posterior_llr[..., 1] - pb.posterior_llr[..., 0]
     assert np.abs(za - zb).max() < 1e-9
@@ -483,7 +485,7 @@ def test_decode_reports_active_frames_and_unsatisfied_checks(name):
     assert res.unsatisfied_checks[0] > 0
     # without early stop every frame runs every iteration, and the last
     # count is the syndrome of the reported decisions
-    full = dec.decode(chan, max_iter=4, early_stop=False)
+    full = Decoder(code, max_iter=4).decode(chan, early_stop=False)
     assert full.active_frames.tolist() == [8] * 5
     assert full.unsatisfied_checks[-1] == np.count_nonzero(syndrome(code, full.symbols))
 
@@ -494,11 +496,11 @@ def test_binary_posteriors_do_not_depend_on_early_stop():
     # order with early stop on and off. Variable degrees of 8 and more
     # make numpy sum pairwise, which an edge-major layout would not.
     code, chan = fixture_frames("r12_binary_irregular", 8)
-    dec = Decoder(code, max_iter=16)
-    assert dec.binary
     for k in (2, 6, 12):
-        on = dec.decode(chan, max_iter=k, want_posteriors=True)
-        off = dec.decode(chan, max_iter=k, want_posteriors=True, early_stop=False)
+        dec = Decoder(code, max_iter=k)
+        assert dec.binary
+        on = dec.decode(chan, want_posteriors=True)
+        off = dec.decode(chan, want_posteriors=True, early_stop=False)
         still = ~on.success
         assert still.any() and on.success.any()
         assert np.array_equal(on.posterior_llr[still], off.posterior_llr[still])

@@ -11,8 +11,14 @@ from hybridldpc.ensembles import (
     fixture_path,
     node_proportions,
     rate_general,
+)
+
+from oracles import (
+    gamma_given_degree,
+    lambda_marginal,
     rate_lambda_profile,
     rate_regular,
+    rho_marginal,
 )
 
 FIXTURES = [
@@ -35,13 +41,13 @@ def two_group() -> Ensemble:
 
 def test_from_factored_marginals_roundtrip():
     ens = two_group()
-    lam = ens.lambda_marginal()
+    lam = lambda_marginal(ens)
     assert lam[2] == pytest.approx(0.3)
     assert lam[3] == pytest.approx(0.4)
     assert lam[8] == pytest.approx(0.3)
-    assert ens.rho_marginal() == pytest.approx({6: 1.0})
-    assert ens.gamma_given_degree(8) == pytest.approx({2: 0.5, 8: 0.5})
-    assert ens.gamma_given_degree(2) == pytest.approx({8: 1.0})
+    assert rho_marginal(ens) == pytest.approx({6: 1.0})
+    assert gamma_given_degree(ens, 8) == pytest.approx({2: 0.5, 8: 0.5})
+    assert gamma_given_degree(ens, 2) == pytest.approx({8: 1.0})
 
 
 def test_pi_sums_to_one():
@@ -68,9 +74,8 @@ def test_conditional_bayes_consistency():
 
 
 def test_var_group_exceeding_check_group_rejected():
-    with pytest.raises(EnsembleError):
-        Ensemble.from_factored([8], {3: 1.0}, {6: 1.0}, {3: {8: 1.0}},
-                               check_groups={4: 1.0})
+    with pytest.raises(EnsembleError, match="variable group exceeds check group"):
+        Ensemble((4, 8), {(3, 6, 8, 4): 1.0})
 
 
 def test_bad_mass_rejected():
@@ -106,9 +111,9 @@ def test_node_proportions_regular_36():
 def test_rate_formulas_agree():
     ens = two_group()
     r_general = ens.rate()
-    lam = ens.lambda_marginal()
-    gamma = {i: ens.gamma_given_degree(i) for i in lam}
-    r_profile = rate_lambda_profile(lam, ens.rho_marginal(), gamma, 8)
+    lam = lambda_marginal(ens)
+    gamma = {i: gamma_given_degree(ens, i) for i in lam}
+    r_profile = rate_lambda_profile(lam, rho_marginal(ens), gamma, 8)
     assert r_general == pytest.approx(r_profile, abs=1e-12)
 
 
@@ -141,17 +146,24 @@ def test_save_load_roundtrip(tmp_path):
         assert again.pi[key] == pytest.approx(m, abs=1e-15)
 
 
-def test_factored_json_form(tmp_path):
-    doc = {
+def test_factored_json_form():
+    # only the pi form is read: a factored document, or one of another
+    # format, is an error that names the cause
+    factored = {
+        "format": "hybrid-ensemble-1",
         "groups": [2, 8],
         "lambda": {"3": 1.0},
         "rho": {"6": 1.0},
         "gamma": {"3": {"2": 0.5, "8": 0.5}},
-        "name": "from-factored-doc",
     }
-    ens = Ensemble.from_json_dict(doc)
-    assert ens.name == "from-factored-doc"
-    assert ens.gamma_given_degree(3) == pytest.approx({2: 0.5, 8: 0.5})
+    with pytest.raises(EnsembleError, match="no pi rows"):
+        Ensemble.from_json_dict(factored)
+    doc = two_group().to_json_dict()
+    with pytest.raises(EnsembleError, match="format 'hybrid-ensemble-2'"):
+        Ensemble.from_json_dict(dict(doc, format="hybrid-ensemble-2"))
+    del doc["format"]
+    with pytest.raises(EnsembleError, match="format None"):
+        Ensemble.from_json_dict(doc)
 
 
 @pytest.mark.parametrize("name", FIXTURES)

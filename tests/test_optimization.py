@@ -23,6 +23,8 @@ from hybridldpc.optimization import (
     optimize_lambda,
 )
 
+from oracles import lambda_marginal
+
 # coarse grid keeps the unit tests fast; the acceptance suite runs the
 # full-resolution checks
 QUICK = ConstraintGrid(points=40)
@@ -93,12 +95,10 @@ def test_lambda_linearization_matches_full_iteration(rng):
         lam = {i: float(v / raw.sum()) for i, v in zip(degrees, raw)}
         ens = Ensemble.from_factored(
             sorted({k for p in prof.values() for k in p} | {8}),
-            lam, rho, {i: prof[i] for i in lam}, {8: 1.0})
+            lam, rho, {i: prof[i] for i in lam})
         lam_vec = np.array([lam[i] for i in degrees])
         for g, x in enumerate(xs):
-            state = {key: float(x) for key in ens.pi_var_check_classes()} \
-                if hasattr(ens, "pi_var_check_classes") else {
-                    ((i, qk), ql): float(x) for (i, _j, qk, ql) in ens.pi}
+            state = {((i, qk), ql): float(x) for (i, _j, qk, ql) in ens.pi}
             out = aggregate_mi(exit_iteration_hybrid(state, ens, m_bc), ens)
             assert out == pytest.approx(float(A[g] @ lam_vec), abs=1e-10)
 
@@ -114,7 +114,7 @@ def test_gamma_linearization_matches_full_iteration(rng):
     for _ in range(5):
         raw = rng.random(len(gs))
         gamma = {k: float(v / raw.sum()) for k, v in zip(gs, raw)}
-        ens = Ensemble.from_factored(gs, {2: 1.0}, {3: 1.0}, {2: gamma}, {256: 1.0})
+        ens = Ensemble.from_factored(gs, {2: 1.0}, {3: 1.0}, {2: gamma})
         gamma_vec = np.array([gamma[k] for k in gs])
         for g, x in enumerate(xs):
             state = {((i, qk), ql): float(x) for (i, _j, qk, ql) in ens.pi}
@@ -197,7 +197,7 @@ def test_packaged_designs_converge_at_recorded_sigma():
         if doc.get("design_sigma") is None:
             continue
         ens = Ensemble.load(fixture_path(name))
-        degrees = set(ens.lambda_marginal())
+        degrees = set(lambda_marginal(ens))
         # the group-split direction designs at d_v = 2 sit on a feasibility
         # edge thinner than the MI table jitter; give them a wider berth
         slack = 1e-3 if degrees != {2} else 5e-3
