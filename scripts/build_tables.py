@@ -8,8 +8,8 @@ is an error that points here.
 
 ``JTable.build`` runs the blocked Monte Carlo walk that J_v families
 use. Measured build times on one core of a 2-core x86 machine (Python
-3.11, numpy 2.4): q=2 4.4 s, q=4 5.3 s, q=8 6.3 s, q=16 23.0 s, q=32
-27.5 s, q=64 45.9 s, q=128 68.7 s, q=256 127 s.
+3.11, numpy 2.4): q=2 1.8 s, q=4 2.4 s, q=8 3.1 s, q=16 5.2 s, q=32
+9.0 s, q=64 16.6 s, q=128 33.3 s, q=256 61.6 s.
 
 A rebuild does not reproduce a table byte for byte on every machine:
 values move in the last bits with the platform's math library. With

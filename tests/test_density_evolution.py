@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from hybridldpc import density_evolution
 from hybridldpc.channel import ChannelParams
 from hybridldpc.density_evolution import (
+    _HI_DB,
     JTable,
     JvFamily,
     clamp_stats,
@@ -123,15 +125,17 @@ def test_jv_offset_matches_general_mean_mc(q):
         assert jv_channel_offset(q, m_bc, c) == pytest.approx(ref, abs=1e-2)
 
 
-# q <= 8 walks transposed blocks, larger q row blocks; the q = 256 case
-# spans two sample chunks with a short grid to stay quick
+# the q = 256 case spans two sample chunks with a short grid to stay
+# quick. The kernel factors the common terms out of the log-sum-exp, so
+# it agrees with the direct walk up to rounding: 2.2e-16 measured, and
+# the bound leaves a factor of about 50.
 @pytest.mark.parametrize("q, m_bc, kw", [
     (4, 0.8, {}), (8, 1.3, {}), (8, 0.41, {}), (16, 2.1, {}), (32, 1.7, {}),
     (256, 1.0, {"points": 8, "n_samples": 32_000}),
 ])
-def test_jv_family_bit_identical_to_direct_walk(q, m_bc, kw):
+def test_jv_family_matches_direct_walk(q, m_bc, kw):
     fam = JvFamily(q, m_bc, **kw)
-    assert np.array_equal(fam.grid_i, reference_jv_grid_i(q, m_bc, **kw))
+    assert np.max(np.abs(fam.grid_i - reference_jv_grid_i(q, m_bc, **kw))) <= 1e-14
     interp = PchipInterpolator(fam.grid_c, fam.grid_i, extrapolate=False)
     c_max = float(fam.grid_c[-1])
     cs = np.concatenate([[-1.0, -0.0, 0.0, c_max, c_max + 1.0], fam.grid_c,
@@ -143,10 +147,35 @@ def test_jv_family_bit_identical_to_direct_walk(q, m_bc, kw):
         assert clamp_stats.count - before == int(c < 0.0) + int(c > c_max)
 
 
+def test_jv_family_at_the_strongest_searched_channel():
+    # threshold_search reaches _HI_DB, which at rate 1/2 is m_bc = 20: the
+    # widest channel part the kernel's factored sum must absorb
+    m_bc = ChannelParams.from_ebn0_db(_HI_DB, 0.5).m_bc
+    kw = {"points": 12, "n_samples": 32_000}
+    fam = JvFamily(256, m_bc, **kw)
+    assert np.all(np.isfinite(fam.grid_i))
+    assert 0.0 <= fam.grid_i[0] and fam.grid_i[-1] <= 1.0
+    assert np.all(np.diff(fam.grid_i) > 0)
+    assert np.max(np.abs(fam.grid_i - reference_jv_grid_i(256, m_bc, **kw))) <= 1e-14
+
+
+# z is drawn one block at a time, so the block size must not change the
+# draws or the values; each patched size leaves a short last block
+@pytest.mark.parametrize("build, block", [
+    (lambda: JvFamily(8, 1.3, points=24, n_samples=10_000), 7 * 3001),
+    (lambda: JvFamily(256, 1.0, points=8, n_samples=32_000), 255 * 97),
+    (lambda: JTable.build(32, n_samples=4000, points=16), 31 * 333),
+], ids=["jv_q8", "jv_q256", "jc_q32"])
+def test_mi_grid_independent_of_block_size(build, block, monkeypatch):
+    want = build().grid_i
+    monkeypatch.setattr(density_evolution, "_BLOCK_ELEMS", block)
+    assert np.array_equal(build().grid_i, want)
+
+
 def test_jtable_build_matches_direct_walk():
-    # q = 32 walks row blocks; 4000 samples span four, the last one short.
-    # The blocked walk groups the sums differently, so it agrees up to
-    # rounding only.
+    # 4000 samples span four blocks at q = 32, the last one short. The
+    # blocked walk groups the sums differently, so it agrees up to rounding
+    # only.
     tab = JTable.build(32, n_samples=4000, points=16)
     ref = reference_jc_grid_i(32, n_samples=4000, points=16)
     assert tab.grid_i.shape == ref.shape == (16,)
