@@ -328,7 +328,10 @@ class _Peg:
 
     Adjacency lives in padded arrays (-1 marks a free slot): one row of
     ``col_rows`` per column, one row of ``row_cols`` per check row. The
-    row table widens when a row overflows its target degree.
+    row table widens when a row overflows its target degree. Every column
+    and row carries the label of its connected component (``col_comp``,
+    ``row_comp``), merged as edges join components, so that a search can
+    tell unreachable rows without walking the graph.
     """
 
     def __init__(self, layout: _Layout, rng: np.random.Generator):
@@ -343,6 +346,8 @@ class _Peg:
         self._dist = np.empty(self.m, dtype=np.int64)
         self._cdist = np.empty(self.n, dtype=np.int64)
         self._taken = np.zeros(self.m, dtype=bool)
+        self.col_comp = np.arange(self.n, dtype=np.int64)
+        self.row_comp = np.arange(self.n, self.n + self.m, dtype=np.int64)
         self.edges: list[tuple[int, int]] = []
 
     def add_edge(self, row: int, col: int) -> None:
@@ -356,10 +361,16 @@ class _Peg:
         self.row_fill[row] += 1
         self.col_deg[col] += 1
         self.edges.append((row, col))
+        keep, gone = self.row_comp[row], self.col_comp[col]
+        if keep != gone:
+            self.col_comp[self.col_comp == gone] = keep
+            self.row_comp[self.row_comp == gone] = keep
 
-    def _bfs_row_dists(self, col: int) -> np.ndarray:
-        # distances from col to every row through the current graph, one
-        # breadth-first level per pass: rows at odd, columns at even depth
+    def _bfs_row_dists(self, col: int, cand: np.ndarray) -> np.ndarray:
+        # distances from col to the rows cand through the current graph, one
+        # breadth-first level per pass: rows at odd, columns at even depth;
+        # every row of cand lies in col's component, and the walk stops at
+        # the level that reaches the last of them
         dist = self._dist
         cdist = self._cdist
         dist.fill(-1)
@@ -374,6 +385,8 @@ class _Peg:
             if not len(rows):
                 break
             dist[rows] = depth
+            if dist[cand].min() >= 0:
+                break
             cols = self.row_cols[np.flatnonzero(dist == depth)].ravel()
             cols = cols[cols >= 0]
             cols = cols[cdist[cols] < 0]
@@ -382,7 +395,7 @@ class _Peg:
             cdist[cols] = depth + 1
             front = np.flatnonzero(cdist == depth + 1)
             depth += 2
-        return dist
+        return dist[cand]
 
     def place(self, col: int, candidates: np.ndarray) -> None:
         """Connect col to an admissible row, keeping target degrees.
@@ -390,7 +403,8 @@ class _Peg:
         Rows still under their target fill are used when any exist
         (overflow only when every admissible row is full). Among those the
         row at maximal graph distance from col wins, ties broken by lowest
-        fill, remaining ties by seeded RNG."""
+        fill, remaining ties by seeded RNG. Rows in another component than
+        col are unreachable, hence the farthest, and need no search."""
         if len(candidates) == 0:
             raise ConstructionError(f"column {col}: no admissible check row")
         taken = self.col_rows[col, : self.col_deg[col]]
@@ -402,13 +416,11 @@ class _Peg:
         under = cand[self.row_fill[cand] < self.lay.row_target[cand]]
         if len(under):
             cand = under
-        if len(taken):
-            dist = self._bfs_row_dists(col)[cand]
-            dist = np.where(dist < 0, np.iinfo(np.int64).max, dist)
-        else:
-            dist = np.zeros(len(cand), dtype=np.int64)
+        far = self.row_comp[cand] != self.col_comp[col]
+        if not far.any():
+            dist = self._bfs_row_dists(col, cand)
+            far = dist == dist.max()
         fill = self.row_fill[cand]
-        far = dist == dist.max()
         pool = cand[far & (fill == fill[far].min())]
         row = int(pool[self.rng.integers(0, len(pool))]) if len(pool) > 1 else int(pool[0])
         self.add_edge(row, col)

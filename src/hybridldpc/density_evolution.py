@@ -22,8 +22,10 @@ sum agrees with the plain walk up to rounding (2.2e-16 measured), not bit
 for bit. Tables and families keep their own seeds, chunking and
 post-processing. J_c lookups and the bisection that inverts J_c evaluate
 the pchip segment with `_pchip_scalar`, in scipy's arithmetic but without
-its per-call overhead. The plain walks live on in the tests as the
-references these kernels must match.
+its per-call overhead. scipy is imported by the first table or family
+that is built, so encoding, decoding and construction never load it. The
+plain walks live on in the tests as the references these kernels must
+match.
 
 The EXIT recursion and the LP design rows share the node updates:
 `check_node_mi` applies the dual equal-mean update in the check group and
@@ -43,13 +45,16 @@ import os
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from hybridldpc.channel import ChannelParams
 from hybridldpc.ensembles import Ensemble
 from hybridldpc.groups import bits_per_symbol, validate_order
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "JTable",
@@ -180,6 +185,8 @@ class JTable:
         self.grid_i = np.asarray(self.grid_i, dtype=np.float64)
         if np.any(np.diff(self.grid_i) <= 0):
             raise ValueError("table MI values must be strictly increasing")
+        from scipy.interpolate import PchipInterpolator
+
         self._eval1 = _pchip_scalar(
             PchipInterpolator(self.grid_m, self.grid_i, extrapolate=False))
 
@@ -313,6 +320,8 @@ class JvFamily:
         for k in range(1, len(self.grid_i)):
             if self.grid_i[k] <= self.grid_i[k - 1]:
                 self.grid_i[k] = min(1.0, self.grid_i[k - 1] + 1e-15)
+        from scipy.interpolate import PchipInterpolator
+
         self._eval1 = _pchip_scalar(
             PchipInterpolator(self.grid_c, self.grid_i, extrapolate=False))
         self._c_max = float(grid[-1])

@@ -138,8 +138,14 @@ def _apply_table_cached(in_order: int, out_order: int, cols: tuple[int, ...]) ->
 
 
 def identity_map(order: int) -> SymbolMap:
-    p = bits_per_symbol(order)
-    return SymbolMap(order, order, tuple(1 << i for i in range(p)))
+    """The identity of G(order), one shared instance per order (a code
+    holds one per same-order edge, and a SymbolMap is immutable)."""
+    return _identity_map(validate_order(order))
+
+
+@lru_cache(maxsize=None)
+def _identity_map(order: int) -> SymbolMap:
+    return SymbolMap(order, order, tuple(1 << i for i in range(bits_per_symbol(order))))
 
 
 def random_injective_map(rng: np.random.Generator, in_order: int, out_order: int) -> SymbolMap:

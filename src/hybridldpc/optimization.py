@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .channel import ChannelParams
 from .density_evolution import check_node_mi, mi_extend, mi_truncate, var_node_mi
@@ -185,6 +184,13 @@ def _clean_weights(values: np.ndarray, keys: list, eps: float = _MASS_EPS) -> di
         raise OptimizationError("solution has no mass above tolerance")
     total = sum(kept.values())
     return {k: v / total for k, v in sorted(kept.items())}
+
+
+# Defers the scipy import to the first LP, so encoding and decoding never load it.
+def linprog(*args, **kwargs):
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _solve_design_lp(

@@ -219,6 +219,42 @@ def random_tree_code(rng: np.random.Generator, max_symbols: int = 12,
     return code
 
 
+def reference_peg_place(peg, col: int, candidates: np.ndarray) -> None:
+    """The placement rule of ``construction._Peg.place`` by a full
+    breadth-first search over dicts and sets: every reachable row gets its
+    distance, unreachable rows count as infinitely far, and no component
+    label or early stop is used. Draws from ``peg.rng`` exactly as the
+    package does."""
+    taken = set(peg.col_rows[col, : peg.col_deg[col]].tolist())
+    cand = np.array([r for r in candidates.tolist() if r not in taken], dtype=np.int64)
+    under = cand[peg.row_fill[cand] < peg.lay.row_target[cand]]
+    if len(under):
+        cand = under
+    dist: dict[int, int] = {}
+    seen = {col}
+    front = [col]
+    depth = 1
+    while front:
+        nxt = []
+        for c in front:
+            for r in peg.col_rows[c, : peg.col_deg[c]].tolist():
+                if r in dist:
+                    continue
+                dist[r] = depth
+                for c2 in peg.row_cols[r, : peg.row_fill[r]].tolist():
+                    if c2 not in seen:
+                        seen.add(c2)
+                        nxt.append(c2)
+        front = nxt
+        depth += 2
+    d = np.array([dist.get(r, math.inf) for r in cand.tolist()])
+    fill = peg.row_fill[cand]
+    far = d == d.max()
+    pool = cand[far & (fill == fill[far].min())]
+    row = int(pool[peg.rng.integers(0, len(pool))]) if len(pool) > 1 else int(pool[0])
+    peg.add_edge(row, col)
+
+
 def enumerate_codewords(code: HybridParityCheck) -> np.ndarray:
     """All codewords by brute force over information symbols."""
     from hybridldpc.codec import encode

@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -60,3 +62,21 @@ def test_benchmark_trace_targets_exist():
         assert hasattr(owner, attr), f"{owner.__name__}.{attr}"
     assert hasattr(density_evolution.clamp_stats, "count")
     assert callable(density_evolution.get_table)
+
+
+def test_pipeline_imports_leave_scipy_unloaded():
+    # encoding, decoding, construction and campaigns never pay for scipy;
+    # the first J_c table loads it
+    script = (
+        "import sys\n"
+        "import hybridldpc.cli, hybridldpc.codec, hybridldpc.construction\n"
+        "import hybridldpc.simulation, hybridldpc.density_evolution, hybridldpc.optimization\n"
+        "assert 'scipy' not in sys.modules\n"
+        "print(hybridldpc.density_evolution.jc(1.0, 8).hex())\n"
+        "assert 'scipy' in sys.modules\n"
+    )
+    path = os.pathsep.join(p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float.fromhex(proc.stdout.strip()) == density_evolution.jc(1.0, 8)

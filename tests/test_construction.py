@@ -1,9 +1,12 @@
 """Graph construction: quantization, PEG placement, structure, alist IO."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hybridldpc import construction
 from hybridldpc.construction import (
     AlistParseError,
     ConstructionError,
@@ -21,7 +24,9 @@ from hybridldpc.construction import (
 from hybridldpc.ensembles import Ensemble, fixture_path
 from hybridldpc.groups import bits_per_symbol
 
-from oracles import empirical_pi_check, empirical_pi_var, random_tree_code
+from oracles import empirical_pi_check, empirical_pi_var, random_tree_code, reference_peg_place
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def small_hybrid() -> Ensemble:
@@ -167,6 +172,19 @@ def test_alist_roundtrip_tree_codes(tmp_path, rng):
         assert np.array_equal(again.edge_col, code.edge_col)
 
 
+@pytest.mark.parametrize("path", [
+    "perfbench/codes/r12_binary_irregular_3008_seed1.alist",
+    "fer_results/codes/r16_hybrid_g256g16g8_6144.alist",
+    "fer_results/codes/r16_gf256_regular_6144.alist",
+])
+def test_shipped_alist_roundtrip_is_byte_identical(tmp_path, path):
+    src = os.path.join(ROOT, path)
+    out = str(tmp_path / "again.alist")
+    save_code(load_code(src), out)
+    with open(src, "rb") as a, open(out, "rb") as b:
+        assert a.read() == b.read()
+
+
 def test_alist_parse_error_reports_line(tmp_path):
     path = str(tmp_path / "bad.alist")
     with open(path, "w") as fh:
@@ -236,3 +254,18 @@ def test_build_code_refuses_unhostable_ensemble():
         {2: {16: 1.0}, 3: {2: 0.6, 4: 0.4}, 6: {2: 1.0}})
     with pytest.raises(ConstructionError, match="group 16"):
         build_code(ens, 1024, seed=0)
+
+
+@pytest.mark.parametrize("name, n_bits", [
+    ("r12_binary_irregular", 600), ("r12_gf8_regular36", 1026),
+    ("r12_hybrid_g8g2", 1024), ("r16_hybrid_g256g16g8", 2048), (None, 700)])
+def test_peg_matches_full_search(monkeypatch, name, n_bits):
+    # the component shortcut and the early stop of the search pick the
+    # same rows, and draw the same ties, as a full breadth-first search
+    ens = small_hybrid() if name is None else Ensemble.load(fixture_path(name))
+    fast = build_code(ens, n_bits, seed=3)
+    monkeypatch.setattr(construction._Peg, "place", reference_peg_place)
+    full = build_code(ens, n_bits, seed=3)
+    assert np.array_equal(fast.edge_row, full.edge_row)
+    assert np.array_equal(fast.edge_col, full.edge_col)
+    assert [m.cols for m in fast.edge_maps] == [m.cols for m in full.edge_maps]

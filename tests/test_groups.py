@@ -54,6 +54,15 @@ def test_identity_map_fixed_points():
         assert m.code() == "i"
 
 
+def test_identity_map_is_shared_per_order():
+    # a code holds one identity per same-order edge; they are one object
+    assert identity_map(8) is identity_map(8)
+    assert identity_map(np.int64(8)) is identity_map(8)
+    assert type(identity_map(np.int64(16)).in_order) is int
+    assert SymbolMap.from_code("i", 8, 8) is identity_map(8)
+    assert identity_map(8) is not identity_map(16)
+
+
 def test_map_rejects_dependent_columns():
     with pytest.raises(ValueError):
         SymbolMap(4, 8, (3, 3))

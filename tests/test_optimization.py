@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hybridldpc import optimization
 from hybridldpc.channel import ChannelParams
 from hybridldpc.density_evolution import (
     aggregate_mi,
@@ -128,6 +129,21 @@ def test_gamma_design_is_structurally_valid():
     assert des.rate == pytest.approx(1 / 6, abs=1e-9)
     # host row: redundancy fraction 1/d_c within the check-group node share
     assert des.gamma.get(des.check_group, 0.0) / des.d_v >= 1 / des.d_c - 1e-9
+
+
+def test_lp_calls_the_module_linprog(monkeypatch):
+    # the benchmark times the LP by wrapping optimization.linprog
+    calls = []
+    real = optimization.linprog
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimization, "linprog", spy)
+    des = optimize_gamma(2, 3, [8, 16, 256], 1.45, grid=QUICK, rate_eq=1 / 6)
+    assert calls == ["highs"]
+    assert des.rate == pytest.approx(1 / 6, abs=1e-9)
 
 
 def test_gamma_excludes_binary_degree2():
