@@ -24,6 +24,8 @@ import time
 
 import numpy as np
 
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
 from hybridldpc.density_evolution import JTable, _table_dir
 
 ROUNDING_ONLY = 1e-12

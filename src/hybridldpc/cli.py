@@ -28,8 +28,8 @@ def _parse_ebn0(text: str) -> list[float]:
     """Accept "a,b,c" or "start:step:stop" (stop inclusive)."""
     if ":" in text:
         start, step, stop = (float(t) for t in text.split(":"))
-        if step <= 0:
-            raise ValueError("step must be positive")
+        if not (step > 0 and start <= stop + 1e-9):
+            raise ValueError(f"Eb/N0 range {text!r} needs step > 0 and start <= stop")
         out = []
         x = start
         while x <= stop + 1e-9:

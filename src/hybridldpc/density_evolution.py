@@ -27,14 +27,16 @@ that is built, so encoding, decoding and construction never load it. The
 plain walks live on in the tests as the references these kernels must
 match.
 
-The EXIT recursion and the LP design rows share the node updates:
-`check_node_mi` applies the dual equal-mean update in the check group and
-`var_node_mi` adds the channel to the weighted check-side offset. Check
-outputs are truncated into each variable group, variable outputs extended
-into each check group. Truncation maps MI through J_c of the smaller group
-at the same scalar mean (the image subvector of an equal-mean Gaussian
-stays equal-mean); extension rescales the information content by the
-bit-width ratio. Both are exact identities when the groups coincide.
+One step of the EXIT recursion, `exit_iteration_hybrid`, applies the dual
+equal-mean update in each check group and adds the channel to the
+weighted check-side offset at each variable; the LP design rows of
+`optimization` are one such step. Check outputs are truncated into each
+variable group, variable outputs extended into each check group.
+Truncation maps MI through J_c of the smaller group at the same scalar
+mean (the image subvector of an equal-mean Gaussian stays equal-mean);
+extension rescales the information content by the bit-width ratio. Both
+are exact identities when the groups coincide. `threshold_search` and
+`optimization.best_sigma` share one bisection, `bisect_edge`.
 """
 
 from __future__ import annotations
@@ -62,8 +64,6 @@ __all__ = [
     "jc_inv",
     "JvFamily",
     "jv_family",
-    "check_node_mi",
-    "var_node_mi",
     "mi_extend",
     "mi_truncate",
     "exit_iteration_hybrid",
@@ -71,6 +71,7 @@ __all__ = [
     "aggregate_mi",
     "de_trajectory",
     "de_converges",
+    "bisect_edge",
     "threshold_search",
     "clamp_stats",
     "DEFAULT_TARGET",
@@ -117,26 +118,18 @@ def _grid(m_max: float, points: int) -> np.ndarray:
 
 def _pav_increasing(y: np.ndarray) -> np.ndarray:
     # pool adjacent violators, then break flats with a tiny slope
-    y = y.astype(np.float64).copy()
-    n = len(y)
-    vals = list(y)
-    wts = [1.0] * n
-    out_vals: list[float] = []
-    out_wts: list[float] = []
-    for v, w in zip(vals, wts):
-        out_vals.append(v)
-        out_wts.append(w)
-        while len(out_vals) > 1 and out_vals[-2] > out_vals[-1]:
-            v2, w2 = out_vals.pop(), out_wts.pop()
-            v1, w1 = out_vals.pop(), out_wts.pop()
-            out_vals.append((v1 * w1 + v2 * w2) / (w1 + w2))
-            out_wts.append(w1 + w2)
-    res = np.empty(n)
-    idx = 0
-    for v, w in zip(out_vals, out_wts):
-        res[idx: idx + int(w)] = v
-        idx += int(w)
-    for k in range(1, n):
+    vals: list[float] = []
+    wts: list[int] = []
+    for v in np.asarray(y, dtype=np.float64).tolist():
+        vals.append(v)
+        wts.append(1)
+        while len(vals) > 1 and vals[-2] > vals[-1]:
+            v2, w2 = vals.pop(), wts.pop()
+            v1, w1 = vals.pop(), wts.pop()
+            vals.append((v1 * w1 + v2 * w2) / (w1 + w2))
+            wts.append(w1 + w2)
+    res = np.repeat(vals, wts)
+    for k in range(1, len(res)):
         if res[k] <= res[k - 1]:
             res[k] = res[k - 1] + 1e-12
     return res
@@ -493,18 +486,6 @@ def mi_truncate(x: float, q_from: int, q_to: int) -> float:
 # ---------------- EXIT recursions ----------------
 
 
-def check_node_mi(x: float, j: int, q: int) -> float:
-    """Output MI of a degree-j check in G(q) whose incoming messages carry
-    MI x in G(q), by the dual equal-mean update."""
-    return 1.0 - jc((j - 1) * jc_inv(1.0 - x, q), q)
-
-
-def var_node_mi(z: float, i: int, q: int, m_bc: float) -> float:
-    """Output MI of a degree-i variable in G(q) whose incoming check
-    messages carry MI z in G(q), on the channel of bit mean m_bc."""
-    return jv_channel_offset(q, m_bc, (i - 1) * jc_inv(min(z, 1.0), q))
-
-
 def initial_state(ens: Ensemble, m_bc: float) -> dict:
     """Variable-to-check MI per ((i, qk), ql): channel-only messages."""
     state: dict[tuple[tuple[int, int], int], float] = {}
@@ -524,7 +505,7 @@ def exit_iteration_hybrid(state: dict, ens: Ensemble, m_bc: float) -> dict:
     for (j, ql), _mass in sorted(ens.pi_check().items()):
         w = ens.var_class_given_check_class(j, ql)
         s = sum(wi * state[((i, qk), ql)] for (i, qk), wi in sorted(w.items()))
-        x_check = check_node_mi(s, j, ql)
+        x_check = 1.0 - jc((j - 1) * jc_inv(1.0 - s, ql), ql)
         for (i, qk) in w:
             if ((j, ql), qk) not in x_cv:
                 x_cv[((j, ql), qk)] = mi_truncate(x_check, ql, qk)
@@ -533,7 +514,7 @@ def exit_iteration_hybrid(state: dict, ens: Ensemble, m_bc: float) -> dict:
     for (i, qk), _mass in sorted(ens.pi_var().items()):
         w = ens.check_class_given_var_class(i, qk)
         z = sum(wj * x_cv[((j, ql), qk)] for (j, ql), wj in sorted(w.items()))
-        y = var_node_mi(z, i, qk, m_bc)
+        y = jv_channel_offset(qk, m_bc, (i - 1) * jc_inv(min(z, 1.0), qk))
         for (j, ql) in w:
             new_state[((i, qk), ql)] = mi_extend(y, qk, ql)
     return new_state
@@ -576,26 +557,43 @@ def de_converges(ens: Ensemble, sigma: float) -> bool:
     return ok
 
 
+def bisect_edge(ok: Callable[[float], bool], lo: float, hi: float,
+                tol: float, good_hi: bool) -> float | None:
+    """Edge of a monotone predicate on [lo, hi], from the side where ``ok``
+    holds: above the edge when ``good_hi``, below it otherwise. Probes the
+    good end (None if it fails), then the bad end (returned if it holds),
+    then halves the bracket at 0.5 * (lo + hi) while it is wider than
+    ``tol`` and has a midpoint strictly inside; returns its good end."""
+    if not tol > 0.0:
+        raise ValueError(f"bisection tolerance must be positive, got {tol!r}")
+    if not lo < hi:
+        raise ValueError(f"bisection needs lo < hi, got lo={lo!r}, hi={hi!r}")
+    good, bad = (hi, lo) if good_hi else (lo, hi)
+    if not ok(good):
+        return None
+    if ok(bad):
+        return bad
+    while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if bool(ok(mid)) == good_hi:    # mid joins the good side
+            hi = mid
+        else:
+            lo = mid
+    return hi if good_hi else lo
+
+
 def threshold_search(ens: Ensemble, tol_db: float = 0.01) -> float:
     """Smallest Eb/N0 (dB) in [-6, 10] where density evolution converges,
-    by bisection."""
+    by bisection to within ``tol_db`` > 0."""
     rate = ens.rate()
 
     def ok(db: float) -> bool:
         sigma = ChannelParams.from_ebn0_db(db, rate).sigma
         return de_converges(ens, sigma)
 
-    if not ok(_HI_DB):
+    db = bisect_edge(ok, _LO_DB, _HI_DB, tol_db, good_hi=True)
+    if db is None:
         raise DivergingEnsembleError(
             f"density evolution does not converge even at {_HI_DB} dB"
         )
-    if ok(_LO_DB):
-        return _LO_DB
-    lo, hi = _LO_DB, _HI_DB
-    while hi - lo > tol_db:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return db

@@ -1,13 +1,13 @@
 """Degree-profile design for hybrid ensembles via linear programming.
 
-The one-iteration evolution map becomes linear in the variable-side
-proportions once every message class is seeded with one common scalar:
-with all check nodes in the same group, the check-side combination sees
-the same input regardless of how variable mass is split, so the updated
-aggregate is a plain weighted sum of per-class outputs. Those per-class
-outputs are precomputed on a grid of seed values and the monotonicity
-constraint F(x) >= x + margin turns into one inequality row per grid
-point.
+The constraint rows are one step of density evolution itself: on the
+ensemble that holds the design's (degree, group) variable classes, every
+check in the largest group, ``exit_iteration_hybrid`` runs once from
+every message seeded at one grid value x, and each class's output is
+read off. With all checks in one group the check side sees x whatever
+the variable mass split, so the updated aggregate is linear in the
+variable-side proportions, and the constraint F(x) >= x + margin is one
+inequality row per grid point.
 
 Two directions are supported, mirroring the two ways of pinning one
 factor of pi(i, k) and optimizing the other:
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams
-from .density_evolution import check_node_mi, mi_extend, mi_truncate, var_node_mi
+from .density_evolution import bisect_edge, exit_iteration_hybrid
 from .ensembles import Ensemble
 
 __all__ = [
@@ -45,9 +45,6 @@ __all__ = [
     "optimize_gamma",
     "best_sigma",
 ]
-
-_MASS_EPS = 1e-9
-
 
 class OptimizationError(RuntimeError):
     """Raised when a design problem is malformed or infeasible."""
@@ -125,6 +122,25 @@ def binary_info_gamma(max_degree: int, high_group: int) -> dict[int, dict[int, f
     return profile
 
 
+def _class_outputs(classes: list[tuple[int, int]], rho: dict[int, float],
+                   check_group: int, m_bc: float, xs: np.ndarray) -> np.ndarray:
+    """Rows: grid points. Column c: the output MI of the variable class
+    ``classes[c]`` = (degree, group) after one ``exit_iteration_hybrid``
+    step from every message seeded at xs[g], on the ensemble that holds
+    these classes in equal shares and every check in ``check_group`` with
+    check degrees ``rho``."""
+    share = 1.0 / len(classes)
+    pi = {(i, j, k, check_group): share * rj
+          for i, k in classes for j, rj in rho.items()}
+    ens = Ensemble(tuple(sorted({k for _i, k in classes} | {check_group})), pi)
+    out = np.empty((len(xs), len(classes)))
+    for g, x in enumerate(xs.tolist()):
+        state = exit_iteration_hybrid(
+            {(c, check_group): x for c in classes}, ens, m_bc)
+        out[g] = [state[(c, check_group)] for c in classes]
+    return out
+
+
 def lambda_exit_matrix(
     gamma_profile: dict[int, dict[int, float]],
     rho: dict[int, float],
@@ -134,26 +150,15 @@ def lambda_exit_matrix(
 ) -> tuple[np.ndarray, list[int]]:
     """Rows: grid points. Columns: degrees. Entry (g, i) is the aggregate
     MI after one iteration contributed per unit of lambda_i when the
-    state is seeded at xs[g]. The node updates are those of
-    ``exit_iteration_hybrid``."""
+    state is seeded at xs[g]: the gamma(i, k) mixture of the class
+    outputs of `_class_outputs`."""
     degrees = sorted(gamma_profile)
-    var_groups = sorted({k for prof in gamma_profile.values()
-                         for k, v in prof.items() if v > 0})
+    classes = [(i, k) for i in degrees
+               for k, gik in sorted(gamma_profile[i].items()) if gik > 0]
+    out = _class_outputs(classes, rho, check_group, m_bc, xs)
     A = np.zeros((len(xs), len(degrees)))
-    for g, x in enumerate(xs):
-        xcv = {}
-        for j in sorted(rho):
-            x_check = check_node_mi(float(x), j, check_group)
-            for k in var_groups:
-                xcv[(j, k)] = mi_truncate(x_check, check_group, k)
-        for col, i in enumerate(degrees):
-            acc = 0.0
-            for k, gik in sorted(gamma_profile[i].items()):
-                if gik <= 0:
-                    continue
-                z = sum(rj * xcv[(j, k)] for j, rj in sorted(rho.items()))
-                acc += gik * mi_extend(var_node_mi(z, i, k, m_bc), k, check_group)
-            A[g, col] = acc
+    for c, (i, k) in enumerate(classes):
+        A[:, degrees.index(i)] += gamma_profile[i][k] * out[:, c]
     return A, degrees
 
 
@@ -166,18 +171,14 @@ def gamma_exit_matrix(
     xs: np.ndarray,
 ) -> tuple[np.ndarray, list[int]]:
     """Same linearization for the regular-connectivity direction: entry
-    (g, k) is the one-iteration aggregate per unit of group-k edge mass."""
+    (g, k) is the one-iteration aggregate per unit of group-k edge mass,
+    the output of class (d_v, k)."""
     gs = sorted(groups)
-    A = np.zeros((len(xs), len(gs)))
-    for g, x in enumerate(xs):
-        x_check = check_node_mi(float(x), d_c, check_group)
-        for col, k in enumerate(gs):
-            z = mi_truncate(x_check, check_group, k)
-            A[g, col] = mi_extend(var_node_mi(z, d_v, k, m_bc), k, check_group)
+    A = _class_outputs([(d_v, k) for k in gs], {d_c: 1.0}, check_group, m_bc, xs)
     return A, gs
 
 
-def _clean_weights(values: np.ndarray, keys: list, eps: float = _MASS_EPS) -> dict:
+def _clean_weights(values: np.ndarray, keys: list, eps: float = 1e-9) -> dict:
     """Drop solver dust and renormalize to unit mass."""
     kept = {k: float(v) for k, v in zip(keys, values) if v > eps}
     if not kept:
@@ -191,6 +192,11 @@ def linprog(*args, **kwargs):
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
+
+
+def _check_rates(rate_min: float | None, rate_eq: float | None) -> None:
+    if rate_min is not None and rate_eq is not None:
+        raise OptimizationError("rate_min and rate_eq are mutually exclusive")
 
 
 def _solve_design_lp(
@@ -215,8 +221,6 @@ def _solve_design_lp(
     switches to the uniform margin above the grid (an auxiliary variable
     added to every row).
     """
-    if rate_min is not None and rate_eq is not None:
-        raise OptimizationError("rate_min and rate_eq are mutually exclusive")
     m_rows, n = A.shape
     if rate_eq is not None:
         c = np.zeros(n + 1)
@@ -273,6 +277,7 @@ def optimize_lambda(
     """
     if not gamma_profile:
         raise OptimizationError("empty gamma profile")
+    _check_rates(rate_min, rate_eq)
     all_groups = sorted({k for prof in gamma_profile.values() for k in prof})
     check_group = all_groups[-1]
     g22 = gamma_profile.get(2, {}).get(2, 0.0)
@@ -335,21 +340,19 @@ def optimize_gamma(
     Degree-2 binary mass is structurally excluded: when d_v == 2 the
     binary group gets a hard zero bound.
     """
-    gs = sorted(set(groups))
-    check_group = gs[-1]
+    if not groups:
+        raise OptimizationError("no variable groups to split across")
     if d_v < 2 or d_c < 2:
         raise OptimizationError("degrees must be at least 2")
+    _check_rates(rate_min, rate_eq)
+    gs = sorted(set(groups))
+    check_group = gs[-1]
     m_bc = ChannelParams(sigma).m_bc
     xs = grid.xs()
     A, gs = gamma_exit_matrix(d_v, d_c, gs, check_group, m_bc, xs)
     n = len(gs)
     w = np.array([math.log2(k) / d_v for k in gs])
-    bounds = []
-    for k in gs:
-        if k == 2 and d_v == 2:
-            bounds.append((0.0, 0.0))
-        else:
-            bounds.append((0.0, 1.0))
+    bounds = [(0.0, 0.0 if k == 2 and d_v == 2 else 1.0) for k in gs]
     # redundancy columns all live in the check group: its node share
     # (equal to its edge share on a regular graph) must cover them
     host = np.array([1.0 / d_v if k == check_group else 0.0 for k in gs])
@@ -378,23 +381,22 @@ def best_sigma(solve, lo: float, hi: float, tol: float = 1e-3):
 
     ``solve(sigma)`` returns a design or raises OptimizationError; the
     result is the design found at the largest feasible sigma in
-    [lo, hi], located by bisection to within ``tol``.
+    [lo, hi], with lo < hi, located by bisection to within ``tol`` > 0.
     """
-    try:
-        best = solve(lo)
-    except OptimizationError as exc:
-        raise OptimizationError(
-            f"design infeasible even at sigma={lo}: {exc}"
-        ) from exc
-    try:
-        return solve(hi)
-    except OptimizationError:
-        pass
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    designs = {}
+    errors = []
+
+    def feasible(sigma: float) -> bool:
         try:
-            best = solve(mid)
-            lo = mid
-        except OptimizationError:
-            hi = mid
-    return best
+            designs[sigma] = solve(sigma)
+        except OptimizationError as exc:
+            errors.append(exc)
+            return False
+        return True
+
+    sigma = bisect_edge(feasible, lo, hi, tol, good_hi=False)
+    if sigma is None:
+        raise OptimizationError(
+            f"design infeasible even at sigma={lo}: {errors[0]}"
+        ) from errors[0]
+    return designs[sigma]

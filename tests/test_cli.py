@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from hybridldpc import density_evolution
 from hybridldpc.channel import ChannelParams, transmit
 from hybridldpc.cli import _COMMON_KEYS, _DIRECTION_KEYS, _parse_ebn0, main
 from hybridldpc.codec import symbols_to_bits
@@ -27,6 +28,27 @@ def test_parse_ebn0_forms():
     assert _parse_ebn0("1.0:0.5:2.5") == [1.0, 1.5, 2.0, 2.5]
     with pytest.raises(ValueError):
         _parse_ebn0("1:-0.5:2")
+
+
+def test_parse_ebn0_rejects_empty_range():
+    # start above stop parses to no point at all: name the spec instead
+    with pytest.raises(ValueError, match="'3:0.5:1'"):
+        _parse_ebn0("3:0.5:1")
+
+
+def test_threshold_command_rejects_zero_tolerance(ensemble_file, monkeypatch):
+    calls = []
+
+    def limited(ens, sigma):
+        calls.append(sigma)
+        if len(calls) > 100:
+            raise AssertionError("bisection did not stop")
+        return sigma < 0.9
+
+    monkeypatch.setattr(density_evolution, "de_converges", limited)
+    with pytest.raises(ValueError, match="positive"):
+        main(["threshold", "--ensemble", ensemble_file, "--tol-db", "0"])
+    assert calls == []
 
 
 def test_construct_encode_decode_cycle(tmp_path, ensemble_file, capsys):

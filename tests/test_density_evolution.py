@@ -279,3 +279,54 @@ def test_threshold_search_binary_regular():
     sigma_bad = ChannelParams.from_ebn0_db(thr - 0.1, 0.5).sigma
     assert de_converges(binary_36(), sigma_ok)
     assert not de_converges(binary_36(), sigma_bad)
+
+
+def limited(predicate, limit=100):
+    """Spy that records its probes and stops a bisection that never ends."""
+    probes = []
+
+    def probe(*args):
+        probes.append(args[-1])
+        if len(probes) > limit:
+            raise AssertionError("bisection did not stop")
+        return predicate(args[-1])
+
+    return probe, probes
+
+
+@pytest.mark.parametrize("tol_db", [0.0, -0.01])
+def test_threshold_search_rejects_nonpositive_tol(monkeypatch, tol_db):
+    # a bracket never narrows to a width of zero or less: fail before
+    # the first density evolution run
+    fake, probes = limited(lambda sigma: sigma < 0.9)
+    monkeypatch.setattr(density_evolution, "de_converges", fake)
+    with pytest.raises(ValueError, match=f"positive, got {tol_db!r}"):
+        threshold_search(binary_36(), tol_db=tol_db)
+    assert probes == []
+
+
+def test_bisect_edge_probe_order():
+    # good end, bad end, then midpoints; the good end of the bracket wins
+    ok, probes = limited(lambda x: x >= 0.3)
+    assert density_evolution.bisect_edge(ok, 0.0, 1.0, 0.1, good_hi=True) == 0.3125
+    assert probes == [1.0, 0.0, 0.5, 0.25, 0.375, 0.3125]
+    ok, probes = limited(lambda x: x <= 0.3)
+    assert density_evolution.bisect_edge(ok, 0.0, 1.0, 0.1, good_hi=False) == 0.25
+    assert probes == [0.0, 1.0, 0.5, 0.25, 0.375, 0.3125]
+    ok, probes = limited(lambda x: x > 2.0)
+    assert density_evolution.bisect_edge(ok, 0.0, 1.0, 0.1, good_hi=True) is None
+    assert probes == [1.0]
+    ok, probes = limited(lambda x: True)
+    assert density_evolution.bisect_edge(ok, 0.0, 1.0, 0.1, good_hi=True) == 0.0
+    assert probes == [1.0, 0.0]
+
+
+def test_bisect_edge_rejects_bad_bracket_and_stops_at_rounding():
+    ok, probes = limited(lambda x: x >= 0.3)
+    for lo, hi, tol in ((1.0, 0.0, 0.1), (0.5, 0.5, 0.1), (0.0, 1.0, math.nan)):
+        with pytest.raises(ValueError):
+            density_evolution.bisect_edge(ok, lo, hi, tol, good_hi=True)
+    assert probes == []
+    # a tolerance below one ulp ends when no midpoint is left strictly inside
+    edge = density_evolution.bisect_edge(ok, 0.0, 1.0, 1e-300, good_hi=True)
+    assert edge == 0.3 and len(probes) < 100

@@ -1,5 +1,6 @@
 """Degree-distribution LP behavior in both design directions."""
 
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from hybridldpc.density_evolution import (
     de_converges,
     exit_iteration_hybrid,
 )
-from hybridldpc.ensembles import Ensemble
+from hybridldpc.ensembles import Ensemble, fixture_path
 from hybridldpc.optimization import (
     ConstraintGrid,
     OptimizationError,
@@ -202,10 +203,6 @@ def test_bisect_sigma_finds_feasibility_edge():
 def test_packaged_designs_converge_at_recorded_sigma():
     # fixtures record the sigma each design was solved at; full DE must
     # agree with 1e-3 relative slack
-    import json
-
-    from hybridldpc.ensembles import fixture_path
-
     with open(fixture_path("designs")) as fh:
         designs = json.load(fh)
     checked = 0
@@ -220,3 +217,87 @@ def test_packaged_designs_converge_at_recorded_sigma():
         assert de_converges(ens, doc["design_sigma"] * (1.0 - slack)), name
         checked += 1
     assert checked >= 3
+
+
+def test_lp_rows_are_one_de_iteration():
+    # each column is a class output of one exit_iteration_hybrid step from
+    # the seeded state, on the ensemble holding the classes in equal shares
+    with open(fixture_path("designs")) as fh:
+        sigma = json.load(fh)["r16_hybrid_g256g16g8"]["design_sigma"]
+    m_bc = ChannelParams(sigma).m_bc
+    xs = ConstraintGrid().xs()
+    gs = [8, 16, 256]
+    A, cols = gamma_exit_matrix(2, 3, gs, 256, m_bc, xs)
+    ens = Ensemble.from_factored(gs, {2: 1.0}, {3: 1.0},
+                                 {2: {k: 1.0 / len(gs) for k in gs}})
+    for g, x in enumerate(xs.tolist()):
+        state = {((i, qk), ql): x for (i, _j, qk, ql) in ens.pi}
+        out = exit_iteration_hybrid(state, ens, m_bc)
+        assert A[g].tolist() == [out[((2, k), 256)] for k in cols]
+    # the lambda direction mixes the same class outputs by gamma(i, k)
+    prof = small_profile()
+    A, degrees = lambda_exit_matrix(prof, {6: 1.0}, 8, m_bc, xs[:10])
+    ens = Ensemble.from_factored([2, 8], {i: 1.0 / len(prof) for i in prof},
+                                 {6: 1.0}, prof)
+    for g, x in enumerate(xs[:10].tolist()):
+        state = {((i, qk), ql): x for (i, _j, qk, ql) in ens.pi}
+        out = exit_iteration_hybrid(state, ens, m_bc)
+        assert A[g].tolist() == [out[((i, k), 8)] for i in degrees for k in prof[i]]
+
+
+def no_rows(*args):
+    raise AssertionError("constraint rows built for a malformed problem")
+
+
+def test_conflicting_rates_fail_before_any_row(monkeypatch):
+    monkeypatch.setattr(optimization, "gamma_exit_matrix", no_rows)
+    monkeypatch.setattr(optimization, "lambda_exit_matrix", no_rows)
+    with pytest.raises(OptimizationError, match="mutually exclusive"):
+        optimize_gamma(2, 3, [8, 16, 256], 1.4, rate_min=0.1, rate_eq=1 / 6)
+    with pytest.raises(OptimizationError, match="mutually exclusive"):
+        optimize_lambda(small_profile(), {6: 1.0}, 0.8, rate_min=0.4,
+                        rate_eq=0.5)
+
+
+def test_gamma_rejects_empty_group_list(monkeypatch):
+    monkeypatch.setattr(optimization, "gamma_exit_matrix", no_rows)
+    with pytest.raises(OptimizationError, match="no variable groups"):
+        optimize_gamma(2, 3, [], 1.4)
+
+
+def limited_solve(edge: float, limit: int = 100):
+    """Feasible up to ``edge``; stops a bisection that never ends."""
+    calls = []
+
+    def solve(s):
+        calls.append(s)
+        if len(calls) > limit:
+            raise AssertionError("bisection did not stop")
+        if s > edge:
+            raise OptimizationError("infeasible")
+        return ("design", s)
+
+    return solve, calls
+
+
+@pytest.mark.parametrize("lo, hi, tol", [(0.5, 2.0, 0.0), (0.5, 2.0, -1e-3),
+                                         (1.0, 0.8, 1e-3), (0.9, 0.9, 1e-3)])
+def test_best_sigma_rejects_bad_tol_and_bracket(lo, hi, tol):
+    # with lo >= hi both ends are feasible, and the design at hi is the
+    # smaller sigma: refuse before solving anything
+    solve, calls = limited_solve(1.17)
+    with pytest.raises(ValueError):
+        best_sigma(solve, lo, hi, tol)
+    assert calls == []
+
+
+def test_best_sigma_keeps_its_error_and_stops_at_rounding():
+    def never(s):
+        raise OptimizationError("no")
+
+    with pytest.raises(OptimizationError, match="sigma=0.5") as info:
+        best_sigma(never, 0.5, 2.0)
+    assert str(info.value.__cause__) == "no"
+    solve, calls = limited_solve(1.17)
+    design, sigma = best_sigma(solve, 0.5, 2.0, 1e-300)
+    assert design == "design" and sigma == 1.17 and len(calls) < 100

@@ -2,6 +2,8 @@
 
 import importlib.util
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -69,3 +71,13 @@ def test_shipped_campaign_codes_resolve(name):
     # scripts/fer_comparison.py asks for 6144 bits on the r16 set
     assert built_length(Ensemble.load(fixture_path(name)), 6144) == 6144
     assert os.path.exists(os.path.join(ROOT, "fer_results", "codes", f"{name}_6144.alist"))
+
+
+@pytest.mark.parametrize("name", ["build_tables", "fer_comparison", "optimize_designs"])
+def test_scripts_run_from_an_uninstalled_checkout(name, tmp_path):
+    # each script puts the checkout's src/ on the path itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    res = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", f"{name}.py"),
+                          "--help"], cwd=tmp_path, env=env, capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
