@@ -24,12 +24,16 @@ from .optimization import ConstraintGrid, best_sigma, optimize_gamma, optimize_l
 from .simulation import CampaignConfig, run_campaign
 
 
+class _BadValue(ValueError, argparse.ArgumentTypeError):
+    """Bad option text: argparse reports it as a usage error."""
+
+
 def _parse_ebn0(text: str) -> list[float]:
     """Accept "a,b,c" or "start:step:stop" (stop inclusive)."""
     if ":" in text:
         start, step, stop = (float(t) for t in text.split(":"))
-        if not (step > 0 and start <= stop + 1e-9):
-            raise ValueError(f"Eb/N0 range {text!r} needs step > 0 and start <= stop")
+        if not (step > 0 and np.isfinite([start, stop]).all() and start <= stop + 1e-9):
+            raise _BadValue(f"range {text!r} needs finite ends, step > 0 and start <= stop")
         out = []
         x = start
         while x <= stop + 1e-9:
@@ -37,6 +41,12 @@ def _parse_ebn0(text: str) -> list[float]:
             x += step
         return out
     return [float(t) for t in text.split(",")]
+
+
+def _positive(text: str) -> float:
+    if not float(text) > 0:
+        raise _BadValue(f"{text!r} is not positive")
+    return float(text)
 
 
 def _read_frames(path: str, width: int, kind=np.int64) -> np.ndarray:
@@ -168,10 +178,9 @@ def _cmd_simulate(args) -> int:
         random_codewords=args.random_codewords,
         workers=args.workers,
     )
-    points = _parse_ebn0(args.ebn0)
     print(f"simulating {args.code}: rate {rate:.4f}, "
-          f"{len(points)} points, seed {cfg.seed}")
-    run_campaign(code, points, rate, cfg, csv_path=args.out,
+          f"{len(args.ebn0)} points, seed {cfg.seed}")
+    run_campaign(code, args.ebn0, rate, cfg, csv_path=args.out,
                  log=lambda m: print(m, flush=True))
     if args.out:
         print(f"results in {args.out}")
@@ -210,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="density evolution threshold")
     p.add_argument("--ensemble", required=True)
-    p.add_argument("--tol-db", type=float, default=0.01)
+    p.add_argument("--tol-db", type=_positive, default=0.01)
     p.set_defaults(fn=_cmd_threshold)
 
     p = sub.add_parser("optimize", help="design a degree distribution")
@@ -221,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="measure FER/BER over the channel")
     p.add_argument("--code", required=True)
-    p.add_argument("--ebn0", required=True,
+    p.add_argument("--ebn0", type=_parse_ebn0, required=True,
                    help='Eb/N0 points in dB: "a,b,c" or "start:step:stop"')
     p.add_argument("--rate", type=float, default=None,
                    help="rate used for the Eb/N0 conversion "

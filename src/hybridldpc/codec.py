@@ -3,7 +3,8 @@
 Encoding exploits the triangular redundancy structure: rows are processed
 last to first and each row's diagonal redundancy symbol is the group sum
 of the mapped contributions of its other neighbors, so the cost is one
-pass over the edges.
+pass over the edges. The encoder, the syndrome and both decoder paths
+take their edge layout from ``HybridParityCheck.node_classes``.
 
 The decoder is a flooding sum-product scheme working symbolwise. Check
 updates run in the check group: incoming variable messages are extended
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,43 +174,52 @@ def symbols_to_bits(code: HybridParityCheck, symbols: np.ndarray) -> np.ndarray:
     return ((symbols[..., col] >> bit) & 1).astype(np.uint8)
 
 
-def _row_edge_lists(code: HybridParityCheck) -> list[list[int]]:
-    rows: list[list[int]] = [[] for _ in range(code.m)]
-    for e in range(code.n_edges):
-        rows[int(code.edge_row[e])].append(e)
-    return rows
+def _checked_symbols(code: HybridParityCheck, symbols: np.ndarray, width: int) -> np.ndarray:
+    """(F, width) int64 symbols of the first ``width`` columns, each
+    checked against its column's group."""
+    symbols = np.atleast_2d(np.asarray(symbols, dtype=np.int64))
+    if symbols.shape[-1] != width:
+        raise ValueError(f"expected {width} symbols per frame, got {symbols.shape[-1]}")
+    bad = np.argwhere((symbols < 0) | (symbols >= code.var_groups[:width]))
+    if len(bad):
+        f, c = bad[0]
+        raise ValueError(f"column {c}: symbol {symbols[f, c]} is outside G({code.var_groups[c]})")
+    return symbols
+
+
+def _check_sums(tables: np.ndarray, edges: np.ndarray, cols: np.ndarray,
+                symbols: np.ndarray) -> np.ndarray:
+    """Group sums over the last axis of (..., j) ``edges``' images of the
+    symbols of ``cols``: shape (F, ...), from (F, n) ``symbols``."""
+    return np.bitwise_xor.reduce(tables[edges, symbols[:, cols]], axis=-1)
 
 
 def encode(code: HybridParityCheck, info_symbols: np.ndarray) -> np.ndarray:
-    """Compute full codewords from information symbols, shape (..., n_info)."""
-    info_symbols = np.atleast_2d(np.asarray(info_symbols, dtype=np.int64))
-    if info_symbols.shape[-1] != code.n_info:
-        raise ValueError(f"expected {code.n_info} information symbols")
-    frames = info_symbols.shape[0]
-    syms = np.zeros((frames, code.n), dtype=np.int64)
-    syms[:, : code.n_info] = info_symbols
-    rows = _row_edge_lists(code)
+    """Compute full codewords from information symbols, shape (F, n_info)."""
+    syms = np.pad(_checked_symbols(code, info_symbols, code.n_info), ((0, 0), (0, code.m)))
+    # every row's sum over its information symbols at once (the rest are
+    # still zero, and maps send 0 to 0), then rows last to first add their
+    # later redundancy symbols: the row's own symbol is the sum, as its
+    # diagonal map is the identity
+    acc = syndrome(code, syms)
+    later: list = [None] * code.m
+    for _j, _q, rows, edges in code.node_classes[1]:
+        for r, es, cs in zip(rows.tolist(), edges.tolist(), code.edge_col[edges].tolist()):
+            later[r] = [(e, c) for e, c in zip(es, cs) if c > code.n_info + r]
     for t in range(code.m - 1, -1, -1):
-        diag_col = code.n_info + t
-        acc = np.zeros(frames, dtype=np.int64)
-        for e in rows[t]:
-            c = int(code.edge_col[e])
-            if c == diag_col:
-                continue
-            table = code.edge_maps[e].apply_table
-            acc ^= table[syms[:, c]]
-        syms[:, diag_col] = acc  # identity diagonal map: symbol equals the sum
+        total = acc[:, t]
+        for e, c in later[t]:
+            total ^= code.map_tables[e, syms[:, c]]
+        syms[:, code.n_info + t] = total
     return syms
 
 
 def syndrome(code: HybridParityCheck, symbols: np.ndarray) -> np.ndarray:
     """Group sum of mapped neighbors per check row; zero for codewords."""
-    symbols = np.atleast_2d(np.asarray(symbols, dtype=np.int64))
-    frames = symbols.shape[0]
-    out = np.zeros((frames, code.m), dtype=np.int64)
-    for e in range(code.n_edges):
-        r, c = int(code.edge_row[e]), int(code.edge_col[e])
-        out[:, r] ^= code.edge_maps[e].apply_table[symbols[:, c]]
+    symbols = _checked_symbols(code, symbols, code.n)
+    out = np.empty((len(symbols), code.m), dtype=np.int64)
+    for _j, _q, rows, edges in code.node_classes[1]:
+        out[:, rows] = _check_sums(code.map_tables, edges, code.edge_col[edges], symbols)
     return out
 
 
@@ -251,24 +262,14 @@ def _frames_per_block(width: int) -> int:
     return max(1, CHECK_BLOCK // width)
 
 
-class _VarClass:
-    def __init__(self, degree: int, order: int, cols: np.ndarray, start: int):
-        self.degree = degree
-        self.order = order
-        self.cols = cols          # (C,)
-        self.start = start        # first message column of its C * degree * order block
-        self.frames = _frames_per_block(len(cols) * degree * order)
-
-
-class _CheckClass:
-    def __init__(self, cols: np.ndarray, table_base: np.ndarray, blocks: list):
-        self.cols = cols          # (C, j) column of each edge
-        self.table_base = table_base  # (C, j) start of each edge's map table
-        # per block of checks, for each of up to G frames in turn:
-        # - (G, order, checks, j) v2c positions from the block's first row;
-        # - (G, k) flat positions of the edges' image components in the
-        #   block, and (G, k) the c2v positions they go to
-        self.blocks = blocks
+class _CheckClass(NamedTuple):
+    edges: np.ndarray         # (C, j)
+    cols: np.ndarray          # (C, j) column of each edge
+    # per block of checks, for each of up to G frames in turn:
+    # - (G, order, checks, j) v2c positions from the block's first row;
+    # - (G, k) flat positions of the edges' image components in the
+    #   block, and (G, k) the c2v positions they go to
+    blocks: list
 
 
 def _mass(p: np.ndarray, q_max: int) -> np.ndarray:
@@ -330,98 +331,57 @@ class Decoder:
         # axis leads, so the column indices built here stay valid as
         # frames retire.
         code = self.code
-        E = code.n_edges
-        col_of = code.edge_col
-        row_of = code.edge_row
-        cdeg = code.col_degrees()
-        rdeg = code.row_degrees()
-
-        edges_by_col: list[list[int]] = [[] for _ in range(code.n)]
-        edges_by_row: list[list[int]] = [[] for _ in range(code.m)]
-        for e in range(E):
-            edges_by_col[int(col_of[e])].append(e)
-            edges_by_row[int(row_of[e])].append(e)
-
-        apply_tables = np.zeros((E, self.q_max), dtype=np.int64)
-        for e in range(E):
-            t = code.edge_maps[e].apply_table
-            apply_tables[e, : len(t)] = t
-        self._apply_flat = apply_tables.ravel()
-
-        vclasses: dict[tuple[int, int], list[int]] = {}
-        for c in range(code.n):
-            vclasses.setdefault((int(code.var_groups[c]), int(cdeg[c])), []).append(c)
-        self.var_classes: list[_VarClass] = []
-        first = np.empty(E, dtype=np.int64)  # message column of component 0
+        col_classes, row_classes = code.node_classes
+        tables = code.map_tables
+        # (degree, order, columns, start of the C * degree * order block)
+        self.var_classes: list[tuple[int, int, np.ndarray, int]] = []
+        first = np.empty(code.n_edges, dtype=np.int64)  # message column of component 0
         width = 0
-        for (qk, i), cols in sorted(vclasses.items()):
-            cols = np.array(cols, dtype=np.int64)
-            edges = np.array([edges_by_col[c] for c in cols], dtype=np.int64)
+        for i, qk, cols, edges in col_classes:
             first[edges] = width + qk * np.arange(edges.size).reshape(edges.shape)
-            self.var_classes.append(_VarClass(i, qk, cols, width))
+            self.var_classes.append((i, qk, cols, width))
             width += qk * edges.size
         self._msg_width = width
 
         # A block of the check walk is G frames of a run of checks, at most
         # CHECK_BLOCK values: a class narrower than that takes several
         # frames whole, a wider one is cut into runs of checks.
-        vq = code.var_groups[col_of]
-        comp = np.arange(self.q_max)
-        cclasses: dict[tuple[int, int], list[int]] = {}
-        for r in range(code.m):
-            cclasses.setdefault((int(rdeg[r]), int(code.check_groups[r])), []).append(r)
         self.check_classes: list[_CheckClass] = []
-        for (j, ql), rows in sorted(cclasses.items()):
-            edges = np.array([edges_by_row[r] for r in rows], dtype=np.int64)
+        for j, ql, _rows, edges in row_classes:
             # v2c column of each component of the class, (ql, C, j),
             # the zero slot outside each edge's image
             gather = np.full((ql,) + edges.shape, width, dtype=np.intp)
-            c, d, t = np.nonzero(comp < vq[edges][..., None])
-            gather[apply_tables[edges[c, d], t], c, d] = first[edges[c, d]] + t
+            c, d, t = np.nonzero(np.arange(ql) < code.var_groups[code.edge_col[edges]][..., None])
+            gather[tables[edges[c, d], t], c, d] = first[edges[c, d]] + t
             frames = _frames_per_block(gather.size)
-            step = len(rows) if frames > 1 else max(1, CHECK_BLOCK // (ql * j))
+            step = len(edges) if frames > 1 else max(1, CHECK_BLOCK // (ql * j))
             k = np.arange(frames)[:, None]
             blocks = []
-            for lo in range(0, len(rows), step):
+            for lo in range(0, len(edges), step):
                 g = gather[:, lo: lo + step]
                 src = np.flatnonzero(g != width)
                 dst = g.ravel()[src]
                 order = np.argsort(dst)  # c2v written in column order
                 blocks.append((g[None] + (width + 1) * k[..., None, None],
                                src[order] + g.size * k, dst[order] + width * k))
-            self.check_classes.append(
-                _CheckClass(col_of[edges], edges * self.q_max, blocks))
+            self.check_classes.append(_CheckClass(edges, code.edge_col[edges], blocks))
         self._block = max(gi.size for cc in self.check_classes for gi, _s, _d in cc.blocks)
 
     def _build_binary(self) -> None:
         # Messages are C-ordered (frame, edge) arrays. Edges are renumbered
-        # so that each variable degree class is one contiguous (C, i) block
-        # of a frame's row; the check side gathers and scatters through
-        # (C, j) index tables.
+        # so that each variable class is one contiguous (C, i) block of a
+        # frame's row; the check side gathers and scatters through (C, j)
+        # index tables.
         code = self.code
-        col_of, row_of = code.edge_col, code.edge_row
-        cdeg, rdeg = code.col_degrees(), code.row_degrees()
-        by_col = np.argsort(col_of, kind="stable")
-        col_start = np.concatenate([[0], np.cumsum(cdeg)[:-1]])
+        col_classes, row_classes = code.node_classes
         self._bvar: list[tuple[np.ndarray, int, int]] = []
-        perm = []
-        pos = 0
-        for i in np.unique(cdeg[cdeg > 0]):
-            cols = np.flatnonzero(cdeg == i)
-            perm.append(by_col[col_start[cols][:, None] + np.arange(i)].ravel())
-            self._bvar.append((cols, pos, int(i)))
-            pos += len(cols) * int(i)
-        perm = np.concatenate(perm)
         internal = np.empty(code.n_edges, dtype=np.int64)
-        internal[perm] = np.arange(code.n_edges)
-
-        by_row = np.argsort(row_of, kind="stable")
-        row_start = np.concatenate([[0], np.cumsum(rdeg)[:-1]])
-        self._bchk: list[tuple[np.ndarray, np.ndarray]] = []
-        for j in np.unique(rdeg[rdeg > 0]):
-            rows = np.flatnonzero(rdeg == j)
-            edges = by_row[row_start[rows][:, None] + np.arange(j)]
-            self._bchk.append((internal[edges], col_of[edges]))
+        pos = 0
+        for i, _q, cols, edges in col_classes:
+            internal[edges.ravel()] = np.arange(pos, pos + edges.size)
+            self._bvar.append((cols, pos, i))
+            pos += edges.size
+        self._bchk = [(internal[edges], code.edge_col[edges]) for _j, _q, _r, edges in row_classes]
 
     def decode(self, chan_llr: np.ndarray, want_posteriors: bool = False,
                early_stop: bool = True) -> DecodeResult:
@@ -554,12 +514,12 @@ class _VectorRun:
         self.c2v = np.zeros((F, dec._msg_width))
         self.block = np.empty(dec._block)
         self.work = np.empty((4, dec._block))
-        self.chan = [chan[:, vc.cols, : vc.order] for vc in dec.var_classes]
+        self.chan = [chan[:, cols, : qk] for _i, qk, cols, _s in dec.var_classes]
         self.post: list[np.ndarray] = []
 
     def write_posteriors(self, out: np.ndarray, active: np.ndarray) -> None:
-        for vc, post in zip(self.dec.var_classes, self.post):
-            out[active[:, None], vc.cols, : vc.order] = post
+        for (_i, qk, cols, _s), post in zip(self.dec.var_classes, self.post):
+            out[active[:, None], cols, : qk] = post
 
     def keep(self, mask: np.ndarray) -> None:
         if mask.all():  # row selection would only copy
@@ -578,19 +538,20 @@ class _VectorRun:
         F = self.v2c.shape[0]
         hard = np.empty((F, dec.code.n), dtype=np.int64)
         self.post = []
-        for vc, ch in zip(dec.var_classes, self.chan):
-            qk, C, i = vc.order, len(vc.cols), vc.degree
-            cols = slice(vc.start, vc.start + C * i * qk)
+        for (i, qk, cols, start), ch in zip(dec.var_classes, self.chan):
+            C = len(cols)
+            msgs = slice(start, start + C * i * qk)
             post = np.empty((F, C, qk))
-            for lo in range(0, F, vc.frames):
-                g = min(vc.frames, F - lo)
+            frames = _frames_per_block(C * i * qk)
+            for lo in range(0, F, frames):
+                g = min(frames, F - lo)
                 rows = slice(lo, lo + g)
-                inc = self.c2v[rows, cols].reshape(g, C, i, qk)
+                inc = self.c2v[rows, msgs].reshape(g, C, i, qk)
                 if it:
                     _truncate(inc, dec.q_max)
                 total = post[rows][:, :, None, :]
                 np.add(ch[rows][:, :, None, :], inc.sum(axis=2, keepdims=True), out=total)
-                out = self.v2c[rows, cols].reshape(g, C, i, qk)
+                out = self.v2c[rows, msgs].reshape(g, C, i, qk)
                 np.subtract(total, inc, out=out)
                 # to probabilities; clip the spread after re-anchoring to the
                 # min so the cap lands on the same components under any
@@ -601,11 +562,11 @@ class _VectorRun:
                 np.exp(out, out=out)
                 out /= out.sum(axis=-1, keepdims=True)
             self.post.append(post)
-            hard[:, vc.cols] = post.argmin(axis=-1)
+            hard[:, cols] = post.argmin(axis=-1)
         unsat = np.zeros(F, dtype=np.int64)
         for cc in dec.check_classes:
-            mapped = dec._apply_flat[cc.table_base + hard[:, cc.cols]]   # (F, C, j)
-            unsat += np.count_nonzero(np.bitwise_xor.reduce(mapped, axis=-1), axis=-1)
+            unsat += np.count_nonzero(
+                _check_sums(dec.code.map_tables, cc.edges, cc.cols, hard), axis=-1)
         return hard, unsat
 
     def _check_walk(self) -> None:

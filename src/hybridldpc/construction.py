@@ -13,6 +13,9 @@ same group block, so back substitution can encode in linear time. The
 remaining edges are placed by progressive edge growth, maximizing the
 local girth greedily, and every edge joining distinct groups receives an
 injective linear map drawn uniformly at random from the full-rank set.
+``HybridParityCheck.node_classes`` groups a code's edges by column and by
+row into degree and group classes, once; validation, the encoder, the
+syndrome and both decoder paths take their edge layout from it.
 
 The redundancy boundary has a structural degree shortfall: the first
 column of each redundancy block can hold 1 edge, the second 2, and so on,
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -163,12 +167,37 @@ class HybridParityCheck:
     def row_degrees(self) -> np.ndarray:
         return np.bincount(self.edge_row, minlength=self.m)
 
-    def diagonal_edge_index(self, row: int) -> int:
-        col = self.n_info + row
-        hits = np.flatnonzero((self.edge_row == row) & (self.edge_col == col))
-        if len(hits) != 1:
-            raise ConstructionError(f"row {row} lacks a unique diagonal edge")
-        return int(hits[0])
+    @cached_property
+    def node_classes(self) -> tuple[list, list]:
+        """Edges grouped by column and by row, from one stable argsort of
+        each side's edges at first use, then kept: the edge arrays must not
+        change. Each side lists (degree, group, nodes, edges) classes in
+        ascending key order, columns keyed (group, degree) and rows (degree,
+        group); ``nodes`` ascend and ``edges[c]``, the edges of
+        ``nodes[c]`` in edge-index order, form one (C, degree) array."""
+        sides = []
+        for node, groups, group_major in ((self.edge_col, self.var_groups, True),
+                                          (self.edge_row, self.check_groups, False)):
+            deg = np.bincount(node, minlength=len(groups))
+            major, minor = (groups, deg) if group_major else (deg, groups)
+            cls = major * (int(minor.max()) + 1) + minor
+            nodes = np.argsort(cls, kind="stable")
+            edges = np.argsort(cls[node] * len(cls) + node, kind="stable")
+            runs = np.split(nodes, np.flatnonzero(np.diff(cls[nodes])) + 1)
+            blocks = np.split(edges, np.cumsum([deg[run].sum() for run in runs])[:-1])
+            sides.append([(int(deg[run[0]]), int(groups[run[0]]), run,
+                           block.reshape(len(run), -1)) for run, block in zip(runs, blocks)])
+        return sides[0], sides[1]
+
+    @cached_property
+    def map_tables(self) -> np.ndarray:
+        """(E, q_max) images of the symbols 0..q_k-1 under each edge's map,
+        zero past the column's order; built at first use and kept."""
+        q_max = int(max(self.var_groups.max(), self.check_groups.max()))
+        tables = np.zeros((self.n_edges, q_max), dtype=np.int64)
+        for e, mp in enumerate(self.edge_maps):
+            tables[e, : mp.in_order] = mp.apply_table
+        return tables
 
     def validate(self) -> None:
         n, m = self.n, self.m
@@ -207,8 +236,11 @@ class HybridParityCheck:
                 raise ConstructionError(
                     f"edge ({r}, {c}) below the redundancy diagonal breaks triangularity"
                 )
-        for t in range(m):
-            self.diagonal_edge_index(t)
+        lacking = np.concatenate([
+            rows[(self.edge_col[edges] == self.n_info + rows[:, None]).sum(axis=1) != 1]
+            for _j, _q, rows, edges in self.node_classes[1]])
+        if len(lacking):
+            raise ConstructionError(f"row {lacking.min()} lacks a unique diagonal edge")
 
 
 # ---------------- quantization of an ensemble ----------------
@@ -488,11 +520,6 @@ def build_code(ens: Ensemble, n_bits: int, seed: int) -> HybridParityCheck:
     # first row of each row's group block (rows ascend by group)
     block_start = np.searchsorted(lay.check_groups, lay.check_groups)
 
-    rows_by_group = {}
-    order = np.arange(m)
-    for q in np.unique(lay.check_groups):
-        rows_by_group[int(q)] = order[lay.check_groups == q]
-
     cols = sorted(range(peg.n), key=lambda c: (lay.col_target[c], c))
     for c in cols:
         need = int(lay.col_target[c]) - int(peg.col_deg[c])
@@ -501,10 +528,8 @@ def build_code(ens: Ensemble, n_bits: int, seed: int) -> HybridParityCheck:
         if c >= n_info:
             t = c - n_info
             candidates = np.arange(block_start[t], t, dtype=np.int64)
-        else:
-            qc = int(lay.var_groups[c])
-            allowed = [rows_by_group[q] for q in rows_by_group if q >= qc]
-            candidates = np.concatenate(allowed) if allowed else np.empty(0, dtype=np.int64)
+        else:  # the rows of groups at least the column's
+            candidates = np.arange(np.searchsorted(lay.check_groups, lay.var_groups[c]), m)
         for _ in range(need):
             peg.place(c, candidates)
 

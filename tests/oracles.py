@@ -953,6 +953,29 @@ class ReferenceJTable:
 
 
 # ---------------------------------------------------------------------------
+# structure and syndrome of built codes, edge by edge
+
+
+def diagonal_edge_index(code: HybridParityCheck, row: int) -> int:
+    """The edge joining ``row`` to its redundancy column, from a scan of
+    every edge; fails unless there is exactly one."""
+    hits = np.flatnonzero((code.edge_row == row) & (code.edge_col == code.n_info + row))
+    assert len(hits) == 1, f"row {row} lacks a unique diagonal edge"
+    return int(hits[0])
+
+
+def reference_syndrome(code: HybridParityCheck, symbols: np.ndarray) -> np.ndarray:
+    """Group sum of the mapped neighbours of each check row, one edge at a
+    time through each map's own table."""
+    symbols = np.atleast_2d(np.asarray(symbols, dtype=np.int64))
+    out = np.zeros((symbols.shape[0], code.m), dtype=np.int64)
+    for e in range(code.n_edges):
+        r, c = int(code.edge_row[e]), int(code.edge_col[e])
+        out[:, r] ^= code.edge_maps[e].apply_table[symbols[:, c]]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # statistics and bit packing of built codes
 
 

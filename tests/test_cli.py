@@ -30,13 +30,16 @@ def test_parse_ebn0_forms():
         _parse_ebn0("1:-0.5:2")
 
 
-def test_parse_ebn0_rejects_empty_range():
-    # start above stop parses to no point at all: name the spec instead
-    with pytest.raises(ValueError, match="'3:0.5:1'"):
-        _parse_ebn0("3:0.5:1")
+def test_parse_ebn0_rejects_empty_range(capsys):
+    # start above stop parses to no point at all: a usage error that names
+    # the spec, before the code file is opened
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--code", "missing.alist", "--ebn0", "3:0.5:1"])
+    assert exc.value.code == 2
+    assert "argument --ebn0: range '3:0.5:1'" in capsys.readouterr().err
 
 
-def test_threshold_command_rejects_zero_tolerance(ensemble_file, monkeypatch):
+def test_threshold_command_rejects_zero_tolerance(ensemble_file, monkeypatch, capsys):
     calls = []
 
     def limited(ens, sigma):
@@ -46,9 +49,25 @@ def test_threshold_command_rejects_zero_tolerance(ensemble_file, monkeypatch):
         return sigma < 0.9
 
     monkeypatch.setattr(density_evolution, "de_converges", limited)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(SystemExit) as exc:
         main(["threshold", "--ensemble", ensemble_file, "--tol-db", "0"])
+    assert exc.value.code == 2
+    assert "argument --tol-db: '0' is not positive" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["simulate", "--code", "missing.alist", "--ebn0", "abc"], "'abc'"),
+    (["simulate", "--code", "missing.alist", "--ebn0", "1:-0.5:2"], "'1:-0.5:2'"),
+    (["simulate", "--code", "missing.alist", "--ebn0", "0:1:inf"], "'0:1:inf'"),
+    (["threshold", "--ensemble", "missing.json", "--tol-db", "-0.01"], "'-0.01'"),
+    (["threshold", "--ensemble", "missing.json", "--tol-db", "abc"], "'abc'"),
+])
+def test_bad_numbers_are_usage_errors_before_any_file_is_read(argv, shown, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert shown in capsys.readouterr().err
 
 
 def test_construct_encode_decode_cycle(tmp_path, ensemble_file, capsys):

@@ -34,6 +34,7 @@ from oracles import (
     enumerate_codewords,
     posterior_llrs_to_probs,
     random_tree_code,
+    reference_syndrome,
     reference_walsh_hadamard,
 )
 
@@ -150,6 +151,42 @@ def test_encode_zero_syndrome(rng):
     ])
     cw = encode(code, info)
     assert not syndrome(code, cw).any()
+
+
+R16_HYBRID = os.path.join(ROOT, "fer_results", "codes", "r16_hybrid_g256g16g8_6144.alist")
+
+
+@pytest.mark.parametrize("source", ["r12_hybrid_g8g2", "r16_hybrid_alist"])
+def test_syndrome_matches_edge_by_edge_reference(source):
+    if source == "r16_hybrid_alist":
+        code = load_code(R16_HYBRID)
+    else:
+        code = build_code(Ensemble.load(fixture_path(source)), 1024, seed=1)
+    assert not all(mp.is_identity for mp in code.edge_maps)
+    rng = np.random.default_rng(4)
+    words = np.stack([rng.integers(0, code.var_groups) for _ in range(6)])
+    got = syndrome(code, words)
+    assert np.array_equal(got, reference_syndrome(code, words))
+    assert np.count_nonzero(got, axis=1).min() > code.m // 4  # not codewords
+
+
+@pytest.mark.parametrize("op, value", [
+    ("encode", -1), ("encode", 9), ("syndrome", -1), ("syndrome", 9)])
+def test_symbols_outside_their_group_are_rejected(op, value):
+    code = load_code(R16_HYBRID)
+    col = int(np.flatnonzero(code.var_groups == 8)[3])
+    width = code.n_info if op == "encode" else code.n
+    words = np.zeros((2, width), dtype=np.int64)
+    words[1, col] = value
+    with pytest.raises(ValueError, match=rf"^column {col}: symbol {value} is outside G\(8\)$"):
+        {"encode": encode, "syndrome": syndrome}[op](code, words)
+
+
+@pytest.mark.parametrize("extra", [5, -1])
+def test_syndrome_rejects_a_word_of_another_width(extra):
+    code = load_code(R16_HYBRID)
+    with pytest.raises(ValueError, match=f"expected {code.n} symbols per frame"):
+        syndrome(code, np.zeros((1, code.n + extra), dtype=np.int64))
 
 
 def test_encode_is_linear(rng):

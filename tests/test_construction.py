@@ -24,7 +24,13 @@ from hybridldpc.construction import (
 from hybridldpc.ensembles import Ensemble, fixture_path
 from hybridldpc.groups import bits_per_symbol
 
-from oracles import empirical_pi_check, empirical_pi_var, random_tree_code, reference_peg_place
+from oracles import (
+    diagonal_edge_index,
+    empirical_pi_check,
+    empirical_pi_var,
+    random_tree_code,
+    reference_peg_place,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -96,7 +102,7 @@ def test_build_code_triangular_redundancy():
         if c >= code.n_info:
             assert r <= c - code.n_info
     for t in range(code.m):
-        code.diagonal_edge_index(t)
+        diagonal_edge_index(code, t)
 
 
 def test_build_code_no_parallel_edges():
@@ -140,9 +146,25 @@ def test_validate_catches_broken_triangularity():
         edge_maps=list(code.edge_maps),
         degree_shortfall=code.degree_shortfall,
     )
-    e = code.diagonal_edge_index(0)
+    e = diagonal_edge_index(code, 0)
     bad.edge_row[e] = code.m - 1
     with pytest.raises(ConstructionError):
+        bad.validate()
+
+
+def test_validate_names_first_row_without_diagonal_edge():
+    code = build_code(small_hybrid(), 512, seed=0)
+    gone = [diagonal_edge_index(code, t) for t in (code.m - 2, 5, 9)]
+    keep = np.setdiff1d(np.arange(code.n_edges), gone)
+    bad = HybridParityCheck(
+        var_groups=code.var_groups,
+        check_groups=code.check_groups,
+        n_info=code.n_info,
+        edge_row=code.edge_row[keep],
+        edge_col=code.edge_col[keep],
+        edge_maps=[code.edge_maps[e] for e in keep],
+    )
+    with pytest.raises(ConstructionError, match=r"^row 5 lacks a unique diagonal edge$"):
         bad.validate()
 
 
