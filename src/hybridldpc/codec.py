@@ -236,12 +236,12 @@ def channel_llrs(code: HybridParityCheck, y: np.ndarray, params: ChannelParams) 
     q_max = int(max(code.var_groups.max(), code.check_groups.max()))
     bllr = bit_llr(y, params)
     out = np.full((frames, code.n, q_max), PAD, dtype=np.float64)
-    pos = 0
-    for c, q in enumerate(code.var_groups):
-        q = int(q)
-        p = bits_per_symbol(q)
-        out[:, c, :q] = symbol_llr_array(bllr[:, pos: pos + p], q)
-        pos += p
+    p_col = np.log2(code.var_groups).astype(np.int64)
+    start = np.cumsum(p_col) - p_col
+    for q in np.unique(code.var_groups).tolist():  # one 2-D call per order
+        cols, p = np.flatnonzero(code.var_groups == q), bits_per_symbol(q)
+        bits = bllr[:, start[cols, None] + np.arange(p)].reshape(-1, p)
+        out[:, cols, :q] = symbol_llr_array(bits, q).reshape(frames, len(cols), q)
     return out
 
 

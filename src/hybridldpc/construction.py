@@ -11,11 +11,13 @@ of its row. The redundancy block is upper triangular: column t carries an
 identity map on its diagonal row t and may reach only earlier rows of the
 same group block, so back substitution can encode in linear time. The
 remaining edges are placed by progressive edge growth, maximizing the
-local girth greedily, and every edge joining distinct groups receives an
-injective linear map drawn uniformly at random from the full-rank set.
+local girth greedily; its search walks check rows only, a level per pass,
+through a bit-packed adjacency of the rows that share a column. Every
+edge joining distinct groups receives an injective linear map drawn
+uniformly at random from the full-rank set.
 ``HybridParityCheck.node_classes`` groups a code's edges by column and by
-row into degree and group classes, once; validation, the encoder, the
-syndrome and both decoder paths take their edge layout from it.
+row into degree and group classes, once; validation, ``save_code``, the
+encoder, the syndrome and both decoder paths take their edge layout from it.
 
 The redundancy boundary has a structural degree shortfall: the first
 column of each redundancy block can hold 1 edge, the second 2, and so on,
@@ -216,26 +218,32 @@ class HybridParityCheck:
             raise ConstructionError("row group orders must ascend")
         if not np.array_equal(red, cg):
             raise ConstructionError("redundancy column groups must match their row groups")
-        seen = set()
-        for e in range(self.n_edges):
-            r, c = int(self.edge_row[e]), int(self.edge_col[e])
-            if (r, c) in seen:
-                raise ConstructionError(f"duplicate edge ({r}, {c})")
-            seen.add((r, c))
-            qc, qr = int(vg[c]), int(cg[r])
-            if qc > qr:
-                raise ConstructionError(
-                    f"edge ({r}, {c}): variable group {qc} exceeds check group {qr}"
-                )
-            mp = self.edge_maps[e]
-            if mp.in_order != qc or mp.out_order != qr:
-                raise ConstructionError(f"edge ({r}, {c}): map orders do not match groups")
-            if qc == qr and not mp.is_identity:
-                raise ConstructionError(f"edge ({r}, {c}): same-group edge must carry identity")
-            if c >= self.n_info and r > c - self.n_info:
-                raise ConstructionError(
-                    f"edge ({r}, {c}) below the redundancy diagonal breaks triangularity"
-                )
+        # every edge check at once; the first bad edge in edge order is
+        # named, with the first check it fails
+        row, col = self.edge_row, self.edge_col
+        dup = np.ones(self.n_edges, dtype=bool)
+        dup[np.unique(row * n + col, return_index=True)[1]] = False
+        qc, qr = vg[col], cg[row]
+        # map attributes, read once per distinct map object (identities are shared)
+        distinct: dict[int, tuple] = {}
+        which = [distinct.setdefault(id(mp), (len(distinct), mp))[0] for mp in self.edge_maps]
+        in_q, out_q, ident = np.array(
+            [(mp.in_order, mp.out_order, mp.is_identity) for _k, mp in distinct.values()],
+            dtype=np.int64).reshape(-1, 3)[which].T
+        checks = [
+            (dup, "duplicate edge ({r}, {c})"),
+            (qc > qr, "edge ({r}, {c}): variable group {qc} exceeds check group {qr}"),
+            ((in_q != qc) | (out_q != qr), "edge ({r}, {c}): map orders do not match groups"),
+            ((qc == qr) & (ident == 0), "edge ({r}, {c}): same-group edge must carry identity"),
+            ((col >= self.n_info) & (row > col - self.n_info),
+             "edge ({r}, {c}) below the redundancy diagonal breaks triangularity"),
+        ]
+        fails = np.array([mask for mask, _ in checks])
+        bad = fails.any(axis=0)
+        if bad.any():
+            e = int(bad.argmax())
+            raise ConstructionError(checks[int(fails[:, e].argmax())][1].format(
+                r=int(row[e]), c=int(col[e]), qc=int(qc[e]), qr=int(qr[e])))
         lacking = np.concatenate([
             rows[(self.edge_col[edges] == self.n_info + rows[:, None]).sum(axis=1) != 1]
             for _j, _q, rows, edges in self.node_classes[1]])
@@ -358,12 +366,16 @@ def _layout(ens: Ensemble, var_counts: dict, chk_counts: dict) -> _Layout:
 class _Peg:
     """Greedy girth-aware edge placement over the growing bipartite graph.
 
-    Adjacency lives in padded arrays (-1 marks a free slot): one row of
-    ``col_rows`` per column, one row of ``row_cols`` per check row. The
-    row table widens when a row overflows its target degree. Every column
-    and row carries the label of its connected component (``col_comp``,
-    ``row_comp``), merged as edges join components, so that a search can
-    tell unreachable rows without walking the graph.
+    The search walks rows only: two rows are adjacent when they share a
+    column, and a row at level k of the walk from a column's own rows
+    (level 1) lies at graph distance 2k - 1 from the column; a path back
+    through the column is never shorter, as all its rows are at level 1.
+    ``adj`` holds the adjacency bit-packed, bit s of word s // 64 in row r
+    set when rows r and s share a column (ceil(m / 64) little-endian words
+    a row), and ``col_bits`` holds each column's rows the same way. Every
+    column and row carries the label of its connected component
+    (``col_comp``, ``row_comp``), merged as edges join components, so that
+    a search can tell unreachable rows without walking the graph.
     """
 
     def __init__(self, layout: _Layout, rng: np.random.Generator):
@@ -371,25 +383,19 @@ class _Peg:
         self.rng = rng
         self.n = len(layout.var_groups)
         self.m = len(layout.check_groups)
-        self.col_rows = np.full((self.n, max(1, int(layout.col_target.max()))), -1, dtype=np.int64)
-        self.row_cols = np.full((self.m, max(1, int(layout.row_target.max()))), -1, dtype=np.int64)
+        self.adj = np.zeros((self.m, -(-self.m // 64)), dtype="<u8")
+        self.col_bits = np.zeros((self.n, self.adj.shape[1]), dtype="<u8")
         self.col_deg = np.zeros(self.n, dtype=np.int64)
         self.row_fill = np.zeros(self.m, dtype=np.int64)
-        self._dist = np.empty(self.m, dtype=np.int64)
-        self._cdist = np.empty(self.n, dtype=np.int64)
-        self._taken = np.zeros(self.m, dtype=bool)
         self.col_comp = np.arange(self.n, dtype=np.int64)
         self.row_comp = np.arange(self.n, self.n + self.m, dtype=np.int64)
         self.edges: list[tuple[int, int]] = []
 
     def add_edge(self, row: int, col: int) -> None:
-        fill = self.row_fill[row]
-        if fill == self.row_cols.shape[1]:
-            wider = np.full((self.m, 2 * fill), -1, dtype=np.int64)
-            wider[:, :fill] = self.row_cols
-            self.row_cols = wider
-        self.row_cols[row, fill] = col
-        self.col_rows[col, self.col_deg[col]] = row
+        bits = self.col_bits[col]
+        bits[row >> 6] |= np.uint64(1 << (row & 63))
+        # the column's rows, the new one among them, now all share it
+        self.adj[_rows(bits)] |= bits
         self.row_fill[row] += 1
         self.col_deg[col] += 1
         self.edges.append((row, col))
@@ -398,36 +404,22 @@ class _Peg:
             self.col_comp[self.col_comp == gone] = keep
             self.row_comp[self.row_comp == gone] = keep
 
-    def _bfs_row_dists(self, col: int, cand: np.ndarray) -> np.ndarray:
-        # distances from col to the rows cand through the current graph, one
-        # breadth-first level per pass: rows at odd, columns at even depth;
-        # every row of cand lies in col's component, and the walk stops at
-        # the level that reaches the last of them
-        dist = self._dist
-        cdist = self._cdist
-        dist.fill(-1)
-        cdist.fill(-1)
-        cdist[col] = 0
-        front = np.array([col])
-        depth = 1
+    def _farthest(self, col: int, cand: np.ndarray) -> np.ndarray:
+        # which rows of cand lie farthest from col: one pass per row level
+        # up to the one that reaches the last candidate (unreached is farther)
+        front = self.col_bits[col]
+        unseen = ~front
+        left = np.zeros(len(front) * 64, dtype=bool)
+        left[cand] = True
+        left = np.packbits(left, bitorder="little").view("<u8")
         while True:
-            rows = self.col_rows[front].ravel()
-            rows = rows[rows >= 0]
-            rows = rows[dist[rows] < 0]
-            if not len(rows):
+            new = np.bitwise_or.reduce(self.adj[_rows(front)], axis=0) & unseen
+            unseen ^= new
+            left &= unseen
+            if not np.count_nonzero(left) or not np.count_nonzero(new):
                 break
-            dist[rows] = depth
-            if dist[cand].min() >= 0:
-                break
-            cols = self.row_cols[np.flatnonzero(dist == depth)].ravel()
-            cols = cols[cols >= 0]
-            cols = cols[cdist[cols] < 0]
-            if not len(cols):
-                break
-            cdist[cols] = depth + 1
-            front = np.flatnonzero(cdist == depth + 1)
-            depth += 2
-        return dist[cand]
+            front = new
+        return _unpack(left if np.count_nonzero(left) else new)[cand] == 1
 
     def place(self, col: int, candidates: np.ndarray) -> None:
         """Connect col to an admissible row, keeping target degrees.
@@ -439,10 +431,7 @@ class _Peg:
         col are unreachable, hence the farthest, and need no search."""
         if len(candidates) == 0:
             raise ConstructionError(f"column {col}: no admissible check row")
-        taken = self.col_rows[col, : self.col_deg[col]]
-        self._taken[taken] = True
-        cand = candidates[~self._taken[candidates]]
-        self._taken[taken] = False
+        cand = candidates[_unpack(self.col_bits[col])[candidates] == 0]
         if len(cand) == 0:
             raise ConstructionError(f"column {col}: admissible rows exhausted")
         under = cand[self.row_fill[cand] < self.lay.row_target[cand]]
@@ -450,12 +439,21 @@ class _Peg:
             cand = under
         far = self.row_comp[cand] != self.col_comp[col]
         if not far.any():
-            dist = self._bfs_row_dists(col, cand)
-            far = dist == dist.max()
+            far = self._farthest(col, cand)
         fill = self.row_fill[cand]
         pool = cand[far & (fill == fill[far].min())]
         row = int(pool[self.rng.integers(0, len(pool))]) if len(pool) > 1 else int(pool[0])
         self.add_edge(row, col)
+
+
+def _unpack(words: np.ndarray) -> np.ndarray:
+    """One uint8 0/1 per bit of a row of little-endian words."""
+    return np.unpackbits(words.view(np.uint8), bitorder="little")
+
+
+def _rows(words: np.ndarray) -> np.ndarray:
+    """Indices of the set bits of a row of little-endian words."""
+    return _unpack(words).nonzero()[0]
 
 
 def length_window(ens: Ensemble) -> int:
@@ -566,12 +564,15 @@ def save_code(code: HybridParityCheck, path: str) -> None:
     """Write the documented extended-alist text format (see README)."""
     cdeg = code.col_degrees()
     rdeg = code.row_degrees()
-    by_col: list[list[str]] = [[] for _ in range(code.n)]
-    by_row: list[list[int]] = [[] for _ in range(code.m)]
-    for e in range(code.n_edges):
-        r, c = int(code.edge_row[e]), int(code.edge_col[e])
-        by_col[c].append(f"{r + 1}:{code.edge_maps[e].code()}")
-        by_row[r].append(c + 1)
+    codes = {id(mp): mp.code() for mp in {id(mp): mp for mp in code.edge_maps}.values()}
+    tokens = [f"{r + 1}:{codes[id(mp)]}" for r, mp in zip(code.edge_row.tolist(), code.edge_maps)]
+    by_col, by_row = [""] * code.n, [""] * code.m
+    for _i, _q, cols, edges in code.node_classes[0]:
+        for c, es in zip(cols.tolist(), edges.tolist()):
+            by_col[c] = " ".join(tokens[e] for e in es)
+    for _j, _q, rows, edges in code.node_classes[1]:
+        for r, cs in zip(rows.tolist(), np.sort(code.edge_col[edges], axis=1).tolist()):
+            by_row[r] = " ".join(str(c + 1) for c in cs)
     lines = [
         _MAGIC,
         f"{code.n} {code.m}",
@@ -582,8 +583,7 @@ def save_code(code: HybridParityCheck, path: str) -> None:
         " ".join(str(int(d)) for d in cdeg),
         " ".join(str(int(d)) for d in rdeg),
     ]
-    lines.extend(" ".join(tokens) for tokens in by_col)
-    lines.extend(" ".join(str(c) for c in sorted(cols)) for cols in by_row)
+    lines += by_col + by_row
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from scipy.interpolate import PchipInterpolator
 
+from hybridldpc.channel import ChannelParams, bit_llr, symbol_llr_array
 from hybridldpc.codec import MSG_CLIP, PAD, DecodeResult
 from hybridldpc.codec import _PROB_FLOOR as PROB_FLOOR
 from hybridldpc.construction import HybridParityCheck
@@ -221,11 +222,16 @@ def random_tree_code(rng: np.random.Generator, max_symbols: int = 12,
 
 def reference_peg_place(peg, col: int, candidates: np.ndarray) -> None:
     """The placement rule of ``construction._Peg.place`` by a full
-    breadth-first search over dicts and sets: every reachable row gets its
-    distance, unreachable rows count as infinitely far, and no component
-    label or early stop is used. Draws from ``peg.rng`` exactly as the
-    package does."""
-    taken = set(peg.col_rows[col, : peg.col_deg[col]].tolist())
+    breadth-first search over dicts and sets of the graph in ``peg.edges``:
+    every reachable row gets its distance, unreachable rows count as
+    infinitely far, and no component label or early stop is used. Draws
+    from ``peg.rng`` exactly as the package does."""
+    col_rows: dict[int, list[int]] = {}
+    row_cols: dict[int, list[int]] = {}
+    for r, c in peg.edges:
+        col_rows.setdefault(c, []).append(r)
+        row_cols.setdefault(r, []).append(c)
+    taken = set(col_rows.get(col, []))
     cand = np.array([r for r in candidates.tolist() if r not in taken], dtype=np.int64)
     under = cand[peg.row_fill[cand] < peg.lay.row_target[cand]]
     if len(under):
@@ -237,11 +243,11 @@ def reference_peg_place(peg, col: int, candidates: np.ndarray) -> None:
     while front:
         nxt = []
         for c in front:
-            for r in peg.col_rows[c, : peg.col_deg[c]].tolist():
+            for r in col_rows.get(c, []):
                 if r in dist:
                     continue
                 dist[r] = depth
-                for c2 in peg.row_cols[r, : peg.row_fill[r]].tolist():
+                for c2 in row_cols[r]:
                     if c2 not in seen:
                         seen.add(c2)
                         nxt.append(c2)
@@ -972,6 +978,22 @@ def reference_syndrome(code: HybridParityCheck, symbols: np.ndarray) -> np.ndarr
     for e in range(code.n_edges):
         r, c = int(code.edge_row[e]), int(code.edge_col[e])
         out[:, r] ^= code.edge_maps[e].apply_table[symbols[:, c]]
+    return out
+
+
+def reference_channel_llrs(code: HybridParityCheck, y: np.ndarray,
+                           params: ChannelParams) -> np.ndarray:
+    """``codec.channel_llrs`` one column at a time: one
+    ``symbol_llr_array`` call on each column's own bits."""
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    q_max = int(max(code.var_groups.max(), code.check_groups.max()))
+    bllr = bit_llr(y, params)
+    out = np.full((y.shape[0], code.n, q_max), PAD, dtype=np.float64)
+    pos = 0
+    for c, q in enumerate(code.var_groups.tolist()):
+        p = bits_per_symbol(q)
+        out[:, c, :q] = symbol_llr_array(bllr[:, pos: pos + p], q)
+        pos += p
     return out
 
 

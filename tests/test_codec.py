@@ -34,6 +34,7 @@ from oracles import (
     enumerate_codewords,
     posterior_llrs_to_probs,
     random_tree_code,
+    reference_channel_llrs,
     reference_syndrome,
     reference_walsh_hadamard,
 )
@@ -168,6 +169,25 @@ def test_syndrome_matches_edge_by_edge_reference(source):
     got = syndrome(code, words)
     assert np.array_equal(got, reference_syndrome(code, words))
     assert np.count_nonzero(got, axis=1).min() > code.m // 4  # not codewords
+
+
+@pytest.mark.parametrize("source", [
+    "perfbench/codes/r12_binary_irregular_3008_seed1.alist",
+    "fer_results/codes/r16_hybrid_g256g16g8_6144.alist",
+    "fer_results/codes/r16_gf256_regular_6144.alist",
+    "r12_hybrid_g8g2"])
+def test_channel_llrs_match_column_by_column_reference(source):
+    # one symbol_llr_array call per column order gives the bits of one
+    # call per column
+    if source.endswith(".alist"):
+        code = load_code(os.path.join(ROOT, source))
+    else:
+        code = build_code(Ensemble.load(fixture_path(source)), 1024, seed=1)
+    params = ChannelParams.from_ebn0_db(1.0, code.rate())
+    rng = np.random.default_rng(6)
+    y = transmit(rng.integers(0, 2, (32, code.n_bits)), params, rng)
+    assert np.array_equal(channel_llrs(code, y, params),
+                          reference_channel_llrs(code, y, params))
 
 
 @pytest.mark.parametrize("op, value", [

@@ -1,6 +1,7 @@
 """Graph construction: quantization, PEG placement, structure, alist IO."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hybridldpc.construction import (
     save_code,
 )
 from hybridldpc.ensembles import Ensemble, fixture_path
-from hybridldpc.groups import bits_per_symbol
+from hybridldpc.groups import SymbolMap, bits_per_symbol, identity_map
 
 from oracles import (
     diagonal_edge_index,
@@ -168,6 +169,40 @@ def test_validate_names_first_row_without_diagonal_edge():
         bad.validate()
 
 
+ID2, ID8 = identity_map(2), identity_map(8)
+A28, B28 = SymbolMap(2, 8, (5,)), SymbolMap(2, 8, (3,))
+# rows of G(2) and G(8); information columns of G(2), G(2), G(8)
+TINY = [(0, 0, ID2), (1, 0, A28), (0, 1, ID2), (1, 1, B28), (1, 2, ID8), (0, 3, ID2), (1, 4, ID8)]
+
+
+def tiny_code(edges) -> HybridParityCheck:
+    return HybridParityCheck(
+        var_groups=np.array([2, 2, 8, 2, 8]), check_groups=np.array([2, 8]), n_info=3,
+        edge_row=np.array([r for r, _c, _mp in edges], dtype=np.int64),
+        edge_col=np.array([c for _r, c, _mp in edges], dtype=np.int64),
+        edge_maps=[mp for _r, _c, mp in edges])
+
+
+@pytest.mark.parametrize("edges, message", [
+    # each list holds a second fault on a later edge, of a check that
+    # comes earlier in order, or of the same check
+    (TINY[:3] + [(0, 1, ID2)] + TINY[3:] + [(1, 3, A28), (0, 0, ID2)],
+     "duplicate edge (0, 1)"),
+    (TINY[:4] + [(0, 2, ID8)] + TINY[5:] + [(0, 3, ID2)],
+     "edge (0, 2): variable group 8 exceeds check group 2"),
+    (TINY[:1] + [(1, 0, ID2)] + TINY[2:4] + [(0, 2, ID8)] + TINY[5:],
+     "edge (1, 0): map orders do not match groups"),
+    (TINY[:4] + [(1, 2, SymbolMap(8, 8, (2, 1, 4)))] + TINY[5:6] + [(1, 4, ID2)],
+     "edge (1, 2): same-group edge must carry identity"),
+    (TINY[:6] + [(1, 3, A28)] + TINY[6:] + [(1, 4, ID8)],
+     "edge (1, 3) below the redundancy diagonal breaks triangularity"),
+], ids=["duplicate", "exceeds", "map-orders", "identity", "triangularity"])
+def test_validate_names_first_bad_edge_and_its_first_failed_check(edges, message):
+    tiny_code(TINY).validate()
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        tiny_code(edges).validate()
+
+
 def test_alist_roundtrip(tmp_path):
     code = build_code(small_hybrid(), 700, seed=6)
     path = str(tmp_path / "code.alist")
@@ -204,6 +239,18 @@ def test_shipped_alist_roundtrip_is_byte_identical(tmp_path, path):
     out = str(tmp_path / "again.alist")
     save_code(load_code(src), out)
     with open(src, "rb") as a, open(out, "rb") as b:
+        assert a.read() == b.read()
+
+
+@pytest.mark.parametrize("name, n_bits, path", [
+    ("r12_binary_irregular", 3008, "perfbench/codes/r12_binary_irregular_3008_seed1.alist"),
+    ("r16_hybrid_g256g16g8", 6144, "fer_results/codes/r16_hybrid_g256g16g8_6144.alist"),
+    ("r16_gf256_regular", 6144, "fer_results/codes/r16_gf256_regular_6144.alist"),
+])
+def test_build_code_reproduces_shipped_alists(tmp_path, name, n_bits, path):
+    out = str(tmp_path / "built.alist")
+    save_code(build_code(Ensemble.load(fixture_path(name)), n_bits, seed=1), out)
+    with open(os.path.join(ROOT, path), "rb") as a, open(out, "rb") as b:
         assert a.read() == b.read()
 
 
@@ -280,14 +327,18 @@ def test_build_code_refuses_unhostable_ensemble():
 
 @pytest.mark.parametrize("name, n_bits", [
     ("r12_binary_irregular", 600), ("r12_gf8_regular36", 1026),
-    ("r12_hybrid_g8g2", 1024), ("r16_hybrid_g256g16g8", 2048), (None, 700)])
+    ("r12_gf8_regular36", 512), ("r12_hybrid_g8g2", 1024),
+    ("r16_hybrid_g256g16g8", 2048), (None, 700)])
 def test_peg_matches_full_search(monkeypatch, name, n_bits):
-    # the component shortcut and the early stop of the search pick the
-    # same rows, and draw the same ties, as a full breadth-first search
+    # the component shortcut and the early stop of the row-level search
+    # pick the same rows, and draw the same ties, as a full breadth-first
+    # search of the bipartite graph; the 512-bit GF(8) build overflows a row
     ens = small_hybrid() if name is None else Ensemble.load(fixture_path(name))
-    fast = build_code(ens, n_bits, seed=3)
-    monkeypatch.setattr(construction._Peg, "place", reference_peg_place)
-    full = build_code(ens, n_bits, seed=3)
-    assert np.array_equal(fast.edge_row, full.edge_row)
-    assert np.array_equal(fast.edge_col, full.edge_col)
-    assert [m.cols for m in fast.edge_maps] == [m.cols for m in full.edge_maps]
+    for seed in (3, 4):
+        fast = build_code(ens, n_bits, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(construction._Peg, "place", reference_peg_place)
+            full = build_code(ens, n_bits, seed=seed)
+        assert np.array_equal(fast.edge_row, full.edge_row)
+        assert np.array_equal(fast.edge_col, full.edge_col)
+        assert [m.cols for m in fast.edge_maps] == [m.cols for m in full.edge_maps]
