@@ -19,8 +19,9 @@ from .channel import ChannelParams
 from .codec import Decoder, channel_llrs, encode
 from .construction import build_code, load_code, save_code
 from .density_evolution import threshold_search
-from .ensembles import Ensemble
-from .optimization import ConstraintGrid, best_sigma, optimize_gamma, optimize_lambda
+from .ensembles import Ensemble, EnsembleError
+from .optimization import (ConstraintGrid, OptimizationError, best_sigma, optimize_gamma,
+                           optimize_lambda)
 from .simulation import CampaignConfig, run_campaign
 
 
@@ -133,10 +134,7 @@ def _cmd_optimize(args) -> int:
     unknown = sorted(set(cfg) - _COMMON_KEYS - _DIRECTION_KEYS[direction])
     if unknown:
         raise SystemExit(f"unknown key(s) {', '.join(unknown)} in {args.config}")
-    rate_eq = cfg.get("rate_eq")
-    if rate_eq is not None and cfg.get("rate_min") is not None:
-        raise SystemExit("config sets both rate_min and rate_eq")
-    common = dict(grid=grid, rate_min=cfg.get("rate_min"), rate_eq=rate_eq,
+    common = dict(grid=grid, rate_min=cfg.get("rate_min"), rate_eq=cfg.get("rate_eq"),
                   name=cfg.get("name", ""))
     if direction == "lambda":
         profile = {int(i): _intkeys(p) for i, p in cfg["gamma_profile"].items()}
@@ -153,11 +151,14 @@ def _cmd_optimize(args) -> int:
 
         def solve(sigma):
             return optimize_gamma(cfg["d_v"], cfg["d_c"], groups, sigma, **common)
-    if "sigma" in cfg:
-        design = solve(cfg["sigma"])
-    else:
-        design = best_sigma(solve, cfg.get("sigma_lo", 0.5),
-                            cfg.get("sigma_hi", sigma_hi))
+    try:
+        if "sigma" in cfg:
+            design = solve(cfg["sigma"])
+        else:
+            design = best_sigma(solve, cfg.get("sigma_lo", 0.5),
+                                cfg.get("sigma_hi", sigma_hi))
+    except (OptimizationError, EnsembleError) as exc:
+        raise SystemExit(f"optimize: {exc}") from None
     weights = design.lambda_ if direction == "lambda" else design.gamma
     print(f"{direction}:", {k: round(v, 6) for k, v in weights.items()})
     print(f"design sigma {design.sigma:.4f}  rate {design.rate:.4f}")

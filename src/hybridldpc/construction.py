@@ -37,6 +37,7 @@ from hybridldpc.ensembles import Ensemble, EnsembleError, node_proportions
 from hybridldpc.groups import (
     SymbolMap,
     bits_per_symbol,
+    identity_map,
     random_injective_map,
     validate_order,
 )
@@ -535,11 +536,12 @@ def build_code(ens: Ensemble, n_bits: int, seed: int) -> HybridParityCheck:
     edge_col = np.array([c for _, c in peg.edges], dtype=np.int64)
     srt = np.lexsort((edge_row, edge_col))
     edge_row, edge_col = edge_row[srt], edge_col[srt]
+    # only edges joining two orders draw a map; the identity consumes no
+    # random numbers, so skipping the draw leaves the rng stream unchanged
     maps = [
-        random_injective_map(
-            rng, int(lay.var_groups[c]), int(lay.check_groups[r])
-        )
-        for r, c in zip(edge_row, edge_col)
+        identity_map(qv) if qv == qc else random_injective_map(rng, qv, qc)
+        for qv, qc in zip(lay.var_groups[edge_col].tolist(),
+                          lay.check_groups[edge_row].tolist())
     ]
     code = HybridParityCheck(
         var_groups=lay.var_groups,

@@ -9,23 +9,30 @@ the variable mass split, so the updated aggregate is linear in the
 variable-side proportions, and the constraint F(x) >= x + margin is one
 inequality row per grid point.
 
-Two directions are supported, mirroring the two ways of pinning one
-factor of pi(i, k) and optimizing the other:
+Both directions pin one factor of pi(i, k) and solve the same LP for
+the other. Its unknowns are the edge masses of a list of variable
+units, each a (degree, {group: share of that degree's edges}) pair:
 
 * ``optimize_lambda``: the group profile gamma(i, k) per degree is
-  fixed, the edge degree distribution lambda is the unknown.
-* ``optimize_gamma``: the graph is (d_v, d_c) regular and the edge-wise
-  split of variable nodes across groups is the unknown.
+  fixed; one unit per degree i carries gamma(i, .), and lambda is the
+  unknown.
+* ``optimize_gamma``: the graph is (d_v, d_c) regular; one unit
+  (d_v, {k: 1}) per group k, and the edge-wise split of variable nodes
+  across groups is the unknown.
 
-Both maximize the rate numerator (the average variable-node bit
+The LP maximizes the rate numerator (the average variable-node bit
 content per edge) at a fixed design channel, which is equivalent to
-maximizing the code rate since the check side is held fixed.
+maximizing the code rate since the check side is held fixed; or, with
+the rate pinned, the uniform margin above the seed grid. The rate
+weights, the redundancy host row and the redundancy bit budget all
+follow from the units and the check degrees.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -141,6 +148,25 @@ def _class_outputs(classes: list[tuple[int, int]], rho: dict[int, float],
     return out
 
 
+def _exit_matrix(units, rho, check_group, m_bc, xs) -> np.ndarray:
+    """Rows: grid points. Column u: the aggregate MI after one iteration
+    per unit of the LP unknown of ``units[u]`` = (degree, {group: share}),
+    when the state is seeded at xs[g]: the share-weighted mixture of the
+    class outputs of `_class_outputs`."""
+    classes = [(i, k) for i, shares in units for k, s in shares.items() if s > 0]
+    out = dict(zip(classes, _class_outputs(classes, rho, check_group, m_bc, xs).T))
+    A = np.zeros((len(xs), len(units)))
+    for u, (i, shares) in enumerate(units):
+        for k, s in shares.items():
+            if s > 0:
+                A[:, u] += s * out[(i, k)]
+    return A
+
+
+def _lambda_units(gamma_profile: dict[int, dict[int, float]]) -> list:
+    return [(i, dict(sorted(gamma_profile[i].items()))) for i in sorted(gamma_profile)]
+
+
 def lambda_exit_matrix(
     gamma_profile: dict[int, dict[int, float]],
     rho: dict[int, float],
@@ -148,18 +174,10 @@ def lambda_exit_matrix(
     m_bc: float,
     xs: np.ndarray,
 ) -> tuple[np.ndarray, list[int]]:
-    """Rows: grid points. Columns: degrees. Entry (g, i) is the aggregate
-    MI after one iteration contributed per unit of lambda_i when the
-    state is seeded at xs[g]: the gamma(i, k) mixture of the class
-    outputs of `_class_outputs`."""
-    degrees = sorted(gamma_profile)
-    classes = [(i, k) for i in degrees
-               for k, gik in sorted(gamma_profile[i].items()) if gik > 0]
-    out = _class_outputs(classes, rho, check_group, m_bc, xs)
-    A = np.zeros((len(xs), len(degrees)))
-    for c, (i, k) in enumerate(classes):
-        A[:, degrees.index(i)] += gamma_profile[i][k] * out[:, c]
-    return A, degrees
+    """`_exit_matrix` with one column per degree i, the unit carrying
+    gamma(i, .)."""
+    A = _exit_matrix(_lambda_units(gamma_profile), rho, check_group, m_bc, xs)
+    return A, sorted(gamma_profile)
 
 
 def gamma_exit_matrix(
@@ -170,12 +188,11 @@ def gamma_exit_matrix(
     m_bc: float,
     xs: np.ndarray,
 ) -> tuple[np.ndarray, list[int]]:
-    """Same linearization for the regular-connectivity direction: entry
-    (g, k) is the one-iteration aggregate per unit of group-k edge mass,
-    the output of class (d_v, k)."""
+    """`_exit_matrix` of a (d_v, d_c) regular graph with one column per
+    group k: the output of class (d_v, k)."""
     gs = sorted(groups)
-    A = _class_outputs([(d_v, k) for k in gs], {d_c: 1.0}, check_group, m_bc, xs)
-    return A, gs
+    return _exit_matrix([(d_v, {k: 1.0}) for k in gs], {d_c: 1.0}, check_group,
+                        m_bc, xs), gs
 
 
 def _clean_weights(values: np.ndarray, keys: list, eps: float = 1e-9) -> dict:
@@ -194,33 +211,38 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def _check_rates(rate_min: float | None, rate_eq: float | None) -> None:
-    if rate_min is not None and rate_eq is not None:
-        raise OptimizationError("rate_min and rate_eq are mutually exclusive")
+def _design_lp(units, rho, sigma, grid, rate_min, rate_eq, bounds, exit_matrix):
+    """The LP of both design directions over variable units.
 
+    A unit is (degree, {group: share of that degree's edges}) with one
+    unknown v_u, its edge mass; all checks sit in the largest group and
+    have check degrees ``rho``. ``exit_matrix(check_group, m_bc, xs)``
+    returns ``(A, columns)`` with A as `_exit_matrix` builds it.
 
-def _solve_design_lp(
-    A: np.ndarray,
-    xs: np.ndarray,
-    margin: float,
-    w: np.ndarray,
-    host: np.ndarray,
-    red_nodes: float,
-    red_bits: float,
-    rate_min: float | None,
-    rate_eq: float | None,
-    var_bounds: list[tuple[float, float]],
-) -> np.ndarray:
-    """Common LP core of both design directions.
-
-    Maximizes the rate ``w @ v`` subject to the seed-grid rows
-    ``A v >= xs + margin``, the simplex constraint and the redundancy
-    host row ``host @ v >= red_nodes``. A rate R holds when
+    Maximizes the rate numerator ``w @ v`` (variable bits per edge)
+    subject to the seed-grid rows ``A v >= xs + margin``, the simplex
+    constraint and the redundancy host row: every check row owns one
+    redundancy column in the check group, so that group must host at
+    least ``red_nodes`` variable nodes per edge. A rate R holds when
     ``w @ v`` equals ``red_bits / (1 - R)``; ``rate_min`` makes that a
     floor. With ``rate_eq`` the rate is no longer free, so the objective
     switches to the uniform margin above the grid (an auxiliary variable
-    added to every row).
+    added to every row). Returns v and ``w @ v``.
     """
+    if rate_min is not None and rate_eq is not None:
+        raise OptimizationError("rate_min and rate_eq are mutually exclusive")
+    total = sum(rho.values())
+    if abs(total - 1.0) > 1e-9:
+        raise OptimizationError(f"rho masses sum to {total!r}, expected 1")
+    check_group = max(k for _i, shares in units for k in shares)
+    xs = grid.xs()
+    A = exit_matrix(check_group, ChannelParams(sigma).m_bc, xs)[0]
+    w = np.array([sum(s * math.log2(k) for k, s in shares.items()) / i
+                  for i, shares in units])
+    host = np.array([shares.get(check_group, 0.0) / i for i, shares in units])
+    red_nodes = sum(rj / j for j, rj in rho.items())
+    # summed per check degree, so that rho = {d_c: 1} rounds log2(q) / d_c once
+    red_bits = sum(rj * math.log2(check_group) / j for j, rj in rho.items())
     m_rows, n = A.shape
     if rate_eq is not None:
         c = np.zeros(n + 1)
@@ -229,17 +251,17 @@ def _solve_design_lp(
             np.hstack([-A, np.ones((m_rows, 1))]),
             np.hstack([-host[None, :], [[0.0]]]),
         ])
-        b_ub = np.concatenate([-(xs + margin), [-red_nodes]])
+        b_ub = np.concatenate([-(xs + grid.margin), [-red_nodes]])
         a_eq = np.vstack([
             np.hstack([np.ones((1, n)), [[0.0]]]),
             np.hstack([w[None, :], [[0.0]]]),
         ])
         b_eq = np.array([1.0, red_bits / (1.0 - rate_eq)])
-        bounds = list(var_bounds) + [(0.0, 1.0)]
+        bounds = list(bounds) + [(0.0, 1.0)]
     else:
         c = -w
         a_ub = [-A, -host[None, :]]
-        b_ub = [-(xs + margin), [-red_nodes]]
+        b_ub = [-(xs + grid.margin), [-red_nodes]]
         if rate_min is not None:
             a_ub.append(-w[None, :])
             b_ub.append([-red_bits / (1.0 - rate_min)])
@@ -247,12 +269,11 @@ def _solve_design_lp(
         b_ub = np.concatenate(b_ub)
         a_eq = np.ones((1, n))
         b_eq = np.array([1.0])
-        bounds = list(var_bounds)
     res = linprog(c=c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   bounds=bounds, method="highs")
     if not res.success:
         raise OptimizationError(f"linear program failed: {res.message}")
-    return res.x
+    return res.x[:n], float(w @ res.x[:n])
 
 
 def optimize_lambda(
@@ -277,9 +298,6 @@ def optimize_lambda(
     """
     if not gamma_profile:
         raise OptimizationError("empty gamma profile")
-    _check_rates(rate_min, rate_eq)
-    all_groups = sorted({k for prof in gamma_profile.values() for k in prof})
-    check_group = all_groups[-1]
     g22 = gamma_profile.get(2, {}).get(2, 0.0)
     if g22 > 0 and not allow_binary_degree2:
         raise OptimizationError(
@@ -290,34 +308,23 @@ def optimize_lambda(
         s = sum(prof.values())
         if abs(s - 1.0) > 1e-9:
             raise OptimizationError(f"gamma profile for degree {i} sums to {s!r}")
-    m_bc = ChannelParams(sigma).m_bc
-    xs = grid.xs()
-    A, degrees = lambda_exit_matrix(gamma_profile, rho, check_group, m_bc, xs)
-    n = len(degrees)
-    w = np.array([
-        sum(gamma_profile[i].get(k, 0.0) * math.log2(k) for k in all_groups) / i
-        for i in degrees
-    ])
-    # every check row owns one redundancy column in the check group, so
-    # the check group must host at least that many variable nodes
-    red_nodes = sum(rj / j for j, rj in rho.items())
-    host = np.array([gamma_profile[i].get(check_group, 0.0) / i
-                     for i in degrees])
-    res = _solve_design_lp(A, xs, grid.margin, w, host, red_nodes,
-                           red_nodes * math.log2(check_group), rate_min, rate_eq,
-                           [(0.0, 1.0)] * n)
-    lam = _clean_weights(res[:n], degrees)
+    units = _lambda_units(gamma_profile)
+    v, objective = _design_lp(units, rho, sigma, grid, rate_min, rate_eq,
+                              [(0.0, 1.0)] * len(units),
+                              partial(lambda_exit_matrix, gamma_profile, rho))
+    lam = _clean_weights(v, sorted(gamma_profile))
     gamma = {i: dict(sorted(gamma_profile[i].items())) for i in lam}
+    all_groups = sorted({k for prof in gamma_profile.values() for k in prof})
     ens = Ensemble.from_factored(all_groups, lam, dict(sorted(rho.items())),
                                  gamma, name=name)
     return LambdaDesign(
         lambda_=lam,
         gamma_profile=gamma,
         rho=dict(sorted(rho.items())),
-        check_group=check_group,
+        check_group=all_groups[-1],
         sigma=sigma,
         rate=ens.rate(),
-        objective=float(w @ res[:n]),
+        objective=objective,
         ensemble=ens,
     )
 
@@ -344,34 +351,22 @@ def optimize_gamma(
         raise OptimizationError("no variable groups to split across")
     if d_v < 2 or d_c < 2:
         raise OptimizationError("degrees must be at least 2")
-    _check_rates(rate_min, rate_eq)
     gs = sorted(set(groups))
-    check_group = gs[-1]
-    m_bc = ChannelParams(sigma).m_bc
-    xs = grid.xs()
-    A, gs = gamma_exit_matrix(d_v, d_c, gs, check_group, m_bc, xs)
-    n = len(gs)
-    w = np.array([math.log2(k) / d_v for k in gs])
     bounds = [(0.0, 0.0 if k == 2 and d_v == 2 else 1.0) for k in gs]
-    # redundancy columns all live in the check group: its node share
-    # (equal to its edge share on a regular graph) must cover them
-    host = np.array([1.0 / d_v if k == check_group else 0.0 for k in gs])
-    res = _solve_design_lp(A, xs, grid.margin, w, host, 1.0 / d_c,
-                           math.log2(check_group) / d_c, rate_min, rate_eq,
-                           bounds)
-    g = _clean_weights(res[:n], gs)
-    ens_groups = sorted(set(g) | {check_group})
-    ens = Ensemble.from_factored(
-        ens_groups, {d_v: 1.0}, {d_c: 1.0}, {d_v: g}, name=name,
-    )
+    v, objective = _design_lp([(d_v, {k: 1.0}) for k in gs], {d_c: 1.0}, sigma,
+                              grid, rate_min, rate_eq, bounds,
+                              partial(gamma_exit_matrix, d_v, d_c, gs))
+    g = _clean_weights(v, gs)
+    ens = Ensemble.from_factored(sorted(set(g) | {gs[-1]}), {d_v: 1.0},
+                                 {d_c: 1.0}, {d_v: g}, name=name)
     return GammaDesign(
         gamma=g,
         d_v=d_v,
         d_c=d_c,
-        check_group=check_group,
+        check_group=gs[-1],
         sigma=sigma,
         rate=ens.rate(),
-        objective=float(w @ res[:n]),
+        objective=objective,
         ensemble=ens,
     )
 

@@ -202,6 +202,26 @@ def test_optimize_rejects_unknown_key(tmp_path, key):
         _run_optimize(tmp_path, config)
 
 
+README_LAMBDA = {"direction": "lambda",
+                 "gamma_profile": {"2": {"8": 1.0}, "3": {"2": 1.0},
+                                   "8": {"2": 0.3, "8": 0.7}},
+                 "rho": {"6": 1.0}, "sigma": 0.75, "rate_min": 0.5}
+
+
+@pytest.mark.parametrize("config, message", [
+    ({**README_LAMBDA, "sigma": 0.93}, "linear program failed"),
+    ({**README_LAMBDA, "rho": {"6": 0.5}}, "rho masses sum to 0.5"),
+    ({"direction": "gamma", "groups": [], "d_v": 2, "d_c": 3, "sigma": 1.0},
+     "no variable groups"),
+], ids=["infeasible", "bad-rho", "no-groups"])
+def test_optimize_reports_design_errors_in_one_line(tmp_path, config, message):
+    with pytest.raises(SystemExit) as exc:
+        _run_optimize(tmp_path, config)
+    text = str(exc.value.code)
+    assert text.startswith("optimize: ") and message in text
+    assert "\n" not in text
+
+
 def test_every_optimize_key_is_documented():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "README.md")) as fh:

@@ -301,3 +301,71 @@ def test_best_sigma_keeps_its_error_and_stops_at_rounding():
     solve, calls = limited_solve(1.17)
     design, sigma = best_sigma(solve, 0.5, 2.0, 1e-300)
     assert design == "design" and sigma == 1.17 and len(calls) < 100
+
+
+def test_bad_rho_fails_by_name_before_any_row(monkeypatch):
+    monkeypatch.setattr(optimization, "lambda_exit_matrix", no_rows)
+    monkeypatch.setattr(optimization, "gamma_exit_matrix", no_rows)
+    with pytest.raises(OptimizationError, match="rho masses sum to 0.5"):
+        optimize_lambda(small_profile(), {6: 0.5}, 0.8)
+    # the gamma direction's check degrees are {d_c: 1}: check the shared
+    # LP core on its units directly
+    gs = [8, 16, 256]
+    with pytest.raises(OptimizationError, match="rho masses sum to 0.5"):
+        optimization._design_lp(
+            [(2, {k: 1.0}) for k in gs], {3: 0.5}, 1.4, QUICK, None, 1 / 6,
+            [(0.0, 1.0)] * len(gs),
+            lambda *args: optimization.gamma_exit_matrix(2, 3, gs, *args))
+
+
+README_PROFILE = {2: {8: 1.0}, 3: {2: 1.0}, 8: {2: 0.3, 8: 0.7}}
+R16_SIGMA = 1.4538085937499998  # designs.json, r16_hybrid_g256g16g8
+
+
+# float.hex of the weights, the rate and the objective of a few designs of
+# both directions, under every objective; the LP must reproduce them bit
+# for bit
+@pytest.mark.parametrize("design, weights, rate, objective", [
+    pytest.param(
+        lambda: optimize_gamma(2, 3, [8, 16, 256], R16_SIGMA, grid=QUICK,
+                               rate_eq=1 / 6),
+        {8: "0x1.1111111111118p-2", 16: "0x1.11111111110f8p-4",
+         256: "0x1.5555555555555p-1"},
+        "0x1.5555555555554p-3", "0x1.9999999999999p+1", id="gamma-r16-rate_eq"),
+    pytest.param(
+        lambda: optimize_gamma(2, 3, [2, 8, 64], 1.2, grid=QUICK),
+        {64: "0x1.0000000000000p+0"},
+        "0x1.5555555555555p-2", "0x1.8000000000000p+1", id="gamma-binary-excluded"),
+    pytest.param(
+        lambda: optimize_gamma(3, 6, [2, 4], 0.8, grid=ConstraintGrid(points=30),
+                               rate_min=0.45),
+        {4: "0x1.0000000000000p+0"},
+        "0x1.0000000000000p-1", "0x1.5555555555555p-1", id="gamma-rate_min"),
+    pytest.param(
+        lambda: optimize_gamma(3, 5, [2, 8], 0.8, grid=QUICK),
+        {8: "0x1.0000000000000p+0"},
+        "0x1.9999999999998p-2", "0x1.0000000000000p+0", id="gamma-g8-checks"),
+    pytest.param(
+        lambda: optimize_lambda(README_PROFILE, {6: 1.0}, 0.75, rate_min=0.5),
+        {2: "0x1.5a02fc9971350p-1", 3: "0x1.4bfa06cd1d960p-2"},
+        "0x1.1bca1d0fd70c4p-1", "0x1.1f2c68aed75efp+0", id="lambda-readme"),
+    pytest.param(
+        lambda: optimize_lambda(small_profile(), {6: 1.0}, 0.9, grid=QUICK),
+        {2: "0x1.631e825fa819ap-2", 3: "0x1.4e70bed02bf33p-1"},
+        "0x1.4a2a83f51fd47p-2", "0x1.79d1cc0d220f0p-1", id="lambda-free"),
+    pytest.param(
+        lambda: optimize_lambda(small_profile(), {6: 1.0}, 0.8, grid=QUICK,
+                                rate_eq=0.45),
+        {2: "0x1.f959c427e566fp-2", 3: "0x1.03531dec0d4c8p-1"},
+        "0x1.cccccccccccccp-2", "0x1.d1745d1745d16p-1", id="lambda-rate_eq"),
+    pytest.param(
+        lambda: optimize_lambda({2: {2: 1.0}, 3: {8: 1.0}, 5: {2: 1.0}}, {6: 1.0},
+                                0.8, grid=QUICK, allow_binary_degree2=True),
+        {3: "0x1.0000000000000p+0"},
+        "0x1.0000000000000p-1", "0x1.0000000000000p+0", id="lambda-binary-degree2"),
+])
+def test_pinned_designs(design, weights, rate, objective):
+    des = design()
+    got = des.gamma if isinstance(des, optimization.GammaDesign) else des.lambda_
+    assert {k: v.hex() for k, v in got.items()} == weights
+    assert (des.rate.hex(), des.objective.hex()) == (rate, objective)
