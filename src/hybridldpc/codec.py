@@ -9,8 +9,8 @@ take their edge layout from ``HybridParityCheck.node_classes``.
 The decoder is a flooding sum-product scheme working symbolwise. Check
 updates run in the check group: incoming variable messages are extended
 through their edge maps (probability mass placed on the map image, zero
-elsewhere), combined under the group convolution via the fast Walsh
-Hadamard transform with leave-one-out prefix and suffix products, and
+elsewhere), combined under the group convolution via the Walsh Hadamard
+transform with leave-one-out prefix and suffix products, and
 the results are truncated back through each edge map (read on the image,
 renormalized). Variable updates add log likelihood ratios and subtract
 the edge's own contribution. Messages are batched over frames and over
@@ -25,14 +25,21 @@ The check group's width exists only inside one block of the check walk,
 at most CHECK_BLOCK values: a run of checks of one class, for one frame
 or, when a class is narrower, for a few frames. An index fixed when the
 decoder is built gathers the block as (frames, order, checks, j), the
-zero slot outside each edge's image, so the transform's butterflies run
-over contiguous runs of the checks' components; a second index pair
+zero slot outside each edge's image, so that the transform is at most
+two BLAS matmuls by a Hadamard matrix of 16 points or fewer, over
+contiguous runs of the checks' components; a second index pair
 writes each edge's image components of the result into the
 check-to-variable row. Each variable class then renormalizes these,
 turns them into LLRs and runs its update in frame blocks sized like the
 walk's, so that the dozen passes over a block stay close to the cache.
 Only ``channel_llrs`` and the reported posteriors are padded to the
 largest group order.
+
+BLAS sums each transform output in an order that depends on the
+block's column count, checks x j. A fixed-seed decode is therefore
+reproducible bit for bit for a given CHECK_BLOCK, whatever the number
+of frames decoded together, and gives the same bits with one or two
+BLAS threads; it moves at the rounding level if CHECK_BLOCK changes.
 
 On an all-binary graph the same sum-product messages are scalar LLRs,
 and the decoder runs them directly: the check update is the tanh rule,
@@ -67,7 +74,7 @@ MSG_CLIP = math.log(1.0 / (2.0**10 * np.finfo(np.float64).eps))
 # Float64 values in one block of the check walk, frames x order x checks
 # x j, and at most in one frame block of a variable update unless a
 # single frame is wider: 768 KiB, so that the two buffers a transform
-# stage reads and writes stay in a 2 MiB L2 cache.
+# matmul reads and writes stay in a 2 MiB L2 cache.
 CHECK_BLOCK = 98_304
 
 __all__ = [
@@ -82,43 +89,56 @@ __all__ = [
 ]
 
 
+def _hadamard(q: int) -> np.ndarray:
+    """Read-only q x q Sylvester Hadamard matrix, H_2n = [[H_n, H_n],
+    [H_n, -H_n]]: entry (i, k) is (-1)^popcount(i & k)."""
+    h = np.ones((1, 1))
+    while len(h) < q:
+        h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
+    return h
+
+
+# the factors of every transform: H_q = H_16 (x) H_(q/16) above 16 points
+_HADAMARD = {q: _hadamard(q) for q in (1, 2, 4, 8, 16)}
+
+
 def walsh_hadamard(x: np.ndarray, axis: int = -1,
                    work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Unnormalized Walsh Hadamard transform along one axis.
 
     Self-inverse up to the factor q: applying it twice multiplies by the
     axis length, which must be a power of two. The input is not modified.
-    The result is a C-ordered array of the input's shape. Stages h = 1, 2,
-    ..., q/2 each read one buffer and write the other; a stage works on
-    contiguous runs of h times the size of the axes after ``axis``, so
-    the transform is fastest with the transform axis ahead of large axes.
-    ``work`` is an optional pair of flat float64 buffers of at least
-    ``x.size`` elements, neither overlapping ``x``; the stages then run in
-    them instead of in new arrays, and the result is a view of one of
-    them.
+    The result is a C-ordered array of the input's shape. On the (outer,
+    q, rest) view, a length of at most 16 is one matmul by H_q. A longer
+    one is H_16 over the four leading bits of the index, then H_(q/16)
+    over the others, since H_q is their Kronecker product. The matmuls
+    run in BLAS, which sums each output in an order of its own: values
+    agree with a butterfly transform to rounding, and a block's bits
+    depend on its column count, ``rest`` (BLAS tail kernels), but not on
+    ``outer``. ``work`` is an optional pair of flat float64 buffers of
+    at least ``x.size`` elements, neither overlapping ``x``; the matmuls
+    then write into them instead of new arrays, and the result is a view
+    of one of them.
     """
     x = np.asarray(x, dtype=np.float64)
     axis = axis % x.ndim
     q = x.shape[axis]
     if q & (q - 1):
         raise ValueError(f"transform length must be a power of two, got {q}")
-    if q == 1:
-        return x.copy()
     if work is None:
         work = (np.empty(x.size), np.empty(x.size))
     outer = math.prod(x.shape[:axis])
     rest = math.prod(x.shape[axis + 1:])
-    src = x.reshape(outer, q, rest)
-    bufs = [w[: x.size].reshape(src.shape) for w in work]
-    h, k = 1, 0
-    while h < q:
-        dst = bufs[k]
-        s = src.reshape(outer, q // (2 * h), 2, h * rest)
-        d = dst.reshape(s.shape)
-        np.add(s[:, :, 0], s[:, :, 1], out=d[:, :, 0])
-        np.subtract(s[:, :, 0], s[:, :, 1], out=d[:, :, 1])
-        src, h, k = dst, 2 * h, 1 - k
-    return src.reshape(x.shape)
+    lead = min(q, 16)
+    low = q // lead
+    out = work[0][: x.size].reshape(outer, lead, low * rest)
+    np.matmul(_HADAMARD[lead], x.reshape(out.shape), out=out)
+    if low > 1:
+        src = out.reshape(outer * lead, low, rest)
+        out = work[1][: x.size].reshape(src.shape)
+        np.matmul(_HADAMARD[low], src, out=out)
+    return out.reshape(x.shape)
 
 
 def loo_convolve(probs: np.ndarray, axis: int = -1,

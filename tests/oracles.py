@@ -6,8 +6,9 @@ codeword enumeration instead of message passing, the scalar tanh rule
 instead of vector messages, and histogram densities instead of Gaussian
 functionals. The plain walks of the density-evolution kernels and the
 padded vector decoder are the exception: they keep the package's
-arithmetic in its direct evaluation order, because the package must
-equal them bit for bit.
+arithmetic in its direct evaluation order, so that the package agrees
+with them bit for bit, or, where its transforms sum in another order,
+to a stated bound.
 """
 
 from __future__ import annotations
@@ -396,7 +397,9 @@ class ReferenceBinaryBP:
 
 def reference_walsh_hadamard(x: np.ndarray) -> np.ndarray:
     """Walsh Hadamard transform along the last axis, stage by stage with a
-    copy, in the butterfly order the package must keep bit for bit."""
+    copy: the butterflies, log2(q) additions per output. The package's
+    matmuls sum in another order, so they agree with it bit for bit on
+    integer values and to the summation bound on others."""
     x = np.array(x, dtype=np.float64, copy=True)
     q = x.shape[-1]
     h = 1
@@ -431,8 +434,10 @@ class ReferenceVectorDecoder:
     each map image with zeros elsewhere, c2v LLRs padded with
     ``codec.PAD``. Extension and truncation go through broadcast
     ``put_along_axis``/``take_along_axis`` index arrays and masks. It keeps
-    the arithmetic of ``codec.Decoder``'s vector path, so fixed-seed
-    decodes must agree bit for bit.
+    the arithmetic of ``codec.Decoder``'s vector path but transforms by
+    butterflies, so fixed-seed decodes agree bit for bit on binary codes
+    (H_2 rounds as a butterfly does) and otherwise in every decision and
+    count, with posteriors within a stated bound.
     """
 
     def __init__(self, code: HybridParityCheck, max_iter: int = 100):

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -35,6 +37,7 @@ from oracles import (
     posterior_llrs_to_probs,
     random_tree_code,
     reference_channel_llrs,
+    reference_loo_convolve,
     reference_syndrome,
     reference_walsh_hadamard,
 )
@@ -58,25 +61,40 @@ def test_walsh_hadamard_involution(rng):
     assert np.allclose(back, x, atol=1e-12)
 
 
+def gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u = eps / 2: a sum of n + 1
+    terms, added in any order, is off by at most gamma_n times the sum of
+    their magnitudes."""
+    u = np.finfo(np.float64).eps / 2
+    return n * u / (1 - n * u)
+
+
 def test_walsh_hadamard_axis(rng):
     x = rng.normal(size=(4, 8))
     a = walsh_hadamard(x, axis=-2)
     b = walsh_hadamard(x.T, axis=-1).T
     assert np.allclose(a, b)
-    # component axis leading, as the decoder stores check messages: the
-    # same butterflies, so equal bit for bit to the last-axis transform
-    for q in (2, 8, 256):
-        x = rng.random((q, 3, 5, 4))
-        before = x.copy()
-        lead = walsh_hadamard(x, axis=0)
-        last = walsh_hadamard(np.moveaxis(x, 0, -1))
-        assert np.array_equal(np.moveaxis(lead, 0, -1), last)
-        assert np.array_equal(last, reference_walsh_hadamard(np.moveaxis(x, 0, -1)))
-        assert np.array_equal(x, before)
-        # a strided input, the frame axis outside the component axis
-        staged = np.moveaxis(x, 0, 1)
-        assert np.array_equal(walsh_hadamard(staged, axis=1), np.moveaxis(lead, 0, 1))
-        assert np.array_equal(x, before)
+    # component axis leading, as the decoder stores check messages, the
+    # last axis, and a strided input with the frame axis outside the
+    # component axis. Each output adds q terms in an order the layout may
+    # change: on integer values every order is exact, so all agree with
+    # the butterfly reference bit for bit; on random values each, like the
+    # reference, is within gamma_(q-1) sum|x| of the exact transform
+    for q in (2, 4, 8, 16, 32, 64, 128, 256):
+        ints = rng.integers(-8, 9, (q, 3, 5, 4)).astype(np.float64)
+        for x, exact in ((ints, True), (rng.normal(size=ints.shape), False)):
+            before = x.copy()
+            lead = np.moveaxis(walsh_hadamard(x, axis=0), 0, -1)
+            last = walsh_hadamard(np.moveaxis(x, 0, -1))
+            staged = np.moveaxis(walsh_hadamard(np.moveaxis(x, 0, 1), axis=1), 1, -1)
+            assert np.array_equal(x, before)
+            want = reference_walsh_hadamard(np.moveaxis(x, 0, -1))
+            bound = 2 * gamma(q - 1) * np.abs(x).sum(axis=0)[..., None]
+            for got in (lead, last, staged):
+                if exact:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.all(np.abs(got - want) <= bound)
 
 
 def test_walsh_hadamard_convolution_theorem(rng):
@@ -103,14 +121,27 @@ def test_loo_convolve_matches_direct(rng, q):
 @pytest.mark.parametrize("q", [2, 8, 256])
 def test_loo_convolve_component_axis(rng, q):
     # (q, F, C, j) with the component axis leading; the leave-one-out axis
-    # is the last of the others
+    # is the last of the others. Counts of 0-3 keep every transform and
+    # product an integer below 2^53, so both layouts equal the butterfly
+    # reference bit for bit.
+    counts = rng.integers(0, 4, (q, 2, 3, 4)).astype(np.float64)
+    want = reference_loo_convolve(np.moveaxis(counts, 0, -1))
+    assert np.array_equal(np.moveaxis(loo_convolve(counts, axis=0), 0, -1), want)
+    assert np.array_equal(loo_convolve(np.moveaxis(counts, 0, -1)), want)
     probs = rng.random((q, 2, 3, 4))
     probs /= probs.sum(axis=0, keepdims=True)
     before = probs.copy()
     lead = loo_convolve(probs, axis=0)
     last = loo_convolve(np.moveaxis(probs, 0, -1))
-    assert np.array_equal(np.moveaxis(lead, 0, -1), last)
     assert np.array_equal(probs, before)
+    # To first order in eps, against exact arithmetic: each spectral value
+    # is within gamma_(q-1) of one of magnitude at most 1, as each vector
+    # sums to 1; a product of j - 1 of them is within (j - 1) gamma_(q-1)
+    # + gamma_(j-2); the inverse transform adds gamma_(q-1) after the
+    # division by q. Two layouts differ by at most twice that.
+    j = probs.shape[-1]
+    bound = 2 * (j * gamma(q - 1) + gamma(j - 2))
+    assert np.abs(np.moveaxis(lead, 0, -1) - last).max() <= bound
     if q <= 8:
         want = direct_loo_convolve(np.moveaxis(probs, 0, -1))
         assert np.allclose(last, want, atol=1e-12)
@@ -430,19 +461,19 @@ def test_decoder_agrees_with_reference_on_shared_noise():
 
 
 # ---------------------------------------------------------------------------
-# bit identity with the padded reference decoder
+# agreement with the padded reference decoder
 
 ORACLE_FIXTURES = ["r16_hybrid_g256g16g8", "r12_hybrid_g8g2", "r12_gf8_regular36",
                    "r12_binary_irregular"]
 
 
-def fixture_frames(name: str, frames: int) -> tuple:
+def fixture_frames(name: str, frames: int, above_db: float = 1.2) -> tuple:
     """A 1024-bit build of a fixture and channel LLRs of random codewords
-    1.2 dB above its threshold, where frames converge after different
-    numbers of iterations and some fail within 16. The last frame is
-    noiseless, so it passes at iteration 0."""
+    ``above_db`` above its threshold: at 1.2 dB frames converge after
+    different numbers of iterations and some fail within 16. The last
+    frame is noiseless, so it passes at iteration 0."""
     with open(fixture_path("designs")) as fh:
-        ebn0 = json.load(fh)[name]["threshold_ebn0_db"] + 1.2
+        ebn0 = json.load(fh)[name]["threshold_ebn0_db"] + above_db
     code = build_code(Ensemble.load(fixture_path(name)), 1024, seed=1)
     rng = np.random.default_rng(7)
     info = np.stack([rng.integers(0, code.var_groups[: code.n_info]) for _ in range(frames)])
@@ -453,10 +484,25 @@ def fixture_frames(name: str, frames: int) -> tuple:
     return code, channel_llrs(code, y, params)
 
 
-def assert_same_decode(a, b) -> None:
+# Largest posterior LLR gap allowed against the padded reference.
+# The decoder's transforms are BLAS matmuls and the reference's are
+# butterflies, so each check update rounds differently, by about eps of
+# the message's mass. A component capped at MSG_CLIP holds 2^10 eps of
+# that mass, so one check update resolves its LLR only to about 2^-10,
+# a posterior sums several such messages, and frames that fail keep
+# moving the gaps around. The largest gap
+# measured on these tests is 6.7e-4, after 16 iterations of a 1024-bit
+# r16_hybrid_g256g16g8 code with small check blocks: 15 times below.
+POSTERIOR_TOL = 1e-2
+
+
+def assert_same_decode(a, b, posterior_tol: float = 0.0) -> None:
+    """Equal decisions, outcomes and counts; posteriors within the bound
+    (bit for bit at 0)."""
     for field in ("symbols", "success", "iterations", "active_frames",
-                  "unsatisfied_checks", "posterior_llr"):
+                  "unsatisfied_checks"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    np.testing.assert_allclose(a.posterior_llr, b.posterior_llr, rtol=0, atol=posterior_tol)
 
 
 def few_check_blocks(code: HybridParityCheck) -> int:
@@ -492,11 +538,13 @@ def test_vector_decoder_bit_identical_to_padded_reference(name, small_blocks, mo
         # batch of 8 leaves a shorter last frame block
         assert any(len(cc.blocks[0][0]) > 1 and 8 % len(cc.blocks[0][0])
                    for cc in dec.check_classes)
+    # H_2 rounds as the butterfly does: binary codes stay bit-identical
+    tol = 0.0 if dec.q_max == 2 else POSTERIOR_TOL
     for frames in (chan[:1], chan):
         for early_stop in (True, False):
             a = dec.decode(frames, want_posteriors=True, early_stop=early_stop)
             b = ref.decode(frames, want_posteriors=True, early_stop=early_stop)
-            assert_same_decode(a, b)
+            assert_same_decode(a, b, tol)
     # the batch retires frames part way: one at iteration 0, one later
     # while others still run
     its = dec.decode(chan).iterations
@@ -520,7 +568,61 @@ def test_vector_decoder_bit_identical_on_shipped_r16_code():
     a = dec.decode(chan, want_posteriors=True, early_stop=False)
     b = ReferenceVectorDecoder(code, max_iter=3).decode(
         chan, want_posteriors=True, early_stop=False)
-    assert_same_decode(a, b)
+    assert_same_decode(a, b, POSTERIOR_TOL)
+
+
+@pytest.mark.parametrize("name, frames", [
+    ("r16_hybrid_g256g16g8", 12), ("r12_hybrid_g8g2", 40), ("r12_gf8_regular36", 40)])
+def test_vector_decoder_agrees_with_padded_reference_on_shared_noise(name, frames):
+    # Same noise through Decoder and the padded reference, 0.5 dB above
+    # the threshold, where most 1024-bit frames fail within 60 iterations.
+    # The two round every transform differently, and the gaps grow in
+    # failing frames; outcomes and iteration counts must not move. On
+    # 200 frames of another seed for each r12 fixture and 60 for r16,
+    # none moved; one failing GF(8) frame ended on 3 other symbols.
+    code, chan = fixture_frames(name, frames, above_db=0.5)
+    a = Decoder(code, max_iter=60).decode(chan)
+    b = ReferenceVectorDecoder(code, max_iter=60).decode(chan)
+    assert not a.success.all()
+    assert np.array_equal(a.success, b.success)
+    assert np.array_equal(a.iterations, b.iterations)
+    assert np.array_equal(a.symbols[a.success], b.symbols[b.success])
+
+
+BLAS_DECODE = """
+import sys
+import numpy as np
+from hybridldpc.channel import ChannelParams, transmit
+from hybridldpc.codec import Decoder, channel_llrs
+from hybridldpc.construction import load_code
+code = load_code(sys.argv[1])
+params = ChannelParams.from_ebn0_db(float(sys.argv[2]), code.rate())
+y = transmit(np.zeros((4, code.n_bits), dtype=np.int64), params, np.random.default_rng(5))
+res = Decoder(code, max_iter=30).decode(channel_llrs(code, y, params), want_posteriors=True)
+np.savez(sys.argv[3], iterations=res.iterations, posterior_llr=res.posterior_llr)
+"""
+
+
+def test_decode_does_not_depend_on_blas_threads(tmp_path):
+    # The check update's matmuls run in BLAS, which splits large ones
+    # among its threads; campaign totals are promised bit for bit
+    # whatever the thread setting. Frames retire part way, so the blocks
+    # change shape between iterations.
+    alist = os.path.join(ROOT, "fer_results", "codes", "r16_hybrid_g256g16g8_6144.alist")
+    with open(fixture_path("designs")) as fh:
+        ebn0 = json.load(fh)["r16_hybrid_g256g16g8"]["threshold_ebn0_db"] + 1.0
+    path = os.pathsep.join(p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p)
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.npz"
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", BLAS_DECODE, alist, str(ebn0), str(out)],
+                       env=env, check=True, timeout=300)
+        runs.append(np.load(out))
+    assert len(np.unique(runs[0]["iterations"])) > 1
+    for key in ("iterations", "posterior_llr"):
+        assert np.array_equal(runs[0][key], runs[1][key]), key
 
 
 @pytest.mark.parametrize("name", ["r12_hybrid_g8g2", "r12_binary_irregular"])
@@ -579,7 +681,7 @@ def test_vector_decoder_bit_identical_on_tree_codes(rng):
             chan, want_posteriors=True, early_stop=False)
         b = ReferenceVectorDecoder(code, max_iter=6).decode(
             chan, want_posteriors=True, early_stop=False)
-        assert_same_decode(a, b)
+        assert_same_decode(a, b, POSTERIOR_TOL)
     assert mixed >= 3
 
 
