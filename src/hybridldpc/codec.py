@@ -6,15 +6,17 @@ of the mapped contributions of its other neighbors, so the cost is one
 pass over the edges. The encoder, the syndrome and both decoder paths
 take their edge layout from ``HybridParityCheck.node_classes``.
 
-The decoder is a flooding sum-product scheme working symbolwise. Check
-updates run in the check group: incoming variable messages are extended
-through their edge maps (probability mass placed on the map image, zero
-elsewhere), combined under the group convolution via the Walsh Hadamard
-transform with leave-one-out prefix and suffix products, and
-the results are truncated back through each edge map (read on the image,
-renormalized). Variable updates add log likelihood ratios and subtract
-the edge's own contribution. Messages are batched over frames and over
-node classes that share a degree and group pair.
+The decoder is a flooding sum-product scheme working symbolwise on
+probabilities, as in Davey & MacKay (1998) and Barnault & Declercq
+(2003). Check updates run in the check group: incoming variable
+messages are extended through their edge maps (probability mass placed
+on the map image, zero elsewhere), combined under the group convolution
+via the Walsh Hadamard transform with leave-one-out prefix and suffix
+products, and read back on each edge's image. A variable sends on each
+edge its channel probabilities times the leave-one-out product of its
+other incoming messages, again by prefix and suffix products; hard
+decisions are the argmax of the full product. Messages are batched over
+frames and over node classes that share a degree and group pair.
 
 Both message directions live at each variable's own order, in one
 (F, width) array each: variable classes in turn, each a (C, degree,
@@ -29,11 +31,14 @@ zero slot outside each edge's image, so that the transform is at most
 two BLAS matmuls by a Hadamard matrix of 16 points or fewer, over
 contiguous runs of the checks' components; a second index pair
 writes each edge's image components of the result into the
-check-to-variable row. Each variable class then renormalizes these,
-turns them into LLRs and runs its update in frame blocks sized like the
-walk's, so that the dozen passes over a block stay close to the cache.
-Only ``channel_llrs`` and the reported posteriors are padded to the
-largest group order.
+check-to-variable row. The variable update runs in blocks of the same
+size: a few frames of a variable class, or a run of its columns in one
+frame. Each block first conditions its check results (scaled to a
+largest component of 1, floored), then forms its outgoing messages, so
+that the few passes over a block stay close to the cache. The channel
+enters as probabilities computed once per decode; posterior LLRs are
+computed only when asked for, and only they and ``channel_llrs`` are
+padded to the largest group order.
 
 BLAS sums each transform output in an order that depends on the
 block's column count, checks x j. A fixed-seed decode is therefore
@@ -44,7 +49,9 @@ BLAS threads; it moves at the rounding level if CHECK_BLOCK changes.
 On an all-binary graph the same sum-product messages are scalar LLRs,
 and the decoder runs them directly: the check update is the tanh rule,
 which is the q = 2 Walsh Hadamard transform written out. Both paths cap
-every message at MSG_CLIP.
+every message at MSG_CLIP: the vector path as a floor at e^-MSG_CLIP
+times each message's largest component, which lands on the same
+components under any relabeling of the transmitted codeword.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ from hybridldpc.construction import HybridParityCheck
 from hybridldpc.groups import bits_per_symbol
 
 PAD = 1e30  # padding LLR for components beyond a column's group order
-_PROB_FLOOR = 1e-300
+_PROB_FLOOR = 1e-300  # check results at most this large on an image go uniform
 
 # Spread cap of every message the decoder emits, in both directions. The
 # check update works on probabilities: a component e^-L below the largest
@@ -70,11 +77,15 @@ _PROB_FLOOR = 1e-300
 # the smallest component at 2^10 eps or more, so the check update resolves
 # it to about 0.1 percent: ln(2^42) = 29.1.
 MSG_CLIP = math.log(1.0 / (2.0**10 * np.finfo(np.float64).eps))
+# The cap in the probability domain: the smallest component of a vector
+# message relative to its largest. -log(_MSG_FLOOR) is MSG_CLIP exactly.
+_MSG_FLOOR = math.exp(-MSG_CLIP)
 
 # Float64 values in one block of the check walk, frames x order x checks
-# x j, and at most in one frame block of a variable update unless a
-# single frame is wider: 768 KiB, so that the two buffers a transform
-# matmul reads and writes stay in a 2 MiB L2 cache.
+# x j, and at most in one block of the variable update, frames x columns
+# x degree x order, unless a single column is wider: 768 KiB, so that the
+# two buffers a transform matmul reads and writes stay in a 2 MiB L2
+# cache.
 CHECK_BLOCK = 98_304
 
 __all__ = [
@@ -111,8 +122,9 @@ def walsh_hadamard(x: np.ndarray, axis: int = -1,
     axis length, which must be a power of two. The input is not modified.
     The result is a C-ordered array of the input's shape. On the (outer,
     q, rest) view, a length of at most 16 is one matmul by H_q. A longer
-    one is H_16 over the four leading bits of the index, then H_(q/16)
-    over the others, since H_q is their Kronecker product. The matmuls
+    one is H_16 over the four leading bits of the index, a (16, rest)
+    product for each value of the others, then H_(q/16) over the others,
+    since H_q is their Kronecker product. The matmuls
     run in BLAS, which sums each output in an order of its own: values
     agree with a butterfly transform to rounding, and a block's bits
     depend on its column count, ``rest`` (BLAS tail kernels), but not on
@@ -132,13 +144,48 @@ def walsh_hadamard(x: np.ndarray, axis: int = -1,
     rest = math.prod(x.shape[axis + 1:])
     lead = min(q, 16)
     low = q // lead
-    out = work[0][: x.size].reshape(outer, lead, low * rest)
-    np.matmul(_HADAMARD[lead], x.reshape(out.shape), out=out)
+    # one (lead, rest) product per value of the low bits: BLAS runs these
+    # strided products faster than one (lead, low * rest) product
+    shape = (outer, lead, low, rest)
+    out = work[0][: x.size].reshape(shape)
+    np.matmul(_HADAMARD[lead], x.reshape(shape).transpose(0, 2, 1, 3),
+              out=out.transpose(0, 2, 1, 3))
     if low > 1:
         src = out.reshape(outer * lead, low, rest)
         out = work[1][: x.size].reshape(src.shape)
         np.matmul(_HADAMARD[low], src, out=out)
     return out.reshape(x.shape)
+
+
+def _leave_one_out(fac: np.ndarray, out: np.ndarray, buf: np.ndarray | None = None,
+                   seed: np.ndarray | None = None) -> None:
+    """Leave-one-out products along the last axis, of length j: position
+    d of ``out`` receives ``seed``, if given, times every factor in
+    ``fac`` but the d-th, by prefix and suffix products, so no division
+    is involved. ``buf``, a flat float64 array of at least one slice
+    along that axis, holds the running suffix when j > 2."""
+    j = fac.shape[-1]
+    if j == 1:
+        out[..., 0] = 1.0 if seed is None else seed
+        return
+    # prefixes s_0 ... s_(d-1) left to right, then each times the suffix
+    # s_(j-1) ... s_(d+1) built right to left
+    if seed is None:
+        out[..., 1] = fac[..., 0]
+    else:
+        np.multiply(seed, fac[..., 0], out=out[..., 1])
+    for d in range(2, j):
+        np.multiply(out[..., d - 1], fac[..., d - 1], out=out[..., d])
+    suff = fac[..., j - 1]
+    if j > 2:
+        buf = (np.empty(suff.size) if buf is None else buf)[: suff.size].reshape(suff.shape)
+    for d in range(j - 2, 0, -1):
+        out[..., d] *= suff
+        suff = np.multiply(suff, fac[..., d], out=buf)
+    if seed is None:
+        out[..., 0] = suff
+    else:
+        np.multiply(seed, suff, out=out[..., 0])
 
 
 def loo_convolve(probs: np.ndarray, axis: int = -1,
@@ -164,22 +211,7 @@ def loo_convolve(probs: np.ndarray, axis: int = -1,
     loo = probs.ndim - 2 if axis == probs.ndim - 1 else probs.ndim - 1
     spec_t = walsh_hadamard(probs, axis, work=pair)
     prod_t = work[2][: spec_t.size].reshape(spec_t.shape)
-    spec, prod = np.moveaxis(spec_t, loo, -1), np.moveaxis(prod_t, loo, -1)
-    j = spec.shape[-1]
-    if j < 2:
-        prod[...] = 1.0
-    else:
-        # prefix products s_0 s_1 ... s_(d-1) left to right, then each
-        # times the suffix s_(j-1) ... s_(d+1) built right to left
-        prod[..., 1] = spec[..., 0]
-        for d in range(2, j):
-            np.multiply(prod[..., d - 1], spec[..., d - 1], out=prod[..., d])
-        suff = spec[..., j - 1]
-        buf = work[3][: suff.size].reshape(suff.shape)
-        for d in range(j - 2, 0, -1):
-            prod[..., d] *= suff
-            suff = np.multiply(suff, spec[..., d], out=buf)
-        prod[..., 0] = suff
+    _leave_one_out(np.moveaxis(spec_t, loo, -1), np.moveaxis(prod_t, loo, -1), work[3])
     out = walsh_hadamard(prod_t, axis, work=pair)
     out *= 1.0 / probs.shape[axis]  # exact: q is a power of two
     return out
@@ -292,36 +324,38 @@ class _CheckClass(NamedTuple):
     blocks: list
 
 
-def _mass(p: np.ndarray, q_max: int) -> np.ndarray:
-    """Row sums of messages over their last axis, keepdims.
-
-    Numpy sums a contiguous row of 8 or more pairwise and a shorter row
-    left to right. A row of 4 inside a code with larger groups is summed
-    pairwise, as its zero-padded q_max-wide row would be, so the result
-    does not depend on the storage width.
-    """
-    if p.shape[-1] == 4 and q_max > 4:
-        return (p[..., 0:1] + p[..., 1:2]) + (p[..., 2:3] + p[..., 3:4])
-    return p.sum(axis=-1, keepdims=True)
-
-
-def _truncate(p: np.ndarray, q_max: int) -> None:
-    """Check results on each edge's image, in place: renormalize over the
-    last axis, then to LLRs anchored at the largest mass, spread capped."""
-    qk = p.shape[-1]
-    np.clip(p, 0.0, None, out=p)
-    tsum = _mass(p, q_max)
-    flat = tsum[..., 0] <= _PROB_FLOOR
+def _condition(p: np.ndarray) -> None:
+    """Check results on each edge's image, in place: scaled to a largest
+    component of 1 and floored at _MSG_FLOOR, which also lifts the small
+    negative values the transform leaves. A message with no mass on the
+    image falls back to uniform."""
+    top = p.max(axis=-1, keepdims=True)
+    flat = top[..., 0] <= _PROB_FLOOR
     if np.any(flat):
-        # degenerate all-zero message: fall back to uniform on the group
-        p[flat] = 1.0 / qk
-        tsum = _mass(p, q_max)
-    p /= tsum
-    np.clip(p, _PROB_FLOOR, None, out=p)
-    # component 0 is not a safe anchor under codeword relabeling
-    np.log(p, out=p)
-    np.subtract(p.max(axis=-1, keepdims=True), p, out=p)
-    np.clip(p, None, MSG_CLIP, out=p)
+        p[flat] = 1.0
+        top[flat] = 1.0
+    p *= np.reciprocal(top, out=top)
+    np.maximum(p, _MSG_FLOOR, out=p)
+
+
+def _var_products(ch: np.ndarray, inc: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Variable update of (F, C, i, q) incoming probabilities ``inc`` and
+    (F, C, q) channel probabilities ``ch``: ``out`` receives on each edge
+    the channel times the other edges' messages, as leave-one-out prefix
+    and suffix products, then scaled to a largest component of 1 and
+    floored at _MSG_FLOOR. Returns the (F, C, q) product of the channel
+    and every incoming message."""
+    _leave_one_out(np.moveaxis(inc, 2, -1), np.moveaxis(out, 2, -1), seed=ch)
+    # the last edge's message times its own incoming one: the full product
+    full = out[:, :, -1] * inc[:, :, -1]
+    # the largest product is at least _MSG_FLOOR^(i - 1), a normal float
+    # up to degree 25; past that, the clamp keeps a product that
+    # underflows to zero from dividing by zero
+    top = out.max(axis=-1, keepdims=True)
+    np.maximum(top, np.finfo(np.float64).tiny, out=top)
+    out *= np.reciprocal(top, out=top)
+    np.maximum(out, _MSG_FLOOR, out=out)
+    return full
 
 
 class Decoder:
@@ -353,13 +387,16 @@ class Decoder:
         code = self.code
         col_classes, row_classes = code.node_classes
         tables = code.map_tables
-        # (degree, order, columns, start of the C * degree * order block)
-        self.var_classes: list[tuple[int, int, np.ndarray, int]] = []
+        # (degree, order, columns, start of the C * degree * order block,
+        # columns per block of the variable update: all of them, or as
+        # many as fit in CHECK_BLOCK)
+        self.var_classes: list[tuple[int, int, np.ndarray, int, int]] = []
         first = np.empty(code.n_edges, dtype=np.int64)  # message column of component 0
         width = 0
         for i, qk, cols, edges in col_classes:
             first[edges] = width + qk * np.arange(edges.size).reshape(edges.shape)
-            self.var_classes.append((i, qk, cols, width))
+            step = min(len(cols), max(1, CHECK_BLOCK // (i * qk)))
+            self.var_classes.append((i, qk, cols, width, step))
             width += qk * edges.size
         self._msg_width = width
 
@@ -419,6 +456,9 @@ class Decoder:
             raise ValueError(
                 f"channel LLRs must have shape (F, {self.code.n}, {self.q_max})"
             )
+        if np.isnan(chan.max(initial=0.0)):  # max propagates NaN
+            f, c = np.argwhere(np.isnan(chan).any(axis=-1))[0]
+            raise ValueError(f"channel LLRs of frame {f}, column {c} hold NaN")
         F, n = chan.shape[0], self.code.n
         run = _BinaryRun(self, chan) if self.binary else _VectorRun(self, chan)
 
@@ -522,24 +562,36 @@ class _BinaryRun:
 
 
 class _VectorRun:
-    """Vector messages of one decode, over the active frames: v2c and c2v
-    at each variable's own order in (F, width) rows, and the work
-    buffers of one block of the check walk."""
+    """Vector messages of one decode, over the active frames, as
+    probabilities at each variable's own order in (F, width) rows: v2c
+    with its largest component 1, c2v as the check walk writes it until
+    the variable update conditions it. Also the channel probabilities
+    and the work buffers of one block of the check walk."""
 
     def __init__(self, dec: Decoder, chan: np.ndarray):
         self.dec = dec
         F = chan.shape[0]
         # the trailing slot stays zero: components outside an edge's image
         self.v2c = np.zeros((F, dec._msg_width + 1))
-        self.c2v = np.zeros((F, dec._msg_width))
+        self.c2v = np.ones((F, dec._msg_width))
         self.block = np.empty(dec._block)
         self.work = np.empty((4, dec._block))
-        self.chan = [chan[:, cols, : qk] for _i, qk, cols, _s in dec.var_classes]
-        self.post: list[np.ndarray] = []
+        self.llr = chan
+        # channel probabilities anchored at each column's most likely
+        # symbol, so the largest is 1 whatever the codeword's labels
+        self.chan = []
+        for _i, qk, cols, _s, _step in dec.var_classes:
+            ch = chan[:, cols, : qk]
+            np.subtract(ch.min(axis=-1, keepdims=True), ch, out=ch)
+            self.chan.append(np.exp(ch, out=ch))
 
     def write_posteriors(self, out: np.ndarray, active: np.ndarray) -> None:
-        for (_i, qk, cols, _s), post in zip(self.dec.var_classes, self.post):
-            out[active[:, None], cols, : qk] = post
+        """Channel LLRs plus the LLRs -log(c2v) of each column's edges."""
+        rows = active[:, None]
+        for i, qk, cols, start, _step in self.dec.var_classes:
+            inc = self.c2v[:, start: start + len(cols) * i * qk]
+            inc = inc.reshape(len(active), len(cols), i, qk)
+            out[rows, cols, :qk] = self.llr[rows, cols, :qk] - np.log(inc).sum(axis=2)
 
     def keep(self, mask: np.ndarray) -> None:
         if mask.all():  # row selection would only copy
@@ -548,41 +600,29 @@ class _VectorRun:
         self.chan = [ch[mask] for ch in self.chan]
 
     def step(self, it: int) -> tuple[np.ndarray, np.ndarray]:
-        """Check update (after iteration 0), then the LLR-domain variable
-        update into v2c probabilities, posteriors, hard decisions and
-        syndrome check. Each variable class runs in blocks of frames, its
-        c2v truncated just before the variable update reads it."""
+        """Check update (after iteration 0), then the variable update into
+        v2c, hard decisions and syndrome check. Each variable class runs
+        in blocks of frames, or of columns of one frame, each conditioning
+        its c2v just before the variable update reads it."""
         dec = self.dec
         if it:
             self._check_walk()
         F = self.v2c.shape[0]
         hard = np.empty((F, dec.code.n), dtype=np.int64)
-        self.post = []
-        for (i, qk, cols, start), ch in zip(dec.var_classes, self.chan):
-            C = len(cols)
-            msgs = slice(start, start + C * i * qk)
-            post = np.empty((F, C, qk))
-            frames = _frames_per_block(C * i * qk)
+        for (i, qk, cols, start, step), ch in zip(dec.var_classes, self.chan):
+            frames = _frames_per_block(step * i * qk)
             for lo in range(0, F, frames):
                 g = min(frames, F - lo)
                 rows = slice(lo, lo + g)
-                inc = self.c2v[rows, msgs].reshape(g, C, i, qk)
-                if it:
-                    _truncate(inc, dec.q_max)
-                total = post[rows][:, :, None, :]
-                np.add(ch[rows][:, :, None, :], inc.sum(axis=2, keepdims=True), out=total)
-                out = self.v2c[rows, msgs].reshape(g, C, i, qk)
-                np.subtract(total, inc, out=out)
-                # to probabilities; clip the spread after re-anchoring to the
-                # min so the cap lands on the same components under any
-                # relabeling of the transmitted codeword. min - out is
-                # exactly -(out - min).
-                np.subtract(out.min(axis=-1, keepdims=True), out, out=out)
-                np.clip(out, -MSG_CLIP, None, out=out)
-                np.exp(out, out=out)
-                out /= out.sum(axis=-1, keepdims=True)
-            self.post.append(post)
-            hard[:, cols] = post.argmin(axis=-1)
+                for c0 in range(0, len(cols), step):
+                    c1 = min(c0 + step, len(cols))
+                    msgs = slice(start + c0 * i * qk, start + c1 * i * qk)
+                    inc = self.c2v[rows, msgs].reshape(g, c1 - c0, i, qk)
+                    if it:
+                        _condition(inc)
+                    out = self.v2c[rows, msgs].reshape(inc.shape)
+                    full = _var_products(ch[rows, c0:c1], inc, out)
+                    hard[rows, cols[c0:c1]] = full.argmax(axis=-1)
         unsat = np.zeros(F, dtype=np.int64)
         for cc in dec.check_classes:
             unsat += np.count_nonzero(

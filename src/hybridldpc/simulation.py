@@ -3,15 +3,19 @@
 Frames are drawn in fixed-size chunks with one RNG per frame, keyed by
 (master seed, frame index). The stop rule is evaluated on chunk
 boundaries in frame order, so results are reproducible bit for bit
-regardless of how many worker processes run the chunks.
+regardless of how many worker processes run the chunks. Worker
+processes are spawned with BLAS pinned to one thread each, as the
+workers already share out the cores.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
@@ -36,6 +40,8 @@ CSV_FIELDS = [
     "mean_iterations", "max_iter", "seed",
 ]
 _Z95 = 1.96  # two-sided 95 percent normal quantile
+# BLAS thread settings of campaign worker processes
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 @dataclass(frozen=True)
@@ -145,13 +151,34 @@ def _run_chunk(code: HybridParityCheck, params: ChannelParams,
     return count, frame_errors, bit_errors, int(res.iterations.sum())
 
 
+@contextmanager
+def _worker_env():
+    """Set _WORKER_ENV in this process's environment, restoring it on
+    exit. Processes spawned meanwhile load numpy under it."""
+    saved = {key: os.environ.get(key) for key in _WORKER_ENV}
+    os.environ.update(_WORKER_ENV)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+
+
 def run_point(
     code: HybridParityCheck,
     ebn0_db: float,
     rate: float,
     cfg: CampaignConfig = CampaignConfig(),
 ) -> PointResult:
-    """Measure one Eb/N0 point until the error or frame budget is hit."""
+    """Measure one Eb/N0 point until the error or frame budget is hit.
+
+    With ``cfg.workers`` above 1 the chunks run in spawned processes,
+    which import the caller's main module: a script that calls this
+    must start from an ``if __name__ == "__main__":`` block.
+    """
     params = ChannelParams.from_ebn0_db(ebn0_db, rate)
 
     frames = 0
@@ -182,7 +209,10 @@ def run_point(
             if consume(run(args, decoder)):
                 break
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # spawned, not forked: a fork would inherit this process's BLAS
+        # threads, set when numpy was loaded
+        spawn = multiprocessing.get_context("spawn")
+        with _worker_env(), ProcessPoolExecutor(cfg.workers, mp_context=spawn) as pool:
             # consume strictly in submission order: totals do not depend
             # on the worker count
             for out in pool.map(run, chunk_args()):

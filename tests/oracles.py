@@ -433,11 +433,12 @@ class ReferenceVectorDecoder:
     Messages are (F, edges, q_max) arrays: v2c probabilities extended onto
     each map image with zeros elsewhere, c2v LLRs padded with
     ``codec.PAD``. Extension and truncation go through broadcast
-    ``put_along_axis``/``take_along_axis`` index arrays and masks. It keeps
-    the arithmetic of ``codec.Decoder``'s vector path but transforms by
-    butterflies, so fixed-seed decodes agree bit for bit on binary codes
-    (H_2 rounds as a butterfly does) and otherwise in every decision and
-    count, with posteriors within a stated bound.
+    ``put_along_axis``/``take_along_axis`` index arrays and masks. Its
+    variable update adds LLRs, and its transforms are butterflies, where
+    ``codec.Decoder``'s vector path multiplies probabilities and runs
+    matmuls. The two compute the same messages, capped alike, so
+    fixed-seed decodes agree in every decision and count, with
+    posteriors within a stated bound.
     """
 
     def __init__(self, code: HybridParityCheck, max_iter: int = 100):

@@ -155,6 +155,7 @@ def test_criterion_03_transform_equivalence():
 # ---------------------------------------------------------------- 4
 
 
+@pytest.mark.slow
 def test_criterion_04_binary_regression():
     t0 = time.time()
     ens = Ensemble.from_factored([2], {3: 1.0}, {6: 1.0}, {3: {2: 1.0}})
@@ -199,6 +200,7 @@ def test_criterion_04_binary_regression():
 # ---------------------------------------------------------------- 5
 
 
+@pytest.mark.slow
 def test_criterion_05_binary_threshold_crosscheck():
     t0 = time.time()
     ens = Ensemble.from_factored([2], {3: 1.0}, {6: 1.0}, {3: {2: 1.0}})

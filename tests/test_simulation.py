@@ -1,11 +1,14 @@
 """Monte Carlo harness: statistics, determinism, CSV caching."""
 
 import math
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from hybridldpc import simulation
 from hybridldpc.construction import build_code
 from hybridldpc.ensembles import Ensemble
 from hybridldpc.simulation import (
@@ -79,6 +82,19 @@ def test_worker_count_does_not_change_totals():
     serial = run_point(code, 2.0, code.rate(), CampaignConfig(**base, workers=1))
     pooled = run_point(code, 2.0, code.rate(), CampaignConfig(**base, workers=3))
     assert serial == pooled
+
+
+def test_worker_processes_run_one_blas_thread(monkeypatch):
+    # the setting holds while workers spawn, and this process's
+    # environment is restored afterwards
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    spawn = multiprocessing.get_context("spawn")
+    with simulation._worker_env(), ProcessPoolExecutor(1, mp_context=spawn) as pool:
+        seen = pool.submit(os.getenv, "OPENBLAS_NUM_THREADS").result()
+        assert seen == pool.submit(os.getenv, "OMP_NUM_THREADS").result() == "1"
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    assert "OMP_NUM_THREADS" not in os.environ
 
 
 @pytest.mark.parametrize("workers", [0, -3])
