@@ -48,7 +48,14 @@ BLAS threads; it moves at the rounding level if CHECK_BLOCK changes.
 
 On an all-binary graph the same sum-product messages are scalar LLRs,
 and the decoder runs them directly: the check update is the tanh rule,
-which is the q = 2 Walsh Hadamard transform written out. Both paths cap
+which is the q = 2 Walsh Hadamard transform written out. Its messages
+live in two layouts of a frame's row. In variable layout each variable
+class is a (C, i) block, with columns renumbered in class order; in
+check layout each check class is a (j, C) block. One ``np.take`` per
+direction moves a row between them, and the check update's
+leave-one-out products run over contiguous (F, C) slabs. One kernel,
+``_leave_one_out``, forms those products, the vector check update's
+(in ``loo_convolve``) and the vector variable update's. Both paths cap
 every message at MSG_CLIP: the vector path as a floor at e^-MSG_CLIP
 times each message's largest component, which lands on the same
 components under any relabeling of the transmitted codeword.
@@ -425,20 +432,39 @@ class Decoder:
         self._block = max(gi.size for cc in self.check_classes for gi, _s, _d in cc.blocks)
 
     def _build_binary(self) -> None:
-        # Messages are C-ordered (frame, edge) arrays. Edges are renumbered
-        # so that each variable class is one contiguous (C, i) block of a
-        # frame's row; the check side gathers and scatters through (C, j)
-        # index tables.
+        """Edge layouts of the scalar path. Messages are C-ordered (frame,
+        edge) arrays in one of two layouts of a frame's row. In variable
+        layout each variable class is a (C, i) block, a column's edges in
+        edge-index order, and columns are renumbered in class order, so
+        that a class's channel and posteriors are one slice. In check
+        layout each check class is a (j, C) block, so that the d-th edges
+        of its checks form one contiguous run of C, over which the shared
+        ``_leave_one_out`` kernel takes its prefix and suffix products.
+        One index per direction moves a whole row between the layouts."""
         code = self.code
         col_classes, row_classes = code.node_classes
-        self._bvar: list[tuple[np.ndarray, int, int]] = []
-        internal = np.empty(code.n_edges, dtype=np.int64)
-        pos = 0
-        for i, _q, cols, edges in col_classes:
-            internal[edges.ravel()] = np.arange(pos, pos + edges.size)
-            self._bvar.append((cols, pos, i))
-            pos += edges.size
-        self._bchk = [(internal[edges], code.edge_col[edges]) for _j, _q, _r, edges in row_classes]
+        var_edges = np.concatenate([edges.ravel() for *_k, edges in col_classes])
+        chk_edges = np.concatenate([edges.T.ravel() for *_k, edges in row_classes])
+        self._col_order = np.concatenate([cols for _i, _q, cols, _e in col_classes])
+        # by inverse permutations: the class-order position of each column,
+        # the variable-layout slot of each check slot and the reverse, and
+        # the class-order column of each check slot
+        self._col_pos = np.argsort(self._col_order)
+        self._to_chk = np.argsort(var_edges)[chk_edges]
+        self._to_var = np.argsort(chk_edges)[var_edges]
+        self._chk_cols = self._col_pos[code.edge_col[chk_edges]]
+        # (degree, columns, first class-order column, first slot) per
+        # variable class, (degree, checks, first slot) per check class
+        self._bvar: list[tuple[int, int, int, int]] = []
+        col = slot = 0
+        for i, _q, cols, _e in col_classes:
+            self._bvar.append((i, len(cols), col, slot))
+            col, slot = col + len(cols), slot + i * len(cols)
+        self._bchk: list[tuple[int, int, int]] = []
+        slot = 0
+        for j, _q, rows, _e in row_classes:
+            self._bchk.append((j, len(rows), slot))
+            slot += j * len(rows)
 
     def decode(self, chan_llr: np.ndarray, want_posteriors: bool = False,
                early_stop: bool = True) -> DecodeResult:
@@ -456,9 +482,12 @@ class Decoder:
             raise ValueError(
                 f"channel LLRs must have shape (F, {self.code.n}, {self.q_max})"
             )
-        if np.isnan(chan.max(initial=0.0)):  # max propagates NaN
-            f, c = np.argwhere(np.isnan(chan).any(axis=-1))[0]
-            raise ValueError(f"channel LLRs of frame {f}, column {c} hold NaN")
+        # max and min propagate NaN; an infinite LLR turns messages into
+        # NaN (inf - inf) and a frame into a false success
+        if not (math.isfinite(chan.max(initial=0.0)) and math.isfinite(chan.min(initial=0.0))):
+            f, c = np.argwhere(~np.isfinite(chan).all(axis=-1))[0]
+            what = "NaN" if np.isnan(chan[f, c]).any() else "an infinite value"
+            raise ValueError(f"channel LLRs of frame {f}, column {c} hold {what}")
         F, n = chan.shape[0], self.code.n
         run = _BinaryRun(self, chan) if self.binary else _VectorRun(self, chan)
 
@@ -499,66 +528,85 @@ class Decoder:
 
 
 class _BinaryRun:
-    """Scalar LLR messages of one decode on an all-binary code, as
-    C-ordered (frame, edge) arrays over the active frames."""
+    """Scalar LLR messages of one decode on an all-binary code, over the
+    active frames, in the two layouts of ``Decoder._build_binary``: v2c
+    in variable layout, c2v in check layout, and a work array that holds
+    tanh(v2c / 2) in check layout while ``_leave_one_out`` reads it, then
+    c2v in variable layout for the variable update (zero before the
+    first check update). The channel and the posteriors are in class
+    order; hard decisions and posteriors leave in column order."""
 
     def __init__(self, dec: Decoder, chan: np.ndarray):
         self.dec = dec
         F, E = chan.shape[0], dec.code.n_edges
-        self.chan = chan[:, :, 1] - chan[:, :, 0]  # (F, n)
-        self.c2v = np.zeros((F, E))
+        self.chan = np.take(chan[:, :, 1] - chan[:, :, 0], dec._col_order, axis=1)
         self.v2c = np.empty((F, E))
-        self.post = self.chan
+        self.c2v = np.empty((F, E))
+        self.work = np.zeros((F, E))
+        # the running suffix of the widest check class
+        self.suffix = np.empty(F * max(C for _j, C, _s in dec._bchk))
 
     def step(self, it: int) -> tuple[np.ndarray, np.ndarray]:
+        """Check update (after iteration 0), variable update, then hard
+        decisions in column order and the unsatisfied checks per frame."""
+        dec = self.dec
         if it:
             self._check_update()
         self._var_update()
         hard = self.post < 0
-        unsat = np.zeros(hard.shape[0], dtype=np.int64)
-        for _idx, cols in self.dec._bchk:
-            unsat += np.count_nonzero(np.bitwise_xor.reduce(hard[:, cols], axis=-1), axis=-1)
-        return hard, unsat
+        bits = np.take(hard, dec._chk_cols, axis=1)  # check layout
+        F = len(bits)
+        unsat = np.zeros(F, dtype=np.int64)
+        for j, C, s in dec._bchk:
+            par = np.bitwise_xor.reduce(bits[:, s: s + j * C].reshape(F, j, C), axis=1)
+            unsat += np.count_nonzero(par, axis=-1)
+        return np.take(hard, dec._col_pos, axis=1), unsat
 
     def write_posteriors(self, out: np.ndarray, active: np.ndarray) -> None:
-        out[active, :, 1] = self.post
+        out[active, :, 1] = np.take(self.post, self.dec._col_pos, axis=1)
 
     def keep(self, mask: np.ndarray) -> None:
         if mask.all():  # row selection would only copy
             return
-        self.c2v, self.v2c = self.c2v[mask], self.v2c[mask]
-        self.chan = self.chan[mask]
+        self.v2c, self.chan = self.v2c[mask], self.chan[mask]
+        # c2v and the work array are written in full before they are read
+        F = len(self.v2c)
+        self.c2v, self.work = self.c2v[:F], self.work[:F]
 
     def _var_update(self) -> None:
-        """Variable update on (F, E) LLRs and the (F, n) posteriors."""
-        c2v, v2c = self.c2v, self.v2c
+        """Variable update on (F, E) LLRs, each variable class a (C, i)
+        block of the work array, and the (F, n) posteriors."""
+        c2v, v2c = self.work, self.v2c
         F = c2v.shape[0]
-        post = self.chan.copy()
-        for cols, start, i in self.dec._bvar:
-            stop = start + len(cols) * i
-            inc = c2v[:, start:stop].reshape(F, len(cols), i)
-            tot = post[:, cols] + inc.sum(axis=-1)
-            post[:, cols] = tot
-            np.subtract(tot[..., None], inc, out=v2c[:, start:stop].reshape(F, len(cols), i))
+        post = np.empty_like(self.chan)
+        for i, C, c0, s in self.dec._bvar:
+            inc = c2v[:, s: s + C * i].reshape(F, C, i)
+            tot = np.add(self.chan[:, c0: c0 + C], inc.sum(axis=-1), out=post[:, c0: c0 + C])
+            np.subtract(tot[..., None], inc, out=v2c[:, s: s + C * i].reshape(F, C, i))
         np.clip(v2c, -MSG_CLIP, MSG_CLIP, out=v2c)
         self.post = post
 
     def _check_update(self) -> None:
-        """Tanh rule with leave-one-out prefix and suffix products."""
-        c2v = self.c2v
-        t = np.tanh(0.5 * self.v2c)
-        for idx, _cols in self.dec._bchk:
-            tt = t[:, idx]                                     # (F, C, j)
-            loo = np.ones_like(tt)
-            np.cumprod(tt[..., :-1], axis=-1, out=loo[..., 1:])
-            suff = np.cumprod(tt[..., :0:-1], axis=-1)[..., ::-1]
-            loo[..., :-1] *= suff
-            c2v[:, idx] = loo
+        """Tanh rule: ``_leave_one_out`` takes the prefix and suffix
+        products over the (F, C) slabs of each check class's (j, C) block
+        and writes them into c2v."""
+        dec, t, c2v = self.dec, self.work, self.c2v
+        F = t.shape[0]
+        # every index is in range; "clip" only lets take fill its output
+        # without a temporary
+        np.take(self.v2c, dec._to_chk, axis=1, out=t, mode="clip")
+        t *= 0.5
+        np.tanh(t, out=t)
+        for j, C, s in dec._bchk:
+            blk = slice(s, s + j * C)
+            _leave_one_out(t[:, blk].reshape(F, j, C).transpose(0, 2, 1),
+                           c2v[:, blk].reshape(F, j, C).transpose(0, 2, 1), self.suffix)
         cap = math.tanh(0.5 * MSG_CLIP)
         np.clip(c2v, -cap, cap, out=c2v)
         np.arctanh(c2v, out=c2v)
         c2v *= 2.0
         np.clip(c2v, -MSG_CLIP, MSG_CLIP, out=c2v)
+        np.take(c2v, dec._to_var, axis=1, out=self.work, mode="clip")
 
 
 class _VectorRun:

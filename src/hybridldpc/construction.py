@@ -123,6 +123,14 @@ def _coin_search(target: int, moves: list, counts: dict, max_moves: int):
     return seen.get(target)
 
 
+def _total_bits(groups: np.ndarray) -> int:
+    """Bits carried by symbols of the given group orders: one
+    ``bits_per_symbol`` call per distinct order, which raises on an
+    invalid one."""
+    orders, counts = np.unique(np.asarray(groups), return_counts=True)
+    return sum(bits_per_symbol(int(q)) * int(k) for q, k in zip(orders, counts))
+
+
 @dataclass
 class HybridParityCheck:
     """Sparse hybrid parity-check structure.
@@ -155,11 +163,11 @@ class HybridParityCheck:
 
     @property
     def n_bits(self) -> int:
-        return int(sum(bits_per_symbol(int(q)) for q in self.var_groups))
+        return _total_bits(self.var_groups)
 
     @property
     def info_bits(self) -> int:
-        return int(sum(bits_per_symbol(int(q)) for q in self.var_groups[: self.n_info]))
+        return _total_bits(self.var_groups[: self.n_info])
 
     def rate(self) -> float:
         return self.info_bits / self.n_bits
@@ -491,8 +499,7 @@ def _plan(ens: Ensemble, n_bits: int) -> _Layout:
 def built_length(ens: Ensemble, n_bits: int) -> int:
     """Codeword bits of ``build_code(ens, n_bits, seed)`` for every seed,
     from the length rule alone: no graph is drawn."""
-    lay = _plan(ens, n_bits)
-    return int(sum(bits_per_symbol(int(q)) for q in lay.var_groups))
+    return _total_bits(_plan(ens, n_bits).var_groups)
 
 
 def build_code(ens: Ensemble, n_bits: int, seed: int) -> HybridParityCheck:

@@ -316,11 +316,27 @@ def posterior_llrs_to_probs(post: np.ndarray, var_groups: np.ndarray) -> np.ndar
 # reference binary sum-product decoder (scalar tanh rule)
 
 
+def edges_by_degree(node: np.ndarray, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Edges of ``count`` nodes grouped by node degree: one (nodes, edges)
+    pair per degree present, ``edges`` an (N, degree) array whose row c
+    lists the edges of ``nodes[c]`` in ascending edge index."""
+    deg = np.bincount(node, minlength=count)
+    by_node = np.argsort(node, kind="stable")
+    start = np.cumsum(deg) - deg
+    groups = []
+    for d in np.unique(deg[deg > 0]).tolist():
+        nodes = np.flatnonzero(deg == d)
+        groups.append((nodes, by_node[start[nodes, None] + np.arange(d)]))
+    return groups
+
+
 class ReferenceBinaryBP:
     """Flooding sum-product decoder for an all-binary code.
 
-    Scalar LLR messages and the explicit tanh product rule: no shared
-    machinery with the vector decoder beyond the graph itself.
+    Scalar LLR messages and the explicit tanh product rule, over rows and
+    columns grouped by degree: each group's messages are one (F, nodes,
+    degree) array. No shared machinery with the package decoder beyond
+    the graph itself.
     """
 
     def __init__(self, code: HybridParityCheck, max_iter: int = 100):
@@ -328,20 +344,17 @@ class ReferenceBinaryBP:
             raise ValueError("reference decoder handles binary codes only")
         self.code = code
         self.max_iter = max_iter
-        self.row_edges = [
-            np.nonzero(code.edge_row == r)[0] for r in range(code.m)
-        ]
-        self.col_edges = [
-            np.nonzero(code.edge_col == c)[0] for c in range(code.n)
-        ]
+        self.row_edges = [edges for _rows, edges in edges_by_degree(code.edge_row, code.m)]
+        self.row_cols = [code.edge_col[edges] for edges in self.row_edges]
+        self.col_groups = edges_by_degree(code.edge_col, code.n)
         self.edge_col = code.edge_col
 
     def _check_pass(self, v2c: np.ndarray) -> np.ndarray:
         c2v = np.empty_like(v2c)
         t = np.tanh(np.clip(v2c, -30.0, 30.0) / 2.0)
         for edges in self.row_edges:
-            sub = t[:, edges]
-            j = len(edges)
+            sub = t[:, edges.T]  # (F, j, rows)
+            j = edges.shape[1]
             pref = np.ones_like(sub)
             for d in range(1, j):
                 pref[:, d] = pref[:, d - 1] * sub[:, d - 1]
@@ -349,21 +362,20 @@ class ReferenceBinaryBP:
             for d in range(j - 2, -1, -1):
                 suff[:, d] = suff[:, d + 1] * sub[:, d + 1]
             prod = np.clip(pref * suff, -1.0 + 1e-15, 1.0 - 1e-15)
-            c2v[:, edges] = 2.0 * np.arctanh(prod)
+            c2v[:, edges.T] = 2.0 * np.arctanh(prod)
         return c2v
 
     def _var_pass(self, chan: np.ndarray, c2v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         total = chan.copy()
-        for c, edges in enumerate(self.col_edges):
-            total[:, c] += c2v[:, edges].sum(axis=1)
+        for cols, edges in self.col_groups:
+            total[:, cols] += c2v[:, edges].sum(axis=-1)
         v2c = total[:, self.edge_col] - c2v
         return v2c, total
 
     def _syndrome_ok(self, hard: np.ndarray) -> np.ndarray:
         ok = np.ones(hard.shape[0], dtype=bool)
-        for r, edges in enumerate(self.row_edges):
-            cols = self.edge_col[edges]
-            ok &= hard[:, cols].sum(axis=1) % 2 == 0
+        for cols in self.row_cols:
+            ok &= (hard[:, cols].sum(axis=-1) % 2 == 0).all(axis=-1)
         return ok
 
     def decode(self, chan: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -389,6 +401,97 @@ class ReferenceBinaryBP:
             keep = ~ok
             active, v2c, ch = active[keep], v2c[keep], ch[keep]
         return out, success, used
+
+
+class CumprodBinaryDecoder:
+    """The package decoder's scalar path for all-binary codes, written
+    with ``np.cumprod``: (frame, edge) LLR arrays in one layout, each
+    variable class a (C, i) block of a frame's row, and per check class an
+    (F, C, j) gather, prefix products by ``np.cumprod``, suffix products
+    by ``np.cumprod`` of the reversed factors, and a scatter. The
+    decoder's leave-one-out kernel multiplies in the same order, so the
+    two agree bit for bit; ``decode`` returns what ``Decoder.decode``
+    returns on the scalar path."""
+
+    def __init__(self, code: HybridParityCheck, max_iter: int = 100):
+        if set(np.unique(code.var_groups)) != {2}:
+            raise ValueError("reference decoder handles binary codes only")
+        col_classes, row_classes = code.node_classes
+        slot = np.empty(code.n_edges, dtype=np.int64)
+        self.var = []
+        pos = 0
+        for i, _q, cols, edges in col_classes:
+            slot[edges.ravel()] = np.arange(pos, pos + edges.size)
+            self.var.append((cols, pos, i))
+            pos += edges.size
+        self.chk = [(slot[edges], code.edge_col[edges]) for *_k, edges in row_classes]
+        self.code = code
+        self.max_iter = max_iter
+
+    def _var_update(self, chan: np.ndarray, c2v: np.ndarray, v2c: np.ndarray) -> np.ndarray:
+        F = len(c2v)
+        post = chan.copy()
+        for cols, start, i in self.var:
+            stop = start + len(cols) * i
+            inc = c2v[:, start:stop].reshape(F, len(cols), i)
+            tot = post[:, cols] + inc.sum(axis=-1)
+            post[:, cols] = tot
+            np.subtract(tot[..., None], inc, out=v2c[:, start:stop].reshape(F, len(cols), i))
+        np.clip(v2c, -MSG_CLIP, MSG_CLIP, out=v2c)
+        return post
+
+    def _check_update(self, v2c: np.ndarray, c2v: np.ndarray) -> None:
+        t = np.tanh(0.5 * v2c)
+        for idx, _cols in self.chk:
+            tt = t[:, idx]  # (F, C, j)
+            loo = np.ones_like(tt)
+            np.cumprod(tt[..., :-1], axis=-1, out=loo[..., 1:])
+            suff = np.cumprod(tt[..., :0:-1], axis=-1)[..., ::-1]
+            loo[..., :-1] *= suff
+            c2v[:, idx] = loo
+        cap = math.tanh(0.5 * MSG_CLIP)
+        np.clip(c2v, -cap, cap, out=c2v)
+        np.arctanh(c2v, out=c2v)
+        c2v *= 2.0
+        np.clip(c2v, -MSG_CLIP, MSG_CLIP, out=c2v)
+
+    def decode(self, chan_llr: np.ndarray, want_posteriors: bool = False,
+               early_stop: bool = True) -> DecodeResult:
+        """Channel LLRs of shape (F, n, 2); posteriors report L(1) - L(0)
+        in component 1."""
+        chan = np.asarray(chan_llr, dtype=np.float64)
+        F, n, E = chan.shape[0], self.code.n, self.code.n_edges
+        ch = chan[:, :, 1] - chan[:, :, 0]
+        c2v, v2c = np.zeros((F, E)), np.empty((F, E))
+        symbols = np.zeros((F, n), dtype=np.int64)
+        success = np.zeros(F, dtype=bool)
+        used = np.full(F, self.max_iter, dtype=np.int64)
+        post_out = np.zeros((F, n, 2)) if want_posteriors else None
+        active = np.arange(F)
+        n_active, n_unsat = [], []
+        for it in range(self.max_iter + 1):
+            if it:
+                self._check_update(v2c, c2v)
+            post = self._var_update(ch, c2v, v2c)
+            hard = post < 0
+            unsat = sum(np.count_nonzero(np.bitwise_xor.reduce(hard[:, cols], axis=-1), axis=-1)
+                        for _idx, cols in self.chk)
+            ok = unsat == 0
+            n_active.append(len(active))
+            n_unsat.append(int(unsat.sum()))
+            symbols[active] = hard
+            if want_posteriors:
+                post_out[active, :, 1] = post
+            used[active[ok & ~success[active]]] = it
+            success[active[ok]] = True
+            if early_stop and it < self.max_iter:
+                keep = ~ok
+                active = active[keep]
+                if not len(active):
+                    break
+                c2v, v2c, ch = c2v[keep], v2c[keep], ch[keep]
+        return DecodeResult(symbols, success, used, np.array(n_active),
+                            np.array(n_unsat), post_out)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from hybridldpc.ensembles import Ensemble, fixture_path
 from hybridldpc.groups import SymbolMap
 
 from oracles import (
+    CumprodBinaryDecoder,
     ReferenceBinaryBP,
     ReferenceVectorDecoder,
     bits_to_symbols,
@@ -44,6 +45,9 @@ from oracles import (
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# build_code(r12_binary_irregular, 3008, seed=1), the code of the
+# benchmark's binary campaign point
+BINARY_3008 = os.path.join(ROOT, "perfbench", "codes", "r12_binary_irregular_3008_seed1.alist")
 
 
 def small_hybrid() -> Ensemble:
@@ -666,6 +670,35 @@ def test_binary_posteriors_do_not_depend_on_early_stop():
         assert np.array_equal(on.symbols[still], off.symbols[still])
 
 
+@pytest.mark.parametrize("source", ["shipped_3008", "binary_regular36"])
+def test_scalar_binary_path_bit_identical_to_cumprod_reference(source):
+    # The scalar check update runs the shared leave-one-out kernel over
+    # (j, C) blocks, and the variable update sums each column's messages
+    # in a (C, i) block: the same products and sums, in the same order,
+    # as the cumprod reference, so every output is equal bit for bit.
+    # Frames converge after different numbers of iterations, or fail.
+    if source == "shipped_3008":
+        code = load_code(BINARY_3008)
+        with open(fixture_path("designs")) as fh:
+            ebn0 = json.load(fh)["r12_binary_irregular"]["threshold_ebn0_db"] + 0.7
+    else:
+        code = build_code(binary_regular36(), 1024, seed=12)
+        ebn0 = 2.0
+    params = ChannelParams.from_ebn0_db(ebn0, code.rate())
+    y = transmit(np.zeros((16, code.n_bits), dtype=np.int64), params, np.random.default_rng(11))
+    chan = channel_llrs(code, y, params)
+    dec = Decoder(code, max_iter=30)
+    ref = CumprodBinaryDecoder(code, max_iter=30)
+    assert dec.binary
+    for early_stop in (True, False):
+        a = dec.decode(chan, want_posteriors=True, early_stop=early_stop)
+        b = ref.decode(chan, want_posteriors=True, early_stop=early_stop)
+        assert a.success.any() and not a.success.all()
+        assert_same_decode(a, b)
+    its = a.iterations[a.success]
+    assert its.min() < its.max()
+
+
 def test_vector_decoder_bit_identical_on_tree_codes(rng):
     # orders 2, 4 and 8 mixed within a row, so group-4 messages sit in
     # group-8 checks
@@ -755,4 +788,35 @@ def test_nan_channel_llrs_are_rejected():
     chan = np.zeros((1, binary.n, 2))
     chan[0, 3, 1] = np.nan
     with pytest.raises(ValueError, match="frame 0, column 3 hold NaN"):
+        scalar.decode(chan)
+
+
+def test_infinite_channel_llrs_are_rejected():
+    # An infinite LLR turns messages into NaN (inf - inf), and the frame
+    # then decodes as a false success: on the vector path one G(8) column
+    # at +inf on every component, or at -inf on one, made frame 0 report
+    # the all-zero word after 3 iterations; on the scalar path a column at
+    # +inf in both components passed at iteration 0
+    code, chan = fixture_frames("r12_hybrid_g8g2", 2)
+    dec = Decoder(code, max_iter=16)
+    col = int(np.flatnonzero(code.var_groups == 8)[0])
+    for value, comps in ((np.inf, slice(0, 8)), (-np.inf, slice(3, 4))):
+        bad = chan.copy()
+        bad[0, col, comps] = value
+        with pytest.raises(ValueError, match=f"frame 0, column {col} hold an infinite value"):
+            dec.decode(bad)
+    # PAD beyond each G(2) column's order is valid input
+    assert np.any(chan == codec.PAD)
+    assert dec.decode(chan).success[-1]
+    binary = load_code(BINARY_3008)
+    scalar = Decoder(binary, max_iter=4)
+    assert scalar.binary
+    chan = np.zeros((2, binary.n, 2))
+    chan[..., 1] = 2.0
+    chan[1, 5] = np.inf
+    with pytest.raises(ValueError, match="frame 1, column 5 hold an infinite value"):
+        scalar.decode(chan)
+    # NaN is named before an infinite value at the same column
+    chan[1, 5, 0] = np.nan
+    with pytest.raises(ValueError, match="frame 1, column 5 hold NaN"):
         scalar.decode(chan)

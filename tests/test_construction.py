@@ -316,6 +316,20 @@ def test_build_code_reports_built_length():
     assert built_length(ens, 1024) == 1020
 
 
+def test_bit_counts_follow_the_column_orders():
+    code = build_code(small_hybrid(), 512, seed=0)
+    bits = [bits_per_symbol(int(q)) for q in code.var_groups]
+    assert code.n_bits == sum(bits) and code.info_bits == sum(bits[: code.n_info])
+    assert len(np.unique(code.var_groups[: code.n_info])) > 1
+    # an invalid order raises as bits_per_symbol does
+    bad = HybridParityCheck(
+        var_groups=np.array([2, 6, 8]), check_groups=np.array([8]), n_info=2,
+        edge_row=np.array([0]), edge_col=np.array([2]), edge_maps=[identity_map(8)])
+    for prop in ("n_bits", "info_bits"):
+        with pytest.raises(ValueError, match="power of two in \\[2, 256\\], got 6"):
+            getattr(bad, prop)
+
+
 def test_build_code_refuses_unhostable_ensemble():
     # group 16 would host 0.55 of the redundancy nodes but holds 0.375
     ens = Ensemble.from_factored(
