@@ -50,6 +50,16 @@ def _positive(text: str) -> float:
     return float(text)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise _BadValue(f"{text!r} is not a positive integer")
+    return value
+
+
 def _read_frames(path: str, width: int, kind=np.int64) -> np.ndarray:
     data = np.loadtxt(path, dtype=kind, ndmin=2)
     if data.shape[1] != width:
@@ -214,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     chan = p.add_mutually_exclusive_group(required=True)
     chan.add_argument("--sigma", type=float)
     chan.add_argument("--ebn0-db", type=float)
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--max-iter", type=_positive_int, default=100)
     p.add_argument("--out", default="-")
     p.set_defaults(fn=_cmd_decode)
 
@@ -236,13 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=None,
                    help="rate used for the Eb/N0 conversion "
                         "(default: information bits / codeword bits)")
-    p.add_argument("--max-iter", type=int, default=campaign.max_iter)
+    p.add_argument("--max-iter", type=_positive_int, default=campaign.max_iter)
     p.add_argument("--min-frame-errors", type=int, default=campaign.min_frame_errors)
     p.add_argument("--max-frames", type=int, default=campaign.max_frames)
-    p.add_argument("--chunk-frames", type=int, default=campaign.chunk_frames)
+    p.add_argument("--chunk-frames", type=_positive_int, default=campaign.chunk_frames)
     p.add_argument("--seed", type=int, default=campaign.seed)
     p.add_argument("--random-codewords", action="store_true")
-    p.add_argument("--workers", type=int, default=campaign.workers)
+    p.add_argument("--workers", type=_positive_int, default=campaign.workers)
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(fn=_cmd_simulate)
     return ap

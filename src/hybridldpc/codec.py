@@ -19,9 +19,11 @@ decisions are the argmax of the full product. Messages are batched over
 frames and over node classes that share a degree and group pair.
 
 Both message directions live at each variable's own order, in one
-(F, width) array each: variable classes in turn, each a (C, degree,
-q_k) block of a frame's row, so a G(8) edge carries 8 values in a
-G(256) check. The variable-to-check row has one more slot, always zero.
+(F, width) array each: variable classes in turn, each a degree-major
+(degree, C, q_k) block of a frame's row, so that the d-th edges of a
+class's columns form one contiguous (C, q_k) slab, and a G(8) edge
+carries 8 values in a G(256) check. The variable-to-check row has one
+more slot, always zero.
 
 The check group's width exists only inside one block of the check walk,
 at most CHECK_BLOCK values: a run of checks of one class, for one frame
@@ -29,41 +31,51 @@ or, when a class is narrower, for a few frames. An index fixed when the
 decoder is built gathers the block as (frames, order, checks, j), the
 zero slot outside each edge's image, so that the transform is at most
 two BLAS matmuls by a Hadamard matrix of 16 points or fewer, over
-contiguous runs of the checks' components; a second index pair
-writes each edge's image components of the result into the
-check-to-variable row. The variable update runs in blocks of the same
-size: a few frames of a variable class, or a run of its columns in one
-frame. Each block first conditions its check results (scaled to a
-largest component of 1, floored), then forms its outgoing messages, so
-that the few passes over a block stay close to the cache. The channel
-enters as probabilities computed once per decode; posterior LLRs are
-computed only when asked for, and only they and ``channel_llrs`` are
-padded to the largest group order.
+contiguous runs of the checks' components. The inverse transform's last
+matmul writes its transpose, so that each edge's result is one run of
+the check's order. An edge whose map is the identity (equal orders)
+takes its run whole: one row assignment per variable class copies all
+of a block's such runs into the check-to-variable row. Only an edge that
+embeds a smaller group reads its image components through an index
+pair. The variable update runs in blocks of the same size: a few frames
+of a variable class, or a run of its columns in one frame, its products
+taken over the (C, q_k) slabs of each degree. Each block first
+conditions its check results (scaled to a largest component of 1,
+floored), then forms its outgoing messages, so that the few passes over
+a block stay close to the cache. The channel enters as probabilities
+computed once per decode; posterior LLRs are computed only when asked
+for, and only they and ``channel_llrs`` are padded to the largest group
+order.
 
 BLAS sums each transform output in an order that depends on the
-block's column count, checks x j. A fixed-seed decode is therefore
-reproducible bit for bit for a given CHECK_BLOCK, whatever the number
-of frames decoded together, and gives the same bits with one or two
-BLAS threads; it moves at the rounding level if CHECK_BLOCK changes.
+block's column count, checks x j, and on whether it writes the
+transpose; blocks of fewer than _EDGE_MAJOR_COLUMNS columns keep the
+order-major inverse. A fixed-seed decode is therefore reproducible bit
+for bit for a given CHECK_BLOCK, whatever the number of frames decoded
+together, and gives the same bits with one or two BLAS threads; it
+moves at the rounding level if CHECK_BLOCK changes.
 
 On an all-binary graph the same sum-product messages are scalar LLRs,
 and the decoder runs them directly: the check update is the tanh rule,
 which is the q = 2 Walsh Hadamard transform written out. Its messages
 live in two layouts of a frame's row. In variable layout each variable
-class is a (C, i) block, with columns renumbered in class order; in
+class is an (i, C) block, with columns renumbered in class order; in
 check layout each check class is a (j, C) block. One ``np.take`` per
-direction moves a row between them, and the check update's
-leave-one-out products run over contiguous (F, C) slabs. One kernel,
-``_leave_one_out``, forms those products, the vector check update's
-(in ``loo_convolve``) and the vector variable update's. Both paths cap
-every message at MSG_CLIP: the vector path as a floor at e^-MSG_CLIP
-times each message's largest component, which lands on the same
-components under any relabeling of the transmitted codeword.
+direction moves a row between them, and both updates run over
+contiguous (F, C) slabs: the variable update sums a column's messages
+in the order numpy would, and the check update takes leave-one-out
+products. One kernel, ``_leave_one_out``, forms those products, the
+vector check update's (in ``loo_convolve``) and the vector variable
+update's, writing each product where it is kept. Both paths cap every
+message at MSG_CLIP: the vector path as a floor at e^-MSG_CLIP times
+each message's largest component, which lands on the same components
+under any relabeling of the transmitted codeword.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -89,8 +101,8 @@ MSG_CLIP = math.log(1.0 / (2.0**10 * np.finfo(np.float64).eps))
 _MSG_FLOOR = math.exp(-MSG_CLIP)
 
 # Float64 values in one block of the check walk, frames x order x checks
-# x j, and at most in one block of the variable update, frames x columns
-# x degree x order, unless a single column is wider: 768 KiB, so that the
+# x j, and at most in one block of the variable update, frames x degree
+# x columns x order, unless a single column is wider: 768 KiB, so that the
 # two buffers a transform matmul reads and writes stay in a 2 MiB L2
 # cache.
 CHECK_BLOCK = 98_304
@@ -107,38 +119,55 @@ __all__ = [
 ]
 
 
-def _hadamard(q: int) -> np.ndarray:
+def _hadamard(q: int, divisor: int = 1) -> np.ndarray:
     """Read-only q x q Sylvester Hadamard matrix, H_2n = [[H_n, H_n],
-    [H_n, -H_n]]: entry (i, k) is (-1)^popcount(i & k)."""
+    [H_n, -H_n]], divided by ``divisor``: entry (i, k) is
+    (-1)^popcount(i & k) / divisor."""
     h = np.ones((1, 1))
     while len(h) < q:
         h = np.block([[h, h], [h, -h]])
+    h /= divisor
     h.flags.writeable = False
     return h
 
 
-# the factors of every transform: H_q = H_16 (x) H_(q/16) above 16 points
+# the factors of every transform: H_q = H_16 (x) H_(q/16) above 16 points;
+# the inverse's are H_q / q, so that it needs no scaling pass (exact: q is
+# a power of two)
 _HADAMARD = {q: _hadamard(q) for q in (1, 2, 4, 8, 16)}
+_INVERSE = {q: _hadamard(q, q) for q in _HADAMARD}
+
+# Fewest columns per block at which the inverse transform writes its
+# result component-last. A narrower block gains nothing from it, and its
+# order-major product keeps the bits of the scaled forward transform
+# (BLAS sums a transposed product in another order at 2-4 columns).
+_EDGE_MAJOR_COLUMNS = 8
 
 
 def walsh_hadamard(x: np.ndarray, axis: int = -1,
-                   work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                   work: tuple[np.ndarray, np.ndarray] | None = None,
+                   inverse: bool = False) -> np.ndarray:
     """Unnormalized Walsh Hadamard transform along one axis.
 
     Self-inverse up to the factor q: applying it twice multiplies by the
     axis length, which must be a power of two. The input is not modified.
-    The result is a C-ordered array of the input's shape. On the (outer,
-    q, rest) view, a length of at most 16 is one matmul by H_q. A longer
-    one is H_16 over the four leading bits of the index, a (16, rest)
-    product for each value of the others, then H_(q/16) over the others,
-    since H_q is their Kronecker product. The matmuls
-    run in BLAS, which sums each output in an order of its own: values
-    agree with a butterfly transform to rounding, and a block's bits
-    depend on its column count, ``rest`` (BLAS tail kernels), but not on
-    ``outer``. ``work`` is an optional pair of flat float64 buffers of
-    at least ``x.size`` elements, neither overlapping ``x``; the matmuls
-    then write into them instead of new arrays, and the result is a view
-    of one of them.
+    The result has the input's shape. On the (outer, q, rest) view, a
+    length of at most 16 is one matmul by H_q. A longer one is H_16 over
+    the four leading bits of the index, a (16, rest) product for each
+    value of the others, then H_(q/16) over the others, since H_q is
+    their Kronecker product. The matmuls run in BLAS, which sums each
+    output in an order of its own: values agree with a butterfly
+    transform to rounding, and a block's bits depend on its column
+    count, ``rest`` (BLAS tail kernels), but not on ``outer``.
+
+    With ``inverse`` the factors are divided by their orders, so the
+    result is the transform divided by q, and, from _EDGE_MAJOR_COLUMNS
+    columns on, the last matmul writes its transpose: the result is then
+    a view of a C-ordered (outer, rest, q) array, each column's q values
+    one contiguous run. Otherwise it is C-ordered. ``work`` is an
+    optional pair of flat float64 buffers of at least ``x.size``
+    elements, neither overlapping ``x``; the matmuls then write into
+    them instead of new arrays, and the result is a view of one of them.
     """
     x = np.asarray(x, dtype=np.float64)
     axis = axis % x.ndim
@@ -151,48 +180,53 @@ def walsh_hadamard(x: np.ndarray, axis: int = -1,
     rest = math.prod(x.shape[axis + 1:])
     lead = min(q, 16)
     low = q // lead
+    factors = _INVERSE if inverse else _HADAMARD
+    edge_major = inverse and rest >= _EDGE_MAJOR_COLUMNS
+
+    def view(buf: np.ndarray, transposed: bool) -> np.ndarray:
+        """(outer, lead, low, rest) view of ``buf``, component-last in
+        memory if ``transposed``."""
+        if transposed:
+            return buf[: x.size].reshape(outer, rest, lead, low).transpose(0, 2, 3, 1)
+        return buf[: x.size].reshape(outer, lead, low, rest)
+
     # one (lead, rest) product per value of the low bits: BLAS runs these
     # strided products faster than one (lead, low * rest) product
-    shape = (outer, lead, low, rest)
-    out = work[0][: x.size].reshape(shape)
-    np.matmul(_HADAMARD[lead], x.reshape(shape).transpose(0, 2, 1, 3),
+    out = view(work[0], edge_major and low == 1)
+    np.matmul(factors[lead], x.reshape(outer, lead, low, rest).transpose(0, 2, 1, 3),
               out=out.transpose(0, 2, 1, 3))
     if low > 1:
-        src = out.reshape(outer * lead, low, rest)
-        out = work[1][: x.size].reshape(src.shape)
-        np.matmul(_HADAMARD[low], src, out=out)
-    return out.reshape(x.shape)
+        src, out = out, view(work[1], edge_major)
+        np.matmul(factors[low], src, out=out)
+    return out.reshape(outer, q, rest).reshape(x.shape)
 
 
-def _leave_one_out(fac: np.ndarray, out: np.ndarray, buf: np.ndarray | None = None,
+def _leave_one_out(fac: np.ndarray, out: np.ndarray,
                    seed: np.ndarray | None = None) -> None:
     """Leave-one-out products along the last axis, of length j: position
     d of ``out`` receives ``seed``, if given, times every factor in
     ``fac`` but the d-th, by prefix and suffix products, so no division
-    is involved. ``buf``, a flat float64 array of at least one slice
-    along that axis, holds the running suffix when j > 2."""
+    is involved. Each product is written where it is kept: the prefixes
+    s_0 ... s_(d-1) left to right into ``out``, then the suffixes s_(j-1)
+    ... s_(d+1) right to left, running in position 0, which they reach
+    last. ``out`` must not overlap ``fac``."""
     j = fac.shape[-1]
     if j == 1:
         out[..., 0] = 1.0 if seed is None else seed
         return
-    # prefixes s_0 ... s_(d-1) left to right, then each times the suffix
-    # s_(j-1) ... s_(d+1) built right to left
-    if seed is None:
-        out[..., 1] = fac[..., 0]
-    else:
-        np.multiply(seed, fac[..., 0], out=out[..., 1])
+    # the first prefix: s_0 itself, or the seed times s_0 in position 1
+    first = fac[..., 0] if seed is None else np.multiply(seed, fac[..., 0], out=out[..., 1])
     for d in range(2, j):
-        np.multiply(out[..., d - 1], fac[..., d - 1], out=out[..., d])
+        np.multiply(first if d == 2 else out[..., d - 1], fac[..., d - 1], out=out[..., d])
     suff = fac[..., j - 1]
-    if j > 2:
-        buf = (np.empty(suff.size) if buf is None else buf)[: suff.size].reshape(suff.shape)
     for d in range(j - 2, 0, -1):
-        out[..., d] *= suff
-        suff = np.multiply(suff, fac[..., d], out=buf)
-    if seed is None:
+        np.multiply(first if d == 1 else out[..., d], suff, out=out[..., d])
+        suff = np.multiply(suff, fac[..., d], out=out[..., 0])
+    if seed is not None:
+        np.multiply(suff, seed, out=out[..., 0])
+    elif j == 2:
         out[..., 0] = suff
-    else:
-        np.multiply(seed, suff, out=out[..., 0])
+        out[..., 1] = first
 
 
 def loo_convolve(probs: np.ndarray, axis: int = -1,
@@ -201,11 +235,14 @@ def loo_convolve(probs: np.ndarray, axis: int = -1,
 
     ``axis`` is the component axis, of length q; the leave-one-out axis
     is the last of the other axes, so the default takes shape (..., j, q).
-    The result, a C-ordered array of the input's shape, holds at position
-    d of that axis the convolution under component-wise XOR of the other
-    j - 1 vectors. Products are taken in the transform domain with
-    prefix/suffix accumulation, so no division is involved. ``work`` is
-    an optional (4, n) float64 array, n at least ``probs.size``, not
+    The result, of the input's shape, holds at position d of that axis
+    the convolution under component-wise XOR of the other j - 1 vectors.
+    Products are taken in the transform domain with prefix/suffix
+    accumulation, so no division is involved. The inverse transform
+    leaves each vector's q values one contiguous run in memory when
+    there are _EDGE_MAJOR_COLUMNS or more of them for each index of the
+    axes before ``axis`` (see ``walsh_hadamard``). ``work`` is an
+    optional (3, n) float64 array, n at least ``probs.size``, not
     overlapping ``probs``: the transforms and products then run in it,
     and the result is a view into it, valid until the next call with the
     same ``work``.
@@ -213,15 +250,13 @@ def loo_convolve(probs: np.ndarray, axis: int = -1,
     probs = np.asarray(probs, dtype=np.float64)
     axis = axis % probs.ndim
     if work is None:
-        work = np.empty((4, probs.size))
+        work = np.empty((3, probs.size))
     pair = (work[0], work[1])
     loo = probs.ndim - 2 if axis == probs.ndim - 1 else probs.ndim - 1
     spec_t = walsh_hadamard(probs, axis, work=pair)
     prod_t = work[2][: spec_t.size].reshape(spec_t.shape)
-    _leave_one_out(np.moveaxis(spec_t, loo, -1), np.moveaxis(prod_t, loo, -1), work[3])
-    out = walsh_hadamard(prod_t, axis, work=pair)
-    out *= 1.0 / probs.shape[axis]  # exact: q is a power of two
-    return out
+    _leave_one_out(np.moveaxis(spec_t, loo, -1), np.moveaxis(prod_t, loo, -1))
+    return walsh_hadamard(prod_t, axis, work=pair, inverse=True)
 
 
 def symbols_to_bits(code: HybridParityCheck, symbols: np.ndarray) -> np.ndarray:
@@ -324,10 +359,15 @@ def _frames_per_block(width: int) -> int:
 class _CheckClass(NamedTuple):
     edges: np.ndarray         # (C, j)
     cols: np.ndarray          # (C, j) column of each edge
-    # per block of checks, for each of up to G frames in turn:
-    # - (G, order, checks, j) v2c positions from the block's first row;
-    # - (G, k) flat positions of the edges' image components in the
-    #   block, and (G, k) the c2v positions they go to
+    # per block of checks:
+    # - (G, order, checks, j) v2c positions from the block's first row,
+    #   for each of up to G frames in turn;
+    # - per variable class with identity-map edges in the block, the
+    #   class's slice of a c2v row, its order, and the message rows of
+    #   those edges with the rows of the block's (checks x j, order)
+    #   result they copy;
+    # - for the other edges, the flat positions in that result of their
+    #   image components and the c2v positions they go to, or None
     blocks: list
 
 
@@ -346,15 +386,16 @@ def _condition(p: np.ndarray) -> None:
 
 
 def _var_products(ch: np.ndarray, inc: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Variable update of (F, C, i, q) incoming probabilities ``inc`` and
-    (F, C, q) channel probabilities ``ch``: ``out`` receives on each edge
-    the channel times the other edges' messages, as leave-one-out prefix
-    and suffix products, then scaled to a largest component of 1 and
-    floored at _MSG_FLOOR. Returns the (F, C, q) product of the channel
-    and every incoming message."""
-    _leave_one_out(np.moveaxis(inc, 2, -1), np.moveaxis(out, 2, -1), seed=ch)
+    """Variable update of (F, i, C, q) incoming probabilities ``inc``,
+    degree-major, and (F, C, q) channel probabilities ``ch``: ``out``
+    receives on each edge the channel times the other edges' messages,
+    as leave-one-out prefix and suffix products over the (C, q) slabs of
+    each frame, then scaled to a largest component of 1 and floored at
+    _MSG_FLOOR. Returns the (F, C, q) product of the channel and every
+    incoming message."""
+    _leave_one_out(np.moveaxis(inc, 1, -1), np.moveaxis(out, 1, -1), seed=ch)
     # the last edge's message times its own incoming one: the full product
-    full = out[:, :, -1] * inc[:, :, -1]
+    full = out[:, -1] * inc[:, -1]
     # the largest product is at least _MSG_FLOOR^(i - 1), a normal float
     # up to degree 25; past that, the clamp keeps a product that
     # underflows to zero from dividing by zero
@@ -375,6 +416,8 @@ class Decoder:
 
     def __init__(self, code: HybridParityCheck, max_iter: int = 100,
                  scalar_binary: bool = True):
+        # an integer: the iteration count must reach it exactly
+        max_iter = operator.index(max_iter)
         if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         self.code = code
@@ -388,24 +431,35 @@ class Decoder:
 
     def _build_classes(self) -> None:
         # Messages of F active frames are (F, width) rows at native order,
-        # variable classes in turn; v2c has a trailing zero slot. The frame
-        # axis leads, so the column indices built here stay valid as
-        # frames retire.
+        # variable classes in turn, each a degree-major (i, C, q_k) block;
+        # v2c has a trailing zero slot. The frame axis leads, so the
+        # column indices built here stay valid as frames retire.
         code = self.code
         col_classes, row_classes = code.node_classes
         tables = code.map_tables
-        # (degree, order, columns, start of the C * degree * order block,
+        # (degree, order, columns, start of the i * C * order block,
         # columns per block of the variable update: all of them, or as
         # many as fit in CHECK_BLOCK)
         self.var_classes: list[tuple[int, int, np.ndarray, int, int]] = []
         first = np.empty(code.n_edges, dtype=np.int64)  # message column of component 0
+        # variable class of each edge, and its message row in the class
+        vclass = np.empty(code.n_edges, dtype=np.int64)
+        vrow = np.empty(code.n_edges, dtype=np.int64)
         width = 0
-        for i, qk, cols, edges in col_classes:
-            first[edges] = width + qk * np.arange(edges.size).reshape(edges.shape)
+        for k, (i, qk, cols, edges) in enumerate(col_classes):
+            vclass[edges] = k
+            vrow[edges.T] = np.arange(edges.size).reshape(edges.T.shape)
+            first[edges] = width + qk * vrow[edges]
             step = min(len(cols), max(1, CHECK_BLOCK // (i * qk)))
             self.var_classes.append((i, qk, cols, width, step))
             width += qk * edges.size
         self._msg_width = width
+        qv = code.var_groups[code.edge_col]
+        comp = np.arange(tables.shape[1])
+        # edges whose map is the identity: their check results go to c2v
+        # as whole runs
+        ident = (qv == code.check_groups[code.edge_row]) & np.all(
+            (tables == comp) | (comp >= qv[:, None]), axis=1)
 
         # A block of the check walk is G frames of a run of checks, at most
         # CHECK_BLOCK values: a class narrower than that takes several
@@ -415,35 +469,50 @@ class Decoder:
             # v2c column of each component of the class, (ql, C, j),
             # the zero slot outside each edge's image
             gather = np.full((ql,) + edges.shape, width, dtype=np.intp)
-            c, d, t = np.nonzero(np.arange(ql) < code.var_groups[code.edge_col[edges]][..., None])
+            c, d, t = np.nonzero(comp[:ql] < qv[edges][..., None])
             gather[tables[edges[c, d], t], c, d] = first[edges[c, d]] + t
             frames = _frames_per_block(gather.size)
             step = len(edges) if frames > 1 else max(1, CHECK_BLOCK // (ql * j))
-            k = np.arange(frames)[:, None]
+            k = np.arange(frames)[:, None, None, None]
             blocks = []
             for lo in range(0, len(edges), step):
-                g = gather[:, lo: lo + step]
-                src = np.flatnonzero(g != width)
-                dst = g.ravel()[src]
-                order = np.argsort(dst)  # c2v written in column order
-                blocks.append((g[None] + (width + 1) * k[..., None, None],
-                               src[order] + g.size * k, dst[order] + width * k))
+                blk = edges[lo: lo + step].ravel()  # the result's rows
+                whole = ident[blk]
+                runs = []
+                for v in np.unique(vclass[blk[whole]]).tolist():
+                    src = np.flatnonzero(whole & (vclass[blk] == v))
+                    dst = vrow[blk[src]]
+                    order = np.argsort(dst)  # c2v written in row order
+                    i, qk, cols, start, _step = self.var_classes[v]
+                    runs.append((slice(start, start + i * len(cols) * qk), qk,
+                                 dst[order], src[order]))
+                comps = None
+                if not whole.all():
+                    part = np.flatnonzero(~whole)
+                    r, t = np.nonzero(comp[:ql] < qv[blk[part], None])
+                    e = blk[part[r]]
+                    dst = first[e] + t
+                    order = np.argsort(dst)  # c2v written in column order
+                    comps = ((part[r] * ql + tables[e, t])[order], dst[order])
+                blocks.append((gather[:, lo: lo + step][None] + (width + 1) * k,
+                               tuple(runs), comps))
             self.check_classes.append(_CheckClass(edges, code.edge_col[edges], blocks))
-        self._block = max(gi.size for cc in self.check_classes for gi, _s, _d in cc.blocks)
+        self._block = max(gi.size for cc in self.check_classes for gi, *_r in cc.blocks)
 
     def _build_binary(self) -> None:
         """Edge layouts of the scalar path. Messages are C-ordered (frame,
         edge) arrays in one of two layouts of a frame's row. In variable
-        layout each variable class is a (C, i) block, a column's edges in
-        edge-index order, and columns are renumbered in class order, so
-        that a class's channel and posteriors are one slice. In check
-        layout each check class is a (j, C) block, so that the d-th edges
-        of its checks form one contiguous run of C, over which the shared
-        ``_leave_one_out`` kernel takes its prefix and suffix products.
-        One index per direction moves a whole row between the layouts."""
+        layout each variable class is an (i, C) block, so that the d-th
+        edges of its columns (in edge-index order) form one contiguous run
+        of C, and columns are renumbered in class order, so that a class's
+        channel and posteriors are one slice. In check layout each check
+        class is a (j, C) block, so that the d-th edges of its checks form
+        one contiguous run of C, over which the shared ``_leave_one_out``
+        kernel takes its prefix and suffix products. One index per
+        direction moves a whole row between the layouts."""
         code = self.code
         col_classes, row_classes = code.node_classes
-        var_edges = np.concatenate([edges.ravel() for *_k, edges in col_classes])
+        var_edges = np.concatenate([edges.T.ravel() for *_k, edges in col_classes])
         chk_edges = np.concatenate([edges.T.ravel() for *_k, edges in row_classes])
         self._col_order = np.concatenate([cols for _i, _q, cols, _e in col_classes])
         # by inverse permutations: the class-order position of each column,
@@ -527,6 +596,40 @@ class Decoder:
                             np.array(n_unsat), post_out)
 
 
+def _column_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum of (F, n, C) ``a`` over its middle axis into (F, C) ``out``,
+    slab by slab, in the order in which numpy sums n contiguous values
+    (pairwise summation): left to right below 8 terms; else eight
+    running sums of every eighth term, added pairwise, then the rest left
+    to right; above 128 terms, two halves so summed. The bits are those
+    of ``a.sum(axis=1)`` on an (F, C, n) layout, up to the sign of a zero
+    sum, at a fraction of its cost for short sums."""
+    n = a.shape[1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return np.add(_column_sums(a[:, :half], np.empty_like(out)),
+                      _column_sums(a[:, half:], np.empty_like(out)), out=out)
+    if n < 8:
+        if n == 1:
+            out[...] = a[:, 0]
+        else:
+            np.add(a[:, 0], a[:, 1], out=out)
+        for d in range(2, n):
+            out += a[:, d]
+        return out
+    full = n - n % 8
+    run = a[:, :8]
+    if full > 8:
+        run = np.add(run, a[:, 8:16])
+        for d in range(16, full, 8):
+            run += a[:, d: d + 8]
+    pairs = run[:, 0::2] + run[:, 1::2]
+    np.add(pairs[:, 0] + pairs[:, 1], pairs[:, 2] + pairs[:, 3], out=out)
+    for d in range(full, n):
+        out += a[:, d]
+    return out
+
+
 class _BinaryRun:
     """Scalar LLR messages of one decode on an all-binary code, over the
     active frames, in the two layouts of ``Decoder._build_binary``: v2c
@@ -543,8 +646,6 @@ class _BinaryRun:
         self.v2c = np.empty((F, E))
         self.c2v = np.empty((F, E))
         self.work = np.zeros((F, E))
-        # the running suffix of the widest check class
-        self.suffix = np.empty(F * max(C for _j, C, _s in dec._bchk))
 
     def step(self, it: int) -> tuple[np.ndarray, np.ndarray]:
         """Check update (after iteration 0), variable update, then hard
@@ -574,15 +675,16 @@ class _BinaryRun:
         self.c2v, self.work = self.c2v[:F], self.work[:F]
 
     def _var_update(self) -> None:
-        """Variable update on (F, E) LLRs, each variable class a (C, i)
+        """Variable update on (F, E) LLRs, each variable class an (i, C)
         block of the work array, and the (F, n) posteriors."""
         c2v, v2c = self.work, self.v2c
         F = c2v.shape[0]
         post = np.empty_like(self.chan)
         for i, C, c0, s in self.dec._bvar:
-            inc = c2v[:, s: s + C * i].reshape(F, C, i)
-            tot = np.add(self.chan[:, c0: c0 + C], inc.sum(axis=-1), out=post[:, c0: c0 + C])
-            np.subtract(tot[..., None], inc, out=v2c[:, s: s + C * i].reshape(F, C, i))
+            inc = c2v[:, s: s + i * C].reshape(F, i, C)
+            tot = _column_sums(inc, post[:, c0: c0 + C])
+            tot += self.chan[:, c0: c0 + C]
+            np.subtract(tot[:, None], inc, out=v2c[:, s: s + i * C].reshape(F, i, C))
         np.clip(v2c, -MSG_CLIP, MSG_CLIP, out=v2c)
         self.post = post
 
@@ -600,7 +702,7 @@ class _BinaryRun:
         for j, C, s in dec._bchk:
             blk = slice(s, s + j * C)
             _leave_one_out(t[:, blk].reshape(F, j, C).transpose(0, 2, 1),
-                           c2v[:, blk].reshape(F, j, C).transpose(0, 2, 1), self.suffix)
+                           c2v[:, blk].reshape(F, j, C).transpose(0, 2, 1))
         cap = math.tanh(0.5 * MSG_CLIP)
         np.clip(c2v, -cap, cap, out=c2v)
         np.arctanh(c2v, out=c2v)
@@ -623,7 +725,7 @@ class _VectorRun:
         self.v2c = np.zeros((F, dec._msg_width + 1))
         self.c2v = np.ones((F, dec._msg_width))
         self.block = np.empty(dec._block)
-        self.work = np.empty((4, dec._block))
+        self.work = np.empty((3, dec._block))
         self.llr = chan
         # channel probabilities anchored at each column's most likely
         # symbol, so the largest is 1 whatever the codeword's labels
@@ -637,9 +739,9 @@ class _VectorRun:
         """Channel LLRs plus the LLRs -log(c2v) of each column's edges."""
         rows = active[:, None]
         for i, qk, cols, start, _step in self.dec.var_classes:
-            inc = self.c2v[:, start: start + len(cols) * i * qk]
-            inc = inc.reshape(len(active), len(cols), i, qk)
-            out[rows, cols, :qk] = self.llr[rows, cols, :qk] - np.log(inc).sum(axis=2)
+            inc = self.c2v[:, start: start + i * len(cols) * qk]
+            inc = inc.reshape(len(active), i, len(cols), qk)
+            out[rows, cols, :qk] = self.llr[rows, cols, :qk] - np.log(inc).sum(axis=1)
 
     def keep(self, mask: np.ndarray) -> None:
         if mask.all():  # row selection would only copy
@@ -659,18 +761,18 @@ class _VectorRun:
         hard = np.empty((F, dec.code.n), dtype=np.int64)
         for (i, qk, cols, start, step), ch in zip(dec.var_classes, self.chan):
             frames = _frames_per_block(step * i * qk)
+            msgs = slice(start, start + i * len(cols) * qk)
             for lo in range(0, F, frames):
                 g = min(frames, F - lo)
                 rows = slice(lo, lo + g)
+                inc = self.c2v[rows, msgs].reshape(g, i, len(cols), qk)
+                out = self.v2c[rows, msgs].reshape(inc.shape)
                 for c0 in range(0, len(cols), step):
-                    c1 = min(c0 + step, len(cols))
-                    msgs = slice(start + c0 * i * qk, start + c1 * i * qk)
-                    inc = self.c2v[rows, msgs].reshape(g, c1 - c0, i, qk)
+                    run = slice(c0, c0 + step)
                     if it:
-                        _condition(inc)
-                    out = self.v2c[rows, msgs].reshape(inc.shape)
-                    full = _var_products(ch[rows, c0:c1], inc, out)
-                    hard[rows, cols[c0:c1]] = full.argmax(axis=-1)
+                        _condition(inc[:, :, run])
+                    full = _var_products(ch[rows, run], inc[:, :, run], out[:, :, run])
+                    hard[rows, cols[run]] = full.argmax(axis=-1)
         unsat = np.zeros(F, dtype=np.int64)
         for cc in dec.check_classes:
             unsat += np.count_nonzero(
@@ -678,12 +780,15 @@ class _VectorRun:
         return hard, unsat
 
     def _check_walk(self) -> None:
-        """Group convolution of each block of each check class, with the
-        results on the edges' images written to c2v."""
+        """Group convolution of each block of each check class. The
+        block's result holds each edge's values as one run of the check's
+        order; identity-map edges' runs go to c2v whole, with one row
+        assignment per variable class, the other edges' image components
+        one by one."""
         v2c, c2v = self.v2c, self.c2v
         F = v2c.shape[0]
         for cc in self.dec.check_classes:
-            for gather, src, dst in cc.blocks:
+            for gather, runs, comps in cc.blocks:
                 for lo in range(0, F, len(gather)):
                     g = min(len(gather), F - lo)
                     x = self.block[: g * gather[0].size].reshape((g,) + gather.shape[1:])
@@ -691,4 +796,11 @@ class _VectorRun:
                     # without a temporary
                     np.take(v2c[lo: lo + g].ravel(), gather[:g], out=x, mode="clip")
                     conv = loo_convolve(x, axis=1, work=self.work)
-                    c2v[lo: lo + g].ravel()[dst[:g].ravel()] = conv.ravel()[src[:g].ravel()]
+                    # (g, checks x j, order): a view of an edge-major
+                    # result, a copy of a narrow block's
+                    res = np.moveaxis(conv, 1, -1).reshape(g, -1, x.shape[1])
+                    rows = c2v[lo: lo + g]
+                    for cls, qk, dst, src in runs:
+                        rows[:, cls].reshape(g, -1, qk)[:, dst] = res[:, src]
+                    if comps is not None:
+                        rows[:, comps[1]] = res.reshape(g, -1)[:, comps[0]]

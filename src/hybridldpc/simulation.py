@@ -57,8 +57,11 @@ class CampaignConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        # counts of at least 1: a chunk of no frames never ends a point,
+        # and a decoder needs an iteration
+        for name in ("max_iter", "chunk_frames", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

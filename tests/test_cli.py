@@ -70,6 +70,25 @@ def test_bad_numbers_are_usage_errors_before_any_file_is_read(argv, shown, capsy
     assert shown in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--max-iter", "--chunk-frames", "--workers"])
+@pytest.mark.parametrize("value", ["0", "-2", "2.5", "abc"])
+def test_campaign_counts_are_usage_errors(flag, value, capsys):
+    # a chunk of no frames, a fractional iteration cap or no worker would
+    # hang or fail deep in a campaign; each is refused while parsing
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--code", "missing.alist", "--ebn0", "1", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: '{value}' is not a positive integer" in capsys.readouterr().err
+
+
+def test_decode_iteration_cap_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decode", "--code", "missing.alist", "--in", "missing.txt", "--sigma", "0.8",
+              "--max-iter", "0"])
+    assert exc.value.code == 2
+    assert "argument --max-iter: '0' is not a positive integer" in capsys.readouterr().err
+
+
 def test_construct_encode_decode_cycle(tmp_path, ensemble_file, capsys):
     code_path = os.path.join(tmp_path, "code.alist")
     rc = main(["construct", "--ensemble", ensemble_file,

@@ -160,6 +160,60 @@ def test_loo_convolve_degree_two(rng):
     assert np.allclose(out[0, 1], probs[0, 0])
 
 
+@pytest.mark.parametrize("seeded", [False, True], ids=["unseeded", "seeded"])
+@pytest.mark.parametrize("j", range(1, 10))
+def test_leave_one_out_matches_explicit_products(rng, j, seeded):
+    # Signed powers of two multiply exactly in any order, so the prefix
+    # and suffix products must equal the explicit ones bit for bit. The
+    # factors lie as the decoder's do: each position along j one strided
+    # (F, C) slab.
+    def powers(shape):
+        return rng.choice([-1.0, 1.0], shape) * 2.0 ** rng.integers(-30, 31, shape)
+
+    fac = np.moveaxis(powers((j, 3, 5)), 0, -1)
+    seed = powers((3, 5)) if seeded else None
+    before = fac.copy()
+    out = np.moveaxis(np.full((j, 3, 5), np.nan), 0, -1)
+    codec._leave_one_out(fac, out, seed=seed)
+    assert np.array_equal(fac, before)
+    for d in range(j):
+        want = np.prod(np.delete(fac, d, axis=-1), axis=-1)
+        if seeded:
+            want = want * seed
+        assert np.array_equal(out[..., d], want), d
+
+
+def test_column_sums_follow_numpy_summation_order(rng):
+    # The scalar variable update sums a column's messages over (F, C)
+    # slabs; the sums must equal numpy's over a contiguous axis bit for
+    # bit, sign bits included, on either side of 8 terms (where numpy
+    # switches to eight running sums) and of 128 (where it splits).
+    for n in [1, 2, 3, 7, 8, 9, 15, 16, 17, 30, 127, 128, 129, 300]:
+        a = rng.normal(size=(3, n, 5)) * 10.0 ** rng.integers(-8, 9, (3, n, 5))
+        want = np.ascontiguousarray(np.moveaxis(a, 1, -1)).sum(axis=-1)
+        got = codec._column_sums(a, np.empty((3, 5)))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
+
+
+@pytest.mark.parametrize("q", [2, 8, 16, 256])
+@pytest.mark.parametrize("columns", [1, 2, 3, 17, 128, 384])
+def test_inverse_transform_is_edge_major(rng, q, columns):
+    # The inverse transform divides inside its factors and, from
+    # _EDGE_MAJOR_COLUMNS columns on, writes each column's q values as one
+    # contiguous run. On small integers every summation order is exact,
+    # so it equals the forward transform divided by q bit for bit.
+    x = rng.integers(-3, 4, (2, q, columns)).astype(np.float64)
+    want = walsh_hadamard(x, axis=1) / q
+    work = (np.empty(x.size), np.empty(x.size))
+    for got in (walsh_hadamard(x, axis=1, inverse=True),
+                walsh_hadamard(x, axis=1, work=work, inverse=True)):
+        assert got.shape == x.shape
+        assert np.array_equal(got, want)
+        runs = np.moveaxis(got, 1, -1)
+        edge_major = columns >= codec._EDGE_MAJOR_COLUMNS
+        assert (runs if edge_major else got).flags.c_contiguous
+
+
 def test_bits_symbols_roundtrip(rng):
     code = build_code(small_hybrid(), 600, seed=0)
     symbols = np.array([
@@ -716,6 +770,59 @@ def test_vector_decoder_bit_identical_on_tree_codes(rng):
             chan, want_posteriors=True, early_stop=False)
         assert_same_decode(a, b, POSTERIOR_TOL)
     assert mixed >= 3
+
+
+def test_equal_order_edges_with_other_maps_match_reference():
+    # build_code gives every edge that joins two equal orders the
+    # identity, whose check results the decoder copies as whole runs. A
+    # bijection of G(8) instead goes through the per-component path at
+    # the check's full width; off the diagonal the encoder still works.
+    code = build_code(Ensemble.load(fixture_path("r12_gf8_regular36")), 1024, seed=1)
+    rng = np.random.default_rng(4)
+    maps = list(code.edge_maps)
+    changed = 0
+    for e in range(0, code.n_edges, 3):
+        if code.edge_col[e] == code.n_info + code.edge_row[e]:
+            continue
+        while maps[e].is_identity:
+            try:
+                maps[e] = SymbolMap(8, 8, tuple(int(c) for c in rng.integers(1, 8, 3)))
+            except ValueError:  # linearly dependent columns
+                pass
+        changed += 1
+    hand = HybridParityCheck(code.var_groups, code.check_groups, code.n_info,
+                             code.edge_row, code.edge_col, maps)
+    assert changed > code.n_edges // 5
+    with open(fixture_path("designs")) as fh:
+        ebn0 = json.load(fh)["r12_gf8_regular36"]["threshold_ebn0_db"] + 1.0
+    info = np.stack([rng.integers(0, 8, hand.n_info) for _ in range(8)])
+    words = encode(hand, info)
+    assert not syndrome(hand, words).any()
+    params = ChannelParams.from_ebn0_db(ebn0, hand.rate())
+    chan = channel_llrs(hand, transmit(symbols_to_bits(hand, words), params, rng), params)
+    dec = Decoder(hand, max_iter=16)
+    # some check blocks copy runs and write components both
+    assert any(runs and comps is not None
+               for cc in dec.check_classes for _g, runs, comps in cc.blocks)
+    for early_stop in (True, False):
+        a = dec.decode(chan, want_posteriors=True, early_stop=early_stop)
+        b = ReferenceVectorDecoder(hand, max_iter=16).decode(
+            chan, want_posteriors=True, early_stop=early_stop)
+        assert_same_decode(a, b, POSTERIOR_TOL)
+    assert a.success.any() and 0 < a.iterations.max()
+    assert np.array_equal(a.symbols[a.success], words[a.success])
+
+
+def test_max_iter_must_be_an_integer():
+    # a fractional cap is never reached: a failing frame would decode for
+    # ever
+    code = build_code(binary_regular36(), 256, seed=1)
+    for scalar in (True, False):
+        with pytest.raises(TypeError):
+            Decoder(code, max_iter=2.5, scalar_binary=scalar)
+    assert Decoder(code, max_iter=np.int64(3)).max_iter == 3
+    with pytest.raises(ValueError, match="max_iter"):
+        Decoder(code, max_iter=0)
 
 
 def test_check_message_with_no_mass_on_image_is_uniform():

@@ -104,6 +104,15 @@ def test_fewer_than_one_worker_is_an_error(workers):
         CampaignConfig(workers=workers)
 
 
+@pytest.mark.parametrize("field", ["chunk_frames", "max_iter"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_counts_below_one_are_errors(field, value):
+    # a chunk of no frames never ends a point, and a decoder needs an
+    # iteration: the config is refused before any point can start
+    with pytest.raises(ValueError, match=field):
+        CampaignConfig(**{field: value})
+
+
 def test_random_codewords_path_matches_all_zero_statistics():
     # decoder is translation covariant, so both transmit modes estimate
     # the same FER; with different noise realizations they differ only
