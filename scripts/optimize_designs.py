@@ -23,7 +23,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hybridldpc.channel import ChannelParams
 from hybridldpc.density_evolution import threshold_search
-from hybridldpc.ensembles import Ensemble, node_proportions
+from hybridldpc.ensembles import Ensemble
 from hybridldpc.optimization import (
     OptimizationError,
     best_sigma,
@@ -44,14 +44,13 @@ def log(msg: str) -> None:
 def summarize(name: str, ens: Ensemble, sigma: float) -> dict:
     t0 = time.time()
     thr = threshold_search(ens, tol_db=0.01)
-    np_ = node_proportions(ens)
     info = {
         "name": name,
         "rate": ens.rate(),
         "design_sigma": None if sigma != sigma else sigma,
         "threshold_ebn0_db": thr,
         "threshold_sigma": ChannelParams.from_ebn0_db(thr, ens.rate()).sigma,
-        "node_fractions": {str(q): f for q, f in zip(np_.orders, np_.fractions)},
+        "node_fractions": {str(q): f for q, f in ens.var_group_node_fractions().items()},
     }
     log("  threshold %.3f dB (search took %.0fs)" % (thr, time.time() - t0))
     return info

@@ -17,8 +17,9 @@ import numpy as np
 
 from .channel import ChannelParams
 from .codec import Decoder, channel_llrs, encode
-from .construction import build_code, load_code, save_code
-from .density_evolution import threshold_search
+from .construction import (AlistParseError, ConstructionError, build_code, load_code,
+                           save_code)
+from .density_evolution import DivergingEnsembleError, threshold_search
 from .ensembles import Ensemble, EnsembleError
 from .optimization import (ConstraintGrid, OptimizationError, best_sigma, optimize_gamma,
                            optimize_lambda)
@@ -161,14 +162,11 @@ def _cmd_optimize(args) -> int:
 
         def solve(sigma):
             return optimize_gamma(cfg["d_v"], cfg["d_c"], groups, sigma, **common)
-    try:
-        if "sigma" in cfg:
-            design = solve(cfg["sigma"])
-        else:
-            design = best_sigma(solve, cfg.get("sigma_lo", 0.5),
-                                cfg.get("sigma_hi", sigma_hi))
-    except (OptimizationError, EnsembleError) as exc:
-        raise SystemExit(f"optimize: {exc}") from None
+    if "sigma" in cfg:
+        design = solve(cfg["sigma"])
+    else:
+        design = best_sigma(solve, cfg.get("sigma_lo", 0.5),
+                            cfg.get("sigma_hi", sigma_hi))
     weights = design.lambda_ if direction == "lambda" else design.gamma
     print(f"{direction}:", {k: round(v, 6) for k, v in weights.items()})
     print(f"design sigma {design.sigma:.4f}  rate {design.rate:.4f}")
@@ -248,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: information bits / codeword bits)")
     p.add_argument("--max-iter", type=_positive_int, default=campaign.max_iter)
     p.add_argument("--min-frame-errors", type=int, default=campaign.min_frame_errors)
-    p.add_argument("--max-frames", type=int, default=campaign.max_frames)
+    p.add_argument("--max-frames", type=_positive_int, default=campaign.max_frames)
     p.add_argument("--chunk-frames", type=_positive_int, default=campaign.chunk_frames)
     p.add_argument("--seed", type=int, default=campaign.seed)
     p.add_argument("--random-codewords", action="store_true")
@@ -260,7 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (AlistParseError, ConstructionError, DivergingEnsembleError, EnsembleError,
+            OptimizationError, OSError) as exc:
+        # input that cannot work: one line naming the command, no traceback
+        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -613,8 +613,9 @@ def load_code(path: str) -> HybridParityCheck:
         return raw[idx]
 
     def ints(idx: int, count: int | None = None) -> list[int]:
+        line = get(idx)
         try:
-            vals = [int(tok) for tok in get(idx).split()]
+            vals = [int(tok) for tok in line.split()]
         except ValueError as exc:
             raise AlistParseError(idx + 1, f"expected integers: {exc}") from None
         if count is not None and len(vals) != count:
@@ -627,9 +628,9 @@ def load_code(path: str) -> HybridParityCheck:
     (n_info,) = ints(2, 1)
     var_groups = np.array(ints(3, n), dtype=np.int64)
     check_groups = np.array(ints(4, m), dtype=np.int64)
-    ints(5, 2)
+    max_deg = ints(5, 2)
     col_deg = ints(6, n)
-    ints(7, m)
+    row_deg = ints(7, m)
     erow, ecol, maps = [], [], []
     for c in range(n):
         lineno = 8 + c
@@ -655,6 +656,18 @@ def load_code(path: str) -> HybridParityCheck:
             erow.append(r)
             ecol.append(c)
             maps.append(mp)
+    # the header's degrees must describe the edges read; the row lines
+    # repeat the edges, so only their presence is checked
+    edges_per_row = np.bincount(np.array(erow, dtype=np.int64), minlength=m)
+    seen = [max(col_deg, default=0), int(edges_per_row.max(initial=0))]
+    if max_deg != seen:
+        raise AlistParseError(6, f"max degrees {max_deg[0]} {max_deg[1]}, "
+                                 f"edges give {seen[0]} {seen[1]}")
+    bad = np.flatnonzero(edges_per_row != row_deg)
+    if bad.size:
+        r = int(bad[0])
+        raise AlistParseError(8, f"row {r}: {edges_per_row[r]} edges, degree says {row_deg[r]}")
+    get(7 + n + m)
     code = HybridParityCheck(
         var_groups=var_groups,
         check_groups=check_groups,

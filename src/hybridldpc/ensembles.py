@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from hybridldpc.groups import validate_order
@@ -25,10 +25,8 @@ MASS_TOL = 1e-12
 
 __all__ = [
     "Ensemble",
-    "NodeProportions",
     "fixture_path",
     "node_proportions",
-    "rate_general",
 ]
 
 _FORMAT = "hybrid-ensemble-1"
@@ -147,12 +145,13 @@ class Ensemble:
         total = sum(acc.values())
         return {q: v / total for q, v in sorted(acc.items())}
 
-    def avg_inverse_var_degree(self) -> float:
-        return sum(m / i for (i, _j, _qk, _ql), m in self.pi.items())
-
     def rate(self) -> float:
-        """Design rate via the general node-proportion formula."""
-        return rate_general(node_proportions(self))
+        """Design rate: information bits over all bits of the node
+        fractions (see ``node_proportions``)."""
+        info, red = node_proportions(self)
+        num = sum(f * math.log2(q) for q, f in info.items())
+        den = sum(f * math.log2(q) for part in (info, red) for q, f in part.items())
+        return num / den
 
     # ---------------- serialization ----------------
 
@@ -232,49 +231,21 @@ class Ensemble:
         return cls(groups, pi, name=name)
 
 
-@dataclass(frozen=True)
-class NodeProportions:
-    """Node classes of a codeword: group order and node fraction per class,
-    information classes first. ``n_info`` counts the information classes.
-
-    The same group order may appear once in the information range and once
-    in the redundancy range (information and redundancy sharing an order).
-    """
-
-    orders: tuple[int, ...]
-    fractions: tuple[float, ...]
-    n_info: int
-
-    def __post_init__(self) -> None:
-        if len(self.orders) != len(self.fractions):
-            raise EnsembleError("orders and fractions length mismatch")
-        if not 0 <= self.n_info <= len(self.orders):
-            raise EnsembleError("n_info out of range")
-        for q in self.orders:
-            validate_order(q)
-        if any(f < -MASS_TOL for f in self.fractions):
-            raise EnsembleError("negative node fraction")
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise EnsembleError("node fractions must sum to 1")
-        info = self.orders[: self.n_info]
-        red = self.orders[self.n_info:]
-        if list(info) != sorted(info) or list(red) != sorted(red):
-            raise EnsembleError("node classes must be sorted ascending within each range")
-
-
-def node_proportions(ens: Ensemble) -> NodeProportions:
-    """Split node-wise group proportions into information and redundancy.
+def node_proportions(ens: Ensemble) -> tuple[dict[int, float], dict[int, float]]:
+    """Node fractions of a codeword per group order, as (information,
+    redundancy), each ascending in order without fractions at or below
+    ``MASS_TOL``.
 
     One redundancy column exists per check row (triangular structure), in
     the row's group. The redundancy node fraction per group therefore equals
-    the check-node fraction per group, scaled by checks-per-variable.
+    the check-node fraction per group, scaled by checks-per-variable; the
+    information fraction is the rest of the group's variable nodes.
     """
-    var_nodes = ens.avg_inverse_var_degree()
-    gamma_tilde = ens.var_group_node_fractions()
+    var_nodes = sum(m / i for (i, _j, _qk, _ql), m in ens.pi.items())
     red: dict[int, float] = {}
     for (_i, j, _qk, ql), m in ens.pi.items():
         red[ql] = red.get(ql, 0.0) + (m / j) / var_nodes
-    info: dict[int, float] = dict(gamma_tilde)
+    info = ens.var_group_node_fractions()
     for q, f in red.items():
         have = info.get(q, 0.0)
         if f > have + 1e-9:
@@ -283,26 +254,5 @@ def node_proportions(ens: Ensemble) -> NodeProportions:
                 f"{have:.6f} of the nodes; triangular structure infeasible"
             )
         info[q] = have - f
-    orders, fracs = [], []
-    for q in sorted(info):
-        if info[q] > MASS_TOL:
-            orders.append(q)
-            fracs.append(info[q])
-    n_info = len(orders)
-    for q in sorted(red):
-        if red[q] > MASS_TOL:
-            orders.append(q)
-            fracs.append(red[q])
-    return NodeProportions(tuple(orders), tuple(fracs), n_info)
-
-
-def rate_general(np_: NodeProportions) -> float:
-    """Rate = information bits over total bits, from node proportions."""
-    num = sum(
-        f * math.log2(q)
-        for q, f in zip(np_.orders[: np_.n_info], np_.fractions[: np_.n_info])
-    )
-    den = sum(f * math.log2(q) for q, f in zip(np_.orders, np_.fractions))
-    if den <= 0:
-        raise EnsembleError("node proportions carry no bits")
-    return num / den
+    return ({q: f for q, f in sorted(info.items()) if f > MASS_TOL},
+            {q: f for q, f in sorted(red.items()) if f > MASS_TOL})

@@ -57,9 +57,9 @@ class CampaignConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        # counts of at least 1: a chunk of no frames never ends a point,
-        # and a decoder needs an iteration
-        for name in ("max_iter", "chunk_frames", "workers"):
+        # counts of at least 1: a chunk of no frames never ends a point, a
+        # point of no frames measures nothing, and a decoder needs an iteration
+        for name in ("max_iter", "max_frames", "chunk_frames", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
@@ -223,7 +223,7 @@ def run_point(
                     break
 
     return PointResult(
-        ebn0_db=ebn0_db,
+        ebn0_db=float(ebn0_db),
         sigma=params.sigma,
         frames=frames,
         frame_errors=frame_errors,

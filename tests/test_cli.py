@@ -70,11 +70,12 @@ def test_bad_numbers_are_usage_errors_before_any_file_is_read(argv, shown, capsy
     assert shown in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--max-iter", "--chunk-frames", "--workers"])
+@pytest.mark.parametrize("flag", ["--max-iter", "--chunk-frames", "--workers", "--max-frames"])
 @pytest.mark.parametrize("value", ["0", "-2", "2.5", "abc"])
 def test_campaign_counts_are_usage_errors(flag, value, capsys):
     # a chunk of no frames, a fractional iteration cap or no worker would
-    # hang or fail deep in a campaign; each is refused while parsing
+    # hang or fail deep in a campaign, and a point of no frames would be
+    # cached as a measurement; each is refused while parsing
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--code", "missing.alist", "--ebn0", "1", flag, value])
     assert exc.value.code == 2
@@ -238,6 +239,39 @@ def test_optimize_reports_design_errors_in_one_line(tmp_path, config, message):
         _run_optimize(tmp_path, config)
     text = str(exc.value.code)
     assert text.startswith("optimize: ") and message in text
+    assert "\n" not in text
+
+
+def _bad_inputs(tmp_path) -> dict:
+    """An ensemble whose masses do not sum to 1, and an alist cut after its
+    magic line."""
+    ens_path = os.path.join(tmp_path, "bad.json")
+    doc = Ensemble.from_factored([4], {3: 1.0}, {6: 1.0}, {3: {4: 1.0}}).to_json_dict()
+    doc["pi"][0][-1] = 0.5
+    with open(ens_path, "w") as fh:
+        json.dump(doc, fh)
+    code_path = os.path.join(tmp_path, "cut.alist")
+    with open(code_path, "w") as fh:
+        fh.write("hybrid-alist 1\n")
+    return {"ens": ens_path, "code": code_path,
+            "missing": os.path.join(tmp_path, "missing.txt")}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "--ensemble", "{ens}", "--n-bits", "240", "--out", "{missing}"],
+     "edge masses sum to 0.5"),
+    (["threshold", "--ensemble", "{missing}"], "No such file or directory"),
+    (["encode", "--code", "{code}", "--in", "{missing}"], "line 2: unexpected end of file"),
+    (["decode", "--code", "{code}", "--in", "{missing}", "--sigma", "0.8"],
+     "line 2: unexpected end of file"),
+    (["simulate", "--code", "{missing}", "--ebn0", "1"], "No such file or directory"),
+], ids=["construct", "threshold", "encode", "decode", "simulate"])
+def test_commands_report_bad_input_in_one_line(tmp_path, argv, message):
+    paths = _bad_inputs(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv])
+    text = str(exc.value.code)
+    assert text.startswith(f"{argv[0]}: ") and message in text
     assert "\n" not in text
 
 

@@ -262,6 +262,39 @@ def test_alist_parse_error_reports_line(tmp_path):
         load_code(path)
 
 
+def test_truncated_alist_reports_end_of_file_once(tmp_path):
+    path = str(tmp_path / "cut.alist")
+    save_code(tiny_code(TINY), path)
+    with open(path) as fh:
+        magic = fh.readline()
+    with open(path, "w") as fh:
+        fh.write(magic)
+    with pytest.raises(AlistParseError, match=r"^line 2: unexpected end of file$"):
+        load_code(path)
+
+
+@pytest.mark.parametrize("lineno, text, message", [
+    (6, "2 5", "line 6: max degrees 2 5, edges give 2 4"),
+    (8, "4 3", "line 8: row 0: 3 edges, degree says 4"),
+    (15, None, "line 15: unexpected end of file"),
+], ids=["max-degrees", "row-degrees", "missing-row-line"])
+def test_alist_header_must_describe_the_edges(tmp_path, lineno, text, message):
+    path = str(tmp_path / "tiny.alist")
+    save_code(tiny_code(TINY), path)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 15 and lines[5] == "2 4" and lines[7] == "3 4"
+    load_code(path)
+    if text is None:
+        del lines[lineno - 1]
+    else:
+        lines[lineno - 1] = text
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(AlistParseError, match=f"^{re.escape(message)}$"):
+        load_code(path)
+
+
 def test_fixture_codes_build():
     ens = Ensemble.load(fixture_path("r12_gf8_regular36"))
     code = build_code(ens, 1500, seed=0)

@@ -1,5 +1,6 @@
 """Degree distribution bookkeeping: pi, marginals, rates, serialization."""
 
+import json
 import math
 
 import pytest
@@ -10,7 +11,6 @@ from hybridldpc.ensembles import (
     EnsembleError,
     fixture_path,
     node_proportions,
-    rate_general,
 )
 
 from oracles import (
@@ -101,11 +101,9 @@ def test_redundancy_overflow_rejected():
 
 def test_node_proportions_regular_36():
     ens = Ensemble.from_factored([8], {3: 1.0}, {6: 1.0}, {3: {8: 1.0}})
-    np_ = node_proportions(ens)
-    assert np_.orders == (8, 8)
-    assert np_.n_info == 1
-    assert np_.fractions[0] == pytest.approx(0.5)
-    assert np_.fractions[1] == pytest.approx(0.5)
+    info, red = node_proportions(ens)
+    assert info == pytest.approx({8: 0.5})
+    assert red == pytest.approx({8: 0.5})
 
 
 def test_rate_formulas_agree():
@@ -171,6 +169,17 @@ def test_packaged_fixtures_load(name):
     ens = Ensemble.load(fixture_path(name))
     assert sum(ens.pi.values()) == pytest.approx(1.0, abs=1e-9)
     node_proportions(ens)
+
+
+def test_design_summary_matches_fixtures():
+    with open(fixture_path("designs")) as fh:
+        designs = json.load(fh)
+    assert sorted(designs) == FIXTURES
+    for name, entry in designs.items():
+        ens = Ensemble.load(fixture_path(name))
+        fractions = {str(q): f for q, f in ens.var_group_node_fractions().items()}
+        assert entry["node_fractions"] == fractions, name
+        assert entry["rate"] == ens.rate(), name
 
 
 def test_fixture_rates_hit_targets():

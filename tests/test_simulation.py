@@ -104,7 +104,7 @@ def test_fewer_than_one_worker_is_an_error(workers):
         CampaignConfig(workers=workers)
 
 
-@pytest.mark.parametrize("field", ["chunk_frames", "max_iter"])
+@pytest.mark.parametrize("field", ["chunk_frames", "max_iter", "max_frames"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_counts_below_one_are_errors(field, value):
     # a chunk of no frames never ends a point, and a decoder needs an
@@ -145,6 +145,23 @@ def test_campaign_csv_roundtrip_and_resume(tmp_path):
         lines = fh.read().strip().splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("ebn0_db,")
+
+
+def test_campaign_resumes_over_numpy_points(tmp_path):
+    # numpy scalars must reach the CSV as plain numbers, or the next run
+    # cannot read the file back
+    code = tiny_code()
+    cfg = CampaignConfig(max_iter=25, min_frame_errors=5, max_frames=64,
+                         chunk_frames=32, seed=5)
+    csv_path = os.path.join(tmp_path, "points.csv")
+    points = np.arange(3.0, 4.0, 0.5)
+    first = run_campaign(code, points, code.rate(), cfg, csv_path=csv_path)
+    logged = []
+    second = run_campaign(code, points, code.rate(), cfg, csv_path=csv_path,
+                          log=logged.append)
+    assert second == first
+    assert [type(r.ebn0_db) for r in second] == [float, float]
+    assert sum("cached" in line for line in logged) == 2
 
 
 def test_campaign_reruns_on_config_change(tmp_path):
