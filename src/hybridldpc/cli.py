@@ -30,6 +30,10 @@ class _BadValue(ValueError, argparse.ArgumentTypeError):
     """Bad option text: argparse reports it as a usage error."""
 
 
+class _BadFile(Exception):
+    """An input file whose content cannot work; the message names it."""
+
+
 def _parse_ebn0(text: str) -> list[float]:
     """Accept "a,b,c" or "start:step:stop" (stop inclusive)."""
     if ":" in text:
@@ -62,10 +66,14 @@ def _positive_int(text: str) -> int:
 
 
 def _read_frames(path: str, width: int, kind=np.int64) -> np.ndarray:
-    data = np.loadtxt(path, dtype=kind, ndmin=2)
+    try:
+        data = np.loadtxt(path, dtype=kind, ndmin=2)
+    except ValueError as exc:  # a token that is not a number
+        raise _BadFile(f"{path}: {exc}") from None
     if data.shape[1] != width:
-        raise SystemExit(
-            f"{path}: expected {width} values per line, got {data.shape[1]}")
+        raise _BadFile(f"{path}: expected {width} values per line, got {data.shape[1]}")
+    if not np.isfinite(data).all():
+        raise _BadFile(f"{path}: values must be finite")
     return data
 
 
@@ -91,7 +99,10 @@ def _cmd_construct(args) -> int:
 def _cmd_encode(args) -> int:
     code = load_code(args.code)
     info = _read_frames(args.infile, code.n_info)
-    cw = encode(code, info)
+    try:
+        cw = encode(code, info)
+    except ValueError as exc:  # a symbol outside its column's group
+        raise _BadFile(f"{args.infile}: {exc}") from None
     _write_frames(args.out, cw, "%d")
     return 0
 
@@ -125,6 +136,8 @@ _COMMON_KEYS = {"direction", "name", "grid", "sigma", "sigma_lo", "sigma_hi",
                 "rate_min", "rate_eq"}
 _DIRECTION_KEYS = {"lambda": {"gamma_profile", "rho", "allow_binary_degree2"},
                    "gamma": {"groups", "d_v", "d_c"}}
+# every direction key but the one optional flag is required
+_REQUIRED_KEYS = {d: keys - {"allow_binary_degree2"} for d, keys in _DIRECTION_KEYS.items()}
 
 
 def _intkeys(d: dict) -> dict:
@@ -133,18 +146,26 @@ def _intkeys(d: dict) -> dict:
 
 def _cmd_optimize(args) -> int:
     with open(args.config) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise _BadFile(f"{args.config}: not JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise _BadFile(f"{args.config}: not a JSON object")
     grid_cfg = cfg.get("grid", {})
     unknown = sorted(set(grid_cfg) - {f.name for f in fields(ConstraintGrid)})
     if unknown:
-        raise SystemExit(f"unknown grid key(s) {', '.join(unknown)} in {args.config}")
+        raise _BadFile(f"{args.config}: unknown grid key(s) {', '.join(unknown)}")
     grid = ConstraintGrid(**grid_cfg)
     direction = cfg.get("direction")
     if direction not in _DIRECTION_KEYS:
-        raise SystemExit(f"unknown direction {direction!r}")
+        raise _BadFile(f"{args.config}: unknown direction {direction!r}")
     unknown = sorted(set(cfg) - _COMMON_KEYS - _DIRECTION_KEYS[direction])
     if unknown:
-        raise SystemExit(f"unknown key(s) {', '.join(unknown)} in {args.config}")
+        raise _BadFile(f"{args.config}: unknown key(s) {', '.join(unknown)}")
+    missing = sorted(_REQUIRED_KEYS[direction] - set(cfg))
+    if missing:
+        raise _BadFile(f"{args.config}: missing key(s) {', '.join(missing)}")
     common = dict(grid=grid, rate_min=cfg.get("rate_min"), rate_eq=cfg.get("rate_eq"),
                   name=cfg.get("name", ""))
     if direction == "lambda":
@@ -261,7 +282,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (AlistParseError, ConstructionError, DivergingEnsembleError, EnsembleError,
-            OptimizationError, OSError) as exc:
+            OptimizationError, OSError, _BadFile) as exc:
         # input that cannot work: one line naming the command, no traceback
         raise SystemExit(f"{args.command}: {exc}") from None
 

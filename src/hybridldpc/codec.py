@@ -25,6 +25,12 @@ class's columns form one contiguous (C, q_k) slab, and a G(8) edge
 carries 8 values in a G(256) check. The variable-to-check row has one
 more slot, always zero.
 
+Frames retire in place. When frames stop early, the rows of the frames
+still decoding move forward inside the arrays the decode allocated
+(``_retire``), so each of its per-frame arrays is a view of the first
+rows of its first allocation, C-ordered as that was. Retiring frames
+allocates nothing, and a decode's memory peaks in its first iteration.
+
 The check group's width exists only inside one block of the check walk,
 at most CHECK_BLOCK values: a run of checks of one class, for one frame
 or, when a class is narrower, for a few frames. An index fixed when the
@@ -630,6 +636,22 @@ def _column_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _retire(arrays: tuple, mask: np.ndarray) -> list:
+    """Retire frames in place: the rows of each C-ordered (F, ...) array
+    that ``mask`` keeps move forward, in order, inside the array, which
+    is returned as a view of its first k rows, k kept rows. A row only
+    moves to a lower index, so no copy reads a row an earlier copy wrote,
+    and two distinct rows of a C-ordered array never overlap, so numpy
+    copies each without a temporary; a fancy-index assignment onto an
+    overlapping slice would allocate one. The views stay C-contiguous."""
+    kept = np.flatnonzero(mask).tolist()
+    for dst, src in enumerate(kept):
+        if dst != src:
+            for a in arrays:
+                a[dst] = a[src]
+    return [a[: len(kept)] for a in arrays]
+
+
 class _BinaryRun:
     """Scalar LLR messages of one decode on an all-binary code, over the
     active frames, in the two layouts of ``Decoder._build_binary``: v2c
@@ -667,9 +689,7 @@ class _BinaryRun:
         out[active, :, 1] = np.take(self.post, self.dec._col_pos, axis=1)
 
     def keep(self, mask: np.ndarray) -> None:
-        if mask.all():  # row selection would only copy
-            return
-        self.v2c, self.chan = self.v2c[mask], self.chan[mask]
+        self.v2c, self.chan = _retire((self.v2c, self.chan), mask)
         # c2v and the work array are written in full before they are read
         F = len(self.v2c)
         self.c2v, self.work = self.c2v[:F], self.work[:F]
@@ -731,7 +751,7 @@ class _VectorRun:
         # symbol, so the largest is 1 whatever the codeword's labels
         self.chan = []
         for _i, qk, cols, _s, _step in dec.var_classes:
-            ch = chan[:, cols, : qk]
+            ch = np.take(chan[..., : qk], cols, axis=1)  # C-ordered, for _retire
             np.subtract(ch.min(axis=-1, keepdims=True), ch, out=ch)
             self.chan.append(np.exp(ch, out=ch))
 
@@ -744,10 +764,7 @@ class _VectorRun:
             out[rows, cols, :qk] = self.llr[rows, cols, :qk] - np.log(inc).sum(axis=1)
 
     def keep(self, mask: np.ndarray) -> None:
-        if mask.all():  # row selection would only copy
-            return
-        self.v2c, self.c2v = self.v2c[mask], self.c2v[mask]
-        self.chan = [ch[mask] for ch in self.chan]
+        self.v2c, self.c2v, *self.chan = _retire((self.v2c, self.c2v, *self.chan), mask)
 
     def step(self, it: int) -> tuple[np.ndarray, np.ndarray]:
         """Check update (after iteration 0), then the variable update into

@@ -57,7 +57,10 @@ class Ensemble:
     def __post_init__(self) -> None:
         if not self.groups:
             raise EnsembleError("ensemble needs at least one group")
-        orders = [validate_order(q) for q in self.groups]
+        try:
+            orders = [validate_order(q) for q in self.groups]
+        except (TypeError, ValueError) as exc:
+            raise EnsembleError(str(exc)) from None
         if list(orders) != sorted(set(orders)):
             raise EnsembleError("groups must be distinct and sorted ascending")
         object.__setattr__(self, "groups", tuple(orders))
@@ -173,21 +176,38 @@ class Ensemble:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "Ensemble":
+        if not isinstance(doc, Mapping):
+            raise EnsembleError("ensemble document is not a JSON object")
         if doc.get("format") != _FORMAT:
             raise EnsembleError(
                 f"ensemble format {doc.get('format')!r}, expected {_FORMAT!r}")
-        if "pi" not in doc:
+        if not isinstance(doc.get("pi"), list):
             raise EnsembleError("ensemble document has no pi rows")
-        pi = {
-            (int(i), int(j), int(qk), int(ql)): float(m)
-            for i, j, qk, ql, m in doc["pi"]
-        }
+        if not isinstance(doc.get("groups"), list):
+            raise EnsembleError("ensemble document has no groups list")
+        pi = {}
+        for row in doc["pi"]:
+            try:
+                i, j, qk, ql, m = row
+                pi[(int(i), int(j), int(qk), int(ql))] = float(m)
+            except (TypeError, ValueError):
+                raise EnsembleError(
+                    f"pi row {row!r} is not five numbers [i, j, q_k, q_l, mass]") from None
         return cls(tuple(doc["groups"]), pi, name=str(doc.get("name", "")))
 
     @classmethod
     def load(cls, path: str) -> "Ensemble":
+        """Read an ensemble file: an EnsembleError names the file, and a
+        file that is not JSON raises one."""
         with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise EnsembleError(f"{path}: not JSON: {exc}") from None
+        try:
+            return cls.from_json_dict(doc)
+        except EnsembleError as exc:
+            raise EnsembleError(f"{path}: {exc}") from None
 
     @classmethod
     def from_factored(

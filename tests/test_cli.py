@@ -10,7 +10,7 @@ from hybridldpc import density_evolution
 from hybridldpc.channel import ChannelParams, transmit
 from hybridldpc.cli import _COMMON_KEYS, _DIRECTION_KEYS, _parse_ebn0, main
 from hybridldpc.codec import symbols_to_bits
-from hybridldpc.construction import load_code
+from hybridldpc.construction import build_code, load_code, save_code
 from hybridldpc.ensembles import Ensemble, fixture_path
 from hybridldpc.optimization import ConstraintGrid, OptimizationError, optimize_gamma
 
@@ -243,18 +243,31 @@ def test_optimize_reports_design_errors_in_one_line(tmp_path, config, message):
 
 
 def _bad_inputs(tmp_path) -> dict:
-    """An ensemble whose masses do not sum to 1, and an alist cut after its
-    magic line."""
-    ens_path = os.path.join(tmp_path, "bad.json")
+    """Files no command can use: ensembles whose masses do not sum to 1,
+    that are not JSON, have no groups or a short pi row; an alist cut
+    after its magic line; optimize configs; frame files for a 48-bit
+    binary code, with a letter, a symbol outside G(2) or a NaN."""
+    paths = {"missing": os.path.join(tmp_path, "missing.txt"),
+             "binary": os.path.join(tmp_path, "binary.alist")}
     doc = Ensemble.from_factored([4], {3: 1.0}, {6: 1.0}, {3: {4: 1.0}}).to_json_dict()
-    doc["pi"][0][-1] = 0.5
-    with open(ens_path, "w") as fh:
-        json.dump(doc, fh)
-    code_path = os.path.join(tmp_path, "cut.alist")
-    with open(code_path, "w") as fh:
-        fh.write("hybrid-alist 1\n")
-    return {"ens": ens_path, "code": code_path,
-            "missing": os.path.join(tmp_path, "missing.txt")}
+    bad_mass = dict(doc, pi=[doc["pi"][0][:-1] + [0.5]])
+    no_groups = {k: v for k, v in doc.items() if k != "groups"}
+    short_row = dict(doc, pi=[doc["pi"][0][:4]])
+    no_d_c = {"direction": "gamma", "groups": [2, 4], "d_v": 3, "sigma": 0.7}
+    binary = build_code(Ensemble.from_factored([2], {3: 1.0}, {6: 1.0}, {3: {2: 1.0}}),
+                        48, seed=1)
+    save_code(binary, paths["binary"])
+    texts = {"ens": json.dumps(bad_mass), "no_groups": json.dumps(no_groups),
+             "short_row": json.dumps(short_row), "no_d_c": json.dumps(no_d_c),
+             "not_json": "groups: [4]\n", "code": "hybrid-alist 1\n",
+             "letter": " ".join(["0"] * (binary.n_info - 1) + ["x"]) + "\n",
+             "twos": " ".join(["2"] * binary.n_info) + "\n",
+             "nan": " ".join(["nan"] * binary.n_bits) + "\n"}
+    for key, text in texts.items():
+        paths[key] = os.path.join(tmp_path, f"{key}.txt")
+        with open(paths[key], "w") as fh:
+            fh.write(text)
+    return paths
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -265,7 +278,24 @@ def _bad_inputs(tmp_path) -> dict:
     (["decode", "--code", "{code}", "--in", "{missing}", "--sigma", "0.8"],
      "line 2: unexpected end of file"),
     (["simulate", "--code", "{missing}", "--ebn0", "1"], "No such file or directory"),
-], ids=["construct", "threshold", "encode", "decode", "simulate"])
+    (["threshold", "--ensemble", "{not_json}"], "not_json.txt: not JSON: Expecting value"),
+    (["construct", "--ensemble", "{no_groups}", "--n-bits", "240", "--out", "{missing}"],
+     "no_groups.txt: ensemble document has no groups list"),
+    (["threshold", "--ensemble", "{short_row}"],
+     "short_row.txt: pi row [3, 6, 4, 4] is not five numbers"),
+    (["optimize", "--config", "{not_json}", "--out", "{missing}"],
+     "not_json.txt: not JSON: Expecting value"),
+    (["optimize", "--config", "{no_d_c}", "--out", "{missing}"],
+     "no_d_c.txt: missing key(s) d_c"),
+    (["encode", "--code", "{binary}", "--in", "{letter}"],
+     "letter.txt: could not convert string 'x' to int64"),
+    (["encode", "--code", "{binary}", "--in", "{twos}"],
+     "twos.txt: column 0: symbol 2 is outside G(2)"),
+    (["decode", "--code", "{binary}", "--in", "{nan}", "--sigma", "0.8"],
+     "nan.txt: values must be finite"),
+], ids=["construct", "threshold", "encode", "decode", "simulate", "ensemble-not-json",
+        "ensemble-no-groups", "ensemble-short-pi-row", "config-not-json", "config-no-d_c",
+        "frame-letter", "frame-symbol-outside-group", "frame-nan"])
 def test_commands_report_bad_input_in_one_line(tmp_path, argv, message):
     paths = _bad_inputs(tmp_path)
     with pytest.raises(SystemExit) as exc:

@@ -356,24 +356,58 @@ def test_decode_moderate_noise_roundtrip():
 def test_decode_batch_matches_single():
     # a frame decodes bit for bit the same alone as in a batch whose other
     # frames retire earlier or later: on the vector path, and on the scalar
-    # path with variable degree classes of 8 and more
+    # path with variable degree classes of 8 and more. The first vector
+    # batch stops all together; in the others a frame retires while a
+    # later one runs on, so kept rows move forward.
+    hybrid = build_code(small_hybrid(), 600, seed=6)
     binary = build_code(Ensemble.load(fixture_path("r12_binary_irregular")), 1024, seed=1)
-    for code, frames in ((build_code(small_hybrid(), 600, seed=6), 3), (binary, 6)):
-        rng = np.random.default_rng(11)
+    for code, frames, seed, staggered in ((hybrid, 3, 11, False), (binary, 6, 11, True),
+                                          (hybrid, 4, 12, True)):
+        rng = np.random.default_rng(seed)
         bits = np.zeros((frames, code.n_bits), dtype=np.int64)
         params = ChannelParams(0.9)
         y = transmit(bits, params, rng)
         chan = channel_llrs(code, y, params)
         dec = Decoder(code, max_iter=30)
         batch = dec.decode(chan, want_posteriors=True)
-        if code is binary:
-            assert len(np.unique(batch.iterations)) > 1
+        if staggered:
+            its = batch.iterations
+            assert any(its[f] < its[f + 1:].max() for f in range(frames - 1))
         for f in range(frames):
             one = dec.decode(chan[f], want_posteriors=True)
             assert np.array_equal(one.symbols[0], batch.symbols[f])
             assert one.success[0] == batch.success[f]
             assert one.iterations[0] == batch.iterations[f]
             assert np.array_equal(one.posterior_llr[0], batch.posterior_llr[f])
+
+
+@pytest.mark.parametrize("name", ["r12_hybrid_g8g2", "r12_binary_irregular"])
+def test_retired_frames_stay_in_the_first_arrays(name):
+    # keep moves the kept frames' rows forward inside the arrays the run
+    # allocated; the scalar path's c2v and work array are written in full
+    # before they are read, so only their length follows
+    code, chan = fixture_frames(name, 3)
+    dec = Decoder(code, max_iter=5)
+    run = (codec._BinaryRun if dec.binary else codec._VectorRun)(dec, chan)
+
+    def arrays() -> dict:
+        out = {"v2c": run.v2c, "c2v": run.c2v}
+        if dec.binary:
+            out.update(chan=run.chan, work=run.work)
+        else:
+            out.update((f"chan{k}", ch) for k, ch in enumerate(run.chan))
+        return out
+
+    first = arrays()
+    for it in range(2):
+        run.step(it)
+    rows = {key: a.copy() for key, a in arrays().items()}
+    run.keep(np.array([True, False, True]))
+    for key, a in arrays().items():
+        assert np.shares_memory(a, first[key]), key
+        assert len(a) == 2, key
+        if not (dec.binary and key in ("c2v", "work")):
+            assert np.array_equal(a, rows[key][[0, 2]]), key
 
 
 def test_decode_reports_failure_on_garbage():
