@@ -6,10 +6,13 @@ script only needs rerunning when the grid, sample count, or seed policy
 changes. Density evolution only loads these files; an order without one
 is an error that points here.
 
-``JTable.build`` runs the blocked Monte Carlo walk that J_v families
+``JTable.build`` runs the streamed Monte Carlo walk that J_v families
 use. Measured build times on one core of a 2-core x86 machine (Python
-3.11, numpy 2.4): q=2 1.8 s, q=4 2.4 s, q=8 3.1 s, q=16 5.2 s, q=32
-9.0 s, q=64 16.6 s, q=128 33.3 s, q=256 61.6 s.
+3.11, numpy 2.4), under tracemalloc: q=2 2.3 s, q=4 2.6 s, q=8 3.2 s,
+q=16 5.7 s, q=32 8.9 s, q=64 15.7 s, q=128 30.5 s, q=256 61.3 s. A build
+traces a 22 MB peak at every order: two (512, 2504) blocks of the walk.
+The whole-chunk walk it replaced held a (512, 20,000) array, 82 MB, and
+two of them across a chunk boundary (165 MB traced).
 
 A rebuild does not reproduce a table byte for byte on every machine:
 values move in the last bits with the platform's math library. With

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -67,9 +68,13 @@ def _positive_int(text: str) -> int:
 
 def _read_frames(path: str, width: int, kind=np.int64) -> np.ndarray:
     try:
-        data = np.loadtxt(path, dtype=kind, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # no data: reported below
+            data = np.loadtxt(path, dtype=kind, ndmin=2)
     except ValueError as exc:  # a token that is not a number
         raise _BadFile(f"{path}: {exc}") from None
+    if data.size == 0:
+        raise _BadFile(f"{path}: no frames")
     if data.shape[1] != width:
         raise _BadFile(f"{path}: expected {width} values per line, got {data.shape[1]}")
     if not np.isfinite(data).all():
@@ -140,6 +145,56 @@ _DIRECTION_KEYS = {"lambda": {"gamma_profile", "rho", "allow_binary_degree2"},
 _REQUIRED_KEYS = {d: keys - {"allow_binary_degree2"} for d, keys in _DIRECTION_KEYS.items()}
 
 
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v) -> bool:
+    """A finite number, integers included, that a float can hold."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    return abs(v) <= sys.float_info.max
+
+
+def _int_keyed(v, value_ok) -> bool:
+    """An object whose keys read as integers and whose values pass ``value_ok``."""
+    if not isinstance(v, dict):
+        return False
+    try:
+        for key in v:
+            int(key)
+    except ValueError:
+        return False
+    return all(value_ok(x) for x in v.values())
+
+
+# what each config value must be: its description and its test
+_POSITIVE = ("a positive number", lambda v: _number(v) and v > 0)
+_RATE = ("a number", lambda v: v is None or _number(v))
+_INTEGER = ("an integer", _integer)
+_NUMBER = ("a number", _number)
+_VALUE_KINDS = {
+    "name": ("a string", lambda v: isinstance(v, str)),
+    "grid": ("an object", lambda v: isinstance(v, dict)),
+    "sigma": _POSITIVE, "sigma_lo": _POSITIVE, "sigma_hi": _POSITIVE,
+    "rate_min": _RATE, "rate_eq": _RATE,
+    "gamma_profile": ("an object of degree: {group: edge mass}",
+                      lambda v: _int_keyed(v, lambda row: _int_keyed(row, _number))),
+    "rho": ("an object of degree: edge mass", lambda v: _int_keyed(v, _number)),
+    "allow_binary_degree2": ("true or false", lambda v: isinstance(v, bool)),
+    "groups": ("a list of integers", lambda v: isinstance(v, list) and all(map(_integer, v))),
+    "d_v": _INTEGER, "d_c": _INTEGER,
+    "grid.points": _INTEGER, "grid.x_max": _NUMBER, "grid.margin": _NUMBER,
+}
+
+
+def _check_values(path: str, doc: dict, prefix: str = "") -> None:
+    for key, value in doc.items():
+        kind = _VALUE_KINDS.get(prefix + key)
+        if kind and not kind[1](value):
+            raise _BadFile(f"{path}: {prefix}{key} must be {kind[0]}, got {json.dumps(value)}")
+
+
 def _intkeys(d: dict) -> dict:
     return {int(k): v for k, v in d.items()}
 
@@ -152,13 +207,8 @@ def _cmd_optimize(args) -> int:
             raise _BadFile(f"{args.config}: not JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise _BadFile(f"{args.config}: not a JSON object")
-    grid_cfg = cfg.get("grid", {})
-    unknown = sorted(set(grid_cfg) - {f.name for f in fields(ConstraintGrid)})
-    if unknown:
-        raise _BadFile(f"{args.config}: unknown grid key(s) {', '.join(unknown)}")
-    grid = ConstraintGrid(**grid_cfg)
     direction = cfg.get("direction")
-    if direction not in _DIRECTION_KEYS:
+    if not isinstance(direction, str) or direction not in _DIRECTION_KEYS:
         raise _BadFile(f"{args.config}: unknown direction {direction!r}")
     unknown = sorted(set(cfg) - _COMMON_KEYS - _DIRECTION_KEYS[direction])
     if unknown:
@@ -166,6 +216,13 @@ def _cmd_optimize(args) -> int:
     missing = sorted(_REQUIRED_KEYS[direction] - set(cfg))
     if missing:
         raise _BadFile(f"{args.config}: missing key(s) {', '.join(missing)}")
+    _check_values(args.config, cfg)
+    grid_cfg = cfg.get("grid", {})
+    unknown = sorted(set(grid_cfg) - {f.name for f in fields(ConstraintGrid)})
+    if unknown:
+        raise _BadFile(f"{args.config}: unknown grid key(s) {', '.join(unknown)}")
+    _check_values(args.config, grid_cfg, prefix="grid.")
+    grid = ConstraintGrid(**grid_cfg)
     common = dict(grid=grid, rate_min=cfg.get("rate_min"), rate_eq=cfg.get("rate_eq"),
                   name=cfg.get("name", ""))
     if direction == "lambda":
@@ -178,7 +235,7 @@ def _cmd_optimize(args) -> int:
             return optimize_lambda(profile, rho, sigma,
                                    allow_binary_degree2=allow, **common)
     else:
-        groups = [int(q) for q in cfg["groups"]]
+        groups = cfg["groups"]
         sigma_hi = 3.5
 
         def solve(sigma):
@@ -186,8 +243,10 @@ def _cmd_optimize(args) -> int:
     if "sigma" in cfg:
         design = solve(cfg["sigma"])
     else:
-        design = best_sigma(solve, cfg.get("sigma_lo", 0.5),
-                            cfg.get("sigma_hi", sigma_hi))
+        lo, hi = cfg.get("sigma_lo", 0.5), cfg.get("sigma_hi", sigma_hi)
+        if not lo < hi:
+            raise _BadFile(f"{args.config}: sigma_lo {lo} must be below sigma_hi {hi}")
+        design = best_sigma(solve, lo, hi)
     weights = design.lambda_ if direction == "lambda" else design.gamma
     print(f"{direction}:", {k: round(v, 6) for k, v in weights.items()})
     print(f"design sigma {design.sigma:.4f}  rate {design.rate:.4f}")

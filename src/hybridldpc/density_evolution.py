@@ -12,20 +12,37 @@ mean) as a one dimensional family in the offset c.
 One Monte Carlo kernel estimates both: a J_c table is the J_v family
 without a channel part. `_mi_grid` samples the message as w_ch + c +
 sqrt(c) (z_a + z_0) with one fixed sample block for every grid offset.
-The terms c and sqrt(c) z_0 are common to every component, so `_jv_lse`
-takes them and the per-sample minima of w_ch and z out of the
-log-sum-exp, which leaves one multiply, one exp and one dot product per
-component and offset, with every factor at most 1 and the sum at least
-about e^-90 (the bound is in its docstring). It draws z one cache-sized
-block at a time and walks each block across the whole grid. The factored
-sum agrees with the plain walk up to rounding (2.2e-16 measured), not bit
-for bit. Tables and families keep their own seeds, chunking and
-post-processing. J_c lookups and the bisection that inverts J_c evaluate
-the pchip segment with `_pchip_scalar`, in scipy's arithmetic but without
-its per-call overhead. scipy is imported by the first table or family
-that is built, so encoding, decoding and construction never load it. The
-plain walks live on in the tests as the references these kernels must
-match.
+The terms c and sqrt(c) z_0 are common to every component, so it takes
+them and the per-sample minima of w_ch and z out of the log-sum-exp,
+which leaves one multiply, one exp and one dot product per component and
+offset, with every factor at most 1 and the sum at least about e^-90
+(the bound is in its docstring). The factored sum agrees with the plain
+walk up to rounding (2.2e-16 measured), not bit for bit.
+
+The kernel streams. z_0 enters every value, so each sample chunk draws
+its z twice: once to reach z0, then again from the saved generator state
+as the walk consumes it. The walk takes the nodes of numpy's pairwise
+summation tree over the chunk, of at most _LEAF_SAMPLES = 4096 samples,
+one at a time: z one cache-sized block at a time across the whole grid,
+then the log-sum-exp, the common terms and the softplus on the (grid,
+node) block while it is in cache, and the node sums are added back as
+the tree adds them. So every table and family equals the whole-chunk
+walk it replaced bit for bit, while it holds two (grid, node) blocks
+next to the chunk's bit LLRs and z_0 instead of a (grid, chunk) array.
+Traced peaks: a J_v family 6.4 MB at q = 8 and 10.0 MB at q = 256 (33.6
+and 32.7 MB whole-chunk), a 512-point table 22 MB (165 MB whole-chunk,
+which kept one chunk's array alive while it built the next). The second
+draw of z costs about 0.15 s per q = 256 family. Tables and families keep their own seeds, chunking
+and post-processing.
+
+J_c lookups and the bisection that inverts J_c evaluate the pchip
+segment with `_pchip_scalar`, in scipy's arithmetic but without its
+per-call overhead; once the bisection's bracket lies inside one segment,
+it evaluates that segment's cubic without looking it up again. scipy is
+imported by the first table or family that is built, so encoding,
+decoding and construction never load it. The plain walks, and the
+whole-chunk kernel, live on in the tests as the references these
+kernels must match.
 
 One step of the EXIT recursion, `exit_iteration_hybrid`, applies the dual
 equal-mean update in each check group and adds the channel to the
@@ -90,6 +107,7 @@ _HI_DB = 10.0
 _JV_POINTS = 96
 _JV_SAMPLES = 40_000
 _BLOCK_ELEMS = 32_768
+_LEAF_SAMPLES = 4096
 
 
 class ClampStats:
@@ -136,7 +154,8 @@ def _pav_increasing(y: np.ndarray) -> np.ndarray:
 
 
 def _pchip_scalar(interp: PchipInterpolator):
-    """Evaluator of one point that returns ``float(interp(x))`` bit for bit.
+    """Evaluator of one point that returns ``float(interp(x))`` bit for bit,
+    and the bisection that inverts it.
 
     A scipy call costs microseconds of overhead per scalar, which the J_c
     bisection pays 80 times per inversion. This reads the interpolator's
@@ -146,6 +165,12 @@ def _pchip_scalar(interp: PchipInterpolator):
     ``res = res + c[3-k] * s**k`` with the powers built by repeated
     multiplication. Points outside the breakpoints give NaN, as with
     ``extrapolate=False``.
+
+    ``bisect(target)`` halves [x_0, x_last] 80 times, moving the low end
+    to each midpoint whose value is below ``target``, and returns the last
+    midpoint (or the first one that no later step can move). Once the
+    bracket lies inside one segment, every later midpoint does too, so it
+    evaluates that segment's cubic without looking the interval up.
     """
     xs = interp.x.tolist()
     c0, c1, c2, c3 = (row.tolist() for row in interp.c)
@@ -159,7 +184,39 @@ def _pchip_scalar(interp: PchipInterpolator):
         s2 = s * s
         return (0.0 + c3[i]) + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
 
-    return ev
+    def bisect(target: float) -> float:
+        lo, hi = x_lo, x_hi
+        steps = 80
+        while steps:
+            steps -= 1
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                # no later step moves the bracket: this is what all 80 return
+                return mid
+            i = bisect_right(xs, mid, 1, n - 1) - 1
+            s = mid - xs[i]
+            s2 = s * s
+            if (0.0 + c3[i]) + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s) < target:
+                lo = mid
+            else:
+                hi = mid
+            if xs[i] <= lo and hi <= xs[i + 1]:
+                break
+        x_i, a0, a1, a2, a3 = xs[i], 0.0 + c3[i], c2[i], c1[i], c0[i]
+        while steps:
+            steps -= 1
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                return mid
+            s = mid - x_i
+            s2 = s * s
+            if a0 + a1 * s + a2 * s2 + a3 * (s2 * s) < target:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    return ev, bisect
 
 
 @dataclass
@@ -172,6 +229,7 @@ class JTable:
     n_samples: int
     seed: int
     _eval1: Callable[[float], float] = field(init=False, repr=False)
+    _inverse1: Callable[[float], float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.grid_m = np.asarray(self.grid_m, dtype=np.float64)
@@ -180,7 +238,7 @@ class JTable:
             raise ValueError("table MI values must be strictly increasing")
         from scipy.interpolate import PchipInterpolator
 
-        self._eval1 = _pchip_scalar(
+        self._eval1, self._inverse1 = _pchip_scalar(
             PchipInterpolator(self.grid_m, self.grid_i, extrapolate=False))
 
     @property
@@ -207,18 +265,7 @@ class JTable:
         if i_target >= self.i_max:
             clamp_stats.hit()
             return self.m_max
-        f = self._eval1
-        lo, hi = 0.0, self.m_max
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                # no later step moves the bracket: this is what all 80 return
-                return mid
-            if f(mid) < i_target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return self._inverse1(i_target)
 
     # -------- construction and persistence --------
 
@@ -315,7 +362,7 @@ class JvFamily:
                 self.grid_i[k] = min(1.0, self.grid_i[k - 1] + 1e-15)
         from scipy.interpolate import PchipInterpolator
 
-        self._eval1 = _pchip_scalar(
+        self._eval1, _ = _pchip_scalar(
             PchipInterpolator(self.grid_c, self.grid_i, extrapolate=False))
         self._c_max = float(grid[-1])
 
@@ -336,42 +383,11 @@ def _mi_grid(q: int, grid: np.ndarray, n_samples: int,
     """Monte Carlo MI of the message m_ch + c * 1 at every offset c of the
     grid, with common random numbers across the grid.
 
-    Each chunk of at most ``chunk`` samples draws, from ``rng`` and in this
-    order, the bit LLRs of the channel part (only when ``m_bc`` is given),
-    then z, then z0; `_jv_lse` makes the draws as it walks. Without
-    ``m_bc`` the message is the equal-mean vector of J_c. The component-0
-    term log(1 + e^lse) is the softplus max(lse, 0) + log1p(e^-|lse|),
-    taken in place one grid row at a time.
-    """
-    acc = np.zeros(len(grid))
-    done = 0
-    while done < n_samples:
-        csz = min(chunk, n_samples - done)
-        lse = _jv_lse(q, grid, csz, rng, m_bc)
-        t = np.empty(csz)
-        for gi in range(len(grid)):
-            row = lse[gi]
-            np.abs(row, out=t)
-            np.negative(t, out=t)
-            np.exp(t, out=t)
-            np.log1p(t, out=t)
-            np.maximum(row, 0.0, out=row)
-            row += t
-            acc[gi] += row.sum()
-        done += csz
-        del lse, t    # free this chunk before the next is drawn
-    return 1.0 - acc / n_samples / math.log(q)
-
-
-def _jv_lse(q: int, grid: np.ndarray, rows: int, rng: np.random.Generator,
-            m_bc: float | None) -> np.ndarray:
-    """Per-sample log-sum-exp of ``rows`` sampled messages, one row per
-    offset of the grid.
-
     Component a of the message at offset c is w_a + c + rt (z_a + z0),
-    with rt = sqrt(c) and w the channel part (zero without ``m_bc``). The
-    terms c and rt z0 are common to every component, so with w* = min_a w_a
-    and z* = min_a z_a per sample, both fixed across the grid,
+    with rt = sqrt(c) and w the channel part (zero without ``m_bc``, the
+    equal-mean vector of J_c). The terms c and rt z0 are common to every
+    component, so with w* = min_a w_a and z* = min_a z_a per sample, both
+    fixed across the grid,
 
         log sum_a exp(-(w_a + c + rt (z_a + z0)))
             = -(c + rt (z0 + z*) + w*) + log sum_a W_a exp(-rt (z_a - z*))
@@ -381,54 +397,126 @@ def _jv_lse(q: int, grid: np.ndarray, rows: int, rng: np.random.Generator,
     at least exp(-sqrt(c_max) range(z)): about e^-90 at c_max = 60 with the
     range of 255 standard normals below 12. So the sum neither overflows
     nor underflows, and each offset costs one multiply, one exp and one
-    dot product with W per component.
+    dot product with W per component. The component-0 term log(1 + e^lse)
+    is the softplus max(lse, 0) + log1p(e^-|lse|).
 
-    The walk goes in blocks of about _BLOCK_ELEMS components, held as
+    Each chunk of at most ``chunk`` samples draws, from ``rng`` and in this
+    order, the bit LLRs of the channel part (only with ``m_bc``), then z,
+    then z0. z0 enters every value, so the chunk's z is drawn twice: once
+    to reach z0, then again from the saved generator state as the walk
+    consumes it, after which the generator resumes past z0. Each grid
+    row's sum over the chunk is numpy's pairwise sum, and the walk takes
+    the nodes of that tree, of at most _LEAF_SAMPLES samples, one at a
+    time: z one block of about _BLOCK_ELEMS components at a time, held as
     (component, sample) so that the dot products run along contiguous
-    rows, and a block's inputs stay in cache across the whole grid. The
-    bit LLRs are drawn whole, z one block at a time and z0 after the last
-    block: the same stream as drawing each whole, with no (rows, q-1)
-    array beyond one block.
+    rows, then the log-sum-exp, the common terms and the softplus on the
+    (grid, node) block, and the node sums are added back in tree order.
+    So the result equals summing whole (grid, chunk) arrays bit for bit.
     """
     k = q - 1
     step = max(1, _BLOCK_ELEMS // k)
+    cap = _LEAF_SAMPLES
     rts = [math.sqrt(c) for c in grid.tolist()]
-    out = np.empty((len(grid), rows))
-    w_min = np.zeros(rows)
-    z_min = np.empty(rows)
+    rt_col = np.array(rts)[:, None]
+    c_col = grid[:, None]
+    sizes = {min(chunk, n_samples - d) for d in range(0, n_samples, chunk)}
+    node = max(_largest_node(n, cap) for n in sizes)
+    # the working set, reused by every node: about 2 * grid * node doubles
+    # plus 4 z blocks, next to the chunk's bit LLRs and z0
+    lse_buf = np.empty(len(grid) * node)
+    tmp_buf = np.empty(len(grid) * node)
+    zs = np.empty(node)             # z* per sample, then z0 + z*
+    ws = np.zeros(node)             # w* per sample
+    drawn, z_buf, t_buf = (np.empty(step * k) for _ in range(3))
+    w_buf = np.ones(step * k)
     if m_bc is not None:
         p = bits_per_symbol(q)
-        bit = rng.normal(m_bc, math.sqrt(2.0 * m_bc), size=(rows, p))
         masks = ((np.arange(1, q)[:, None] >> np.arange(p)[None, :]) & 1).astype(np.float64)
-    for r0 in range(0, rows, step):
-        r1 = min(rows, r0 + step)
-        z = np.ascontiguousarray(rng.normal(size=(r1 - r0, k)).T)
-        np.min(z, axis=0, out=z_min[r0:r1])
-        z -= z_min[r0:r1]
-        if m_bc is None:
-            w = np.ones_like(z)
-        else:
-            w = masks @ bit[r0:r1].T
-            np.min(w, axis=0, out=w_min[r0:r1])
-            np.subtract(w_min[r0:r1], w, out=w)
-            np.exp(w, out=w)                              # W
-        t = np.empty_like(z)
-        for gi, rt in enumerate(rts):
-            np.multiply(z, -rt, out=t)
-            np.exp(t, out=t)
-            np.einsum("ij,ij->j", t, w, out=out[gi, r0:r1])
-    np.log(out, out=out)
-    z_min += rng.normal(size=rows)                        # z0 + z*
-    t = np.empty(rows)
-    for gi, (c, rt) in enumerate(zip(grid.tolist(), rts)):
+
+    def node_sums(r0: int, n: int) -> np.ndarray:
+        lse = lse_buf[:len(grid) * n].reshape(len(grid), n)
+        for s0 in range(0, n, step):
+            b = min(step, n - s0)
+            raw = drawn[:b * k].reshape(b, k)
+            rng.standard_normal(out=raw)
+            z = z_buf[:k * b].reshape(k, b)
+            np.copyto(z, raw.T)
+            np.min(z, axis=0, out=zs[s0:s0 + b])
+            z -= zs[s0:s0 + b]
+            w = w_buf[:k * b].reshape(k, b)
+            if m_bc is not None:
+                np.matmul(masks, bit[r0 + s0:r0 + s0 + b].T, out=w)
+                np.min(w, axis=0, out=ws[s0:s0 + b])
+                np.subtract(ws[s0:s0 + b], w, out=w)
+                np.exp(w, out=w)                          # W
+            t = t_buf[:k * b].reshape(k, b)
+            for gi, rt in enumerate(rts):
+                if rt == 0.0:
+                    t.fill(1.0)                           # exp(-0 z)
+                else:
+                    np.multiply(z, -rt, out=t)
+                    np.exp(t, out=t)
+                np.einsum("ij,ij->j", t, w, out=lse[gi, s0:s0 + b])
+        np.log(lse, out=lse)
         # log S - w* - c - rt (z0 + z*), in this order: the last bits
         # reach de_trajectory's stop rule where a trajectory stalls
-        row = out[gi]
-        row -= w_min
-        row -= c
-        np.multiply(z_min, rt, out=t)
-        row -= t
-    return out
+        zs[:n] += z0[r0:r0 + n]
+        tmp = tmp_buf[:len(grid) * n].reshape(len(grid), n)
+        lse -= ws[:n]
+        lse -= c_col
+        np.multiply(zs[:n], rt_col, out=tmp)
+        lse -= tmp
+        np.abs(lse, out=tmp)
+        np.negative(tmp, out=tmp)
+        np.exp(tmp, out=tmp)
+        np.log1p(tmp, out=tmp)
+        np.maximum(lse, 0.0, out=lse)
+        lse += tmp
+        return lse.sum(axis=1)
+
+    acc = np.zeros(len(grid))
+    done = 0
+    while done < n_samples:
+        csz = min(chunk, n_samples - done)
+        if m_bc is not None:
+            bit = rng.normal(m_bc, math.sqrt(2.0 * m_bc), size=(csz, p))
+        start = rng.bit_generator.state
+        for d in range(0, csz * k, drawn.size):           # skip to z0
+            rng.standard_normal(out=drawn[:min(drawn.size, csz * k - d)])
+        z0 = rng.normal(size=csz)
+        past_z0 = rng.bit_generator.state
+        rng.bit_generator.state = start
+        acc += _pairwise_nodes(csz, cap, node_sums)
+        rng.bit_generator.state = past_z0
+        done += csz
+    return 1.0 - acc / n_samples / math.log(q)
+
+
+def _pairwise_split(n: int) -> int:
+    """Where numpy's pairwise sum splits n > 128 values."""
+    half = n // 2
+    return half - half % 8
+
+
+def _largest_node(n: int, cap: int) -> int:
+    """Length of the longest node `_pairwise_nodes` sums for n values."""
+    while n > max(cap, 128):
+        n -= _pairwise_split(n)         # the right half is the longer
+    return n
+
+
+def _pairwise_nodes(n: int, cap: int, leaf: Callable[[int, int], np.ndarray],
+                    r0: int = 0) -> np.ndarray:
+    """numpy's pairwise sum of values r0 .. r0 + n - 1: the tree splits a
+    node at `_pairwise_split` while it has more than ``cap`` values (and
+    more than 128, where numpy stops splitting); ``leaf(start, length)``
+    sums one node, left to right, and the node sums are added as the tree
+    adds them."""
+    if n <= max(cap, 128):
+        return leaf(r0, n)
+    half = _pairwise_split(n)
+    return (_pairwise_nodes(half, cap, leaf, r0)
+            + _pairwise_nodes(n - half, cap, leaf, r0 + half))
 
 
 _jv_families: dict[tuple[int, float], JvFamily] = {}

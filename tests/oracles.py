@@ -4,11 +4,11 @@ Everything here is deliberately written with different algorithms from
 the package internals: direct convolutions instead of transforms,
 codeword enumeration instead of message passing, the scalar tanh rule
 instead of vector messages, and histogram densities instead of Gaussian
-functionals. The plain walks of the density-evolution kernels and the
-padded vector decoder are the exception: they keep the package's
-arithmetic in its direct evaluation order, so that the package agrees
-with them bit for bit, or, where its transforms sum in another order,
-to a stated bound.
+functionals. The plain walks of the density-evolution kernels, the
+whole-chunk kernel that the package now streams, and the padded vector
+decoder are the exception: they keep the package's arithmetic in its
+direct evaluation order, so that the package agrees with them bit for
+bit, or, where its transforms sum in another order, to a stated bound.
 """
 
 from __future__ import annotations
@@ -1032,6 +1032,81 @@ def reference_jv_grid_i(order: int, m_bc: float, points: int = _JV_POINTS,
         if grid_i[k] <= grid_i[k - 1]:
             grid_i[k] = min(1.0, grid_i[k - 1] + 1e-15)
     return grid_i
+
+
+def reference_mi_grid(q: int, grid: np.ndarray, n_samples: int,
+                      rng: np.random.Generator, chunk: int,
+                      m_bc: float | None = None,
+                      block_elems: int = 32_768) -> np.ndarray:
+    """The density-evolution kernel as it stood before it streamed, frozen:
+    ``density_evolution._mi_grid`` must equal it bit for bit.
+
+    Each chunk holds a (grid, chunk) array of per-sample log-sum-exps,
+    built from the same draws in the same order (bit LLRs, then z one
+    block of about ``block_elems`` components at a time, then z0), and
+    each grid row is summed whole by numpy after an in-place softplus.
+    """
+    acc = np.zeros(len(grid))
+    done = 0
+    while done < n_samples:
+        csz = min(chunk, n_samples - done)
+        lse = _reference_lse(q, grid, csz, rng, m_bc, block_elems)
+        t = np.empty(csz)
+        for gi in range(len(grid)):
+            row = lse[gi]
+            np.abs(row, out=t)
+            np.negative(t, out=t)
+            np.exp(t, out=t)
+            np.log1p(t, out=t)
+            np.maximum(row, 0.0, out=row)
+            row += t
+            acc[gi] += row.sum()
+        done += csz
+    return 1.0 - acc / n_samples / math.log(q)
+
+
+def _reference_lse(q: int, grid: np.ndarray, rows: int, rng: np.random.Generator,
+                   m_bc: float | None, block_elems: int) -> np.ndarray:
+    """Per-sample log sum_a exp(-(w_a + c + rt (z_a + z0))), one row per
+    offset c of the grid, with c, rt (z0 + z*) and w* = min_a w_a taken
+    out of the sum (the factoring `_mi_grid`'s docstring derives)."""
+    k = q - 1
+    step = max(1, block_elems // k)
+    rts = [math.sqrt(c) for c in grid.tolist()]
+    out = np.empty((len(grid), rows))
+    w_min = np.zeros(rows)
+    z_min = np.empty(rows)
+    if m_bc is not None:
+        p = bits_per_symbol(q)
+        bit = rng.normal(m_bc, math.sqrt(2.0 * m_bc), size=(rows, p))
+        masks = ((np.arange(1, q)[:, None] >> np.arange(p)[None, :]) & 1).astype(np.float64)
+    for r0 in range(0, rows, step):
+        r1 = min(rows, r0 + step)
+        z = np.ascontiguousarray(rng.normal(size=(r1 - r0, k)).T)
+        np.min(z, axis=0, out=z_min[r0:r1])
+        z -= z_min[r0:r1]
+        if m_bc is None:
+            w = np.ones_like(z)
+        else:
+            w = masks @ bit[r0:r1].T
+            np.min(w, axis=0, out=w_min[r0:r1])
+            np.subtract(w_min[r0:r1], w, out=w)
+            np.exp(w, out=w)
+        t = np.empty_like(z)
+        for gi, rt in enumerate(rts):
+            np.multiply(z, -rt, out=t)
+            np.exp(t, out=t)
+            np.einsum("ij,ij->j", t, w, out=out[gi, r0:r1])
+    np.log(out, out=out)
+    z_min += rng.normal(size=rows)
+    t = np.empty(rows)
+    for gi, (c, rt) in enumerate(zip(grid.tolist(), rts)):
+        row = out[gi]
+        row -= w_min
+        row -= c
+        np.multiply(z_min, rt, out=t)
+        row -= t
+    return out
 
 
 class ReferenceJTable:

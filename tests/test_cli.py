@@ -245,8 +245,9 @@ def test_optimize_reports_design_errors_in_one_line(tmp_path, config, message):
 def _bad_inputs(tmp_path) -> dict:
     """Files no command can use: ensembles whose masses do not sum to 1,
     that are not JSON, have no groups or a short pi row; an alist cut
-    after its magic line; optimize configs; frame files for a 48-bit
-    binary code, with a letter, a symbol outside G(2) or a NaN."""
+    after its magic line; optimize configs, among them values of the
+    wrong type; frame files for a 48-bit binary code, with a letter, a
+    symbol outside G(2) or a NaN, or with no frames at all."""
     paths = {"missing": os.path.join(tmp_path, "missing.txt"),
              "binary": os.path.join(tmp_path, "binary.alist")}
     doc = Ensemble.from_factored([4], {3: 1.0}, {6: 1.0}, {3: {4: 1.0}}).to_json_dict()
@@ -254,12 +255,21 @@ def _bad_inputs(tmp_path) -> dict:
     no_groups = {k: v for k, v in doc.items() if k != "groups"}
     short_row = dict(doc, pi=[doc["pi"][0][:4]])
     no_d_c = {"direction": "gamma", "groups": [2, 4], "d_v": 3, "sigma": 0.7}
+    gamma = dict(no_d_c, d_c=6)
+    lambda_ = {"direction": "lambda", "gamma_profile": {"x": {"2": 1.0}},
+               "rho": {"6": 1.0}, "sigma": 0.7}
     binary = build_code(Ensemble.from_factored([2], {3: 1.0}, {6: 1.0}, {3: {2: 1.0}}),
                         48, seed=1)
     save_code(binary, paths["binary"])
     texts = {"ens": json.dumps(bad_mass), "no_groups": json.dumps(no_groups),
              "short_row": json.dumps(short_row), "no_d_c": json.dumps(no_d_c),
-             "not_json": "groups: [4]\n", "code": "hybrid-alist 1\n",
+             "d_v_text": json.dumps(dict(gamma, d_v="x")),
+             "points_text": json.dumps(dict(gamma, grid={"points": "a"})),
+             "profile_key": json.dumps(lambda_),
+             "sigma_negative": json.dumps(dict(gamma, sigma=-1)),
+             "sigma_bracket": json.dumps({**{k: v for k, v in gamma.items() if k != "sigma"},
+                                          "sigma_lo": 2.0, "sigma_hi": 1.0}),
+             "not_json": "groups: [4]\n", "code": "hybrid-alist 1\n", "empty": "",
              "letter": " ".join(["0"] * (binary.n_info - 1) + ["x"]) + "\n",
              "twos": " ".join(["2"] * binary.n_info) + "\n",
              "nan": " ".join(["nan"] * binary.n_bits) + "\n"}
@@ -293,16 +303,33 @@ def _bad_inputs(tmp_path) -> dict:
      "twos.txt: column 0: symbol 2 is outside G(2)"),
     (["decode", "--code", "{binary}", "--in", "{nan}", "--sigma", "0.8"],
      "nan.txt: values must be finite"),
+    (["optimize", "--config", "{d_v_text}", "--out", "{missing}"],
+     'd_v_text.txt: d_v must be an integer, got "x"'),
+    (["optimize", "--config", "{points_text}", "--out", "{missing}"],
+     'points_text.txt: grid.points must be an integer, got "a"'),
+    (["optimize", "--config", "{profile_key}", "--out", "{missing}"],
+     "profile_key.txt: gamma_profile must be an object of degree: {group: edge mass}"),
+    (["optimize", "--config", "{sigma_negative}", "--out", "{missing}"],
+     "sigma_negative.txt: sigma must be a positive number, got -1"),
+    (["optimize", "--config", "{sigma_bracket}", "--out", "{missing}"],
+     "sigma_bracket.txt: sigma_lo 2.0 must be below sigma_hi 1.0"),
+    (["encode", "--code", "{binary}", "--in", "{empty}"], "empty.txt: no frames"),
+    (["decode", "--code", "{binary}", "--in", "{empty}", "--sigma", "0.8"],
+     "empty.txt: no frames"),
 ], ids=["construct", "threshold", "encode", "decode", "simulate", "ensemble-not-json",
         "ensemble-no-groups", "ensemble-short-pi-row", "config-not-json", "config-no-d_c",
-        "frame-letter", "frame-symbol-outside-group", "frame-nan"])
-def test_commands_report_bad_input_in_one_line(tmp_path, argv, message):
+        "frame-letter", "frame-symbol-outside-group", "frame-nan", "config-d_v-text",
+        "config-grid-points-text", "config-profile-key-text", "config-sigma-negative",
+        "config-sigma-bracket",
+        "encode-empty", "decode-empty"])
+def test_commands_report_bad_input_in_one_line(tmp_path, argv, message, recwarn):
     paths = _bad_inputs(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main([arg.format(**paths) for arg in argv])
     text = str(exc.value.code)
     assert text.startswith(f"{argv[0]}: ") and message in text
     assert "\n" not in text
+    assert [str(w.message) for w in recwarn] == []
 
 
 def test_every_optimize_key_is_documented():

@@ -1,6 +1,7 @@
 """MI functionals, EXIT recursion, and threshold search behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from oracles import (
     mutual_info_mc,
     reference_jc_grid_i,
     reference_jv_grid_i,
+    reference_mi_grid,
     sample_channel_ldr,
 )
 
@@ -159,17 +161,66 @@ def test_jv_family_at_the_strongest_searched_channel():
     assert np.max(np.abs(fam.grid_i - reference_jv_grid_i(256, m_bc, **kw))) <= 1e-14
 
 
-# z is drawn one block at a time, so the block size must not change the
-# draws or the values; each patched size leaves a short last block
-@pytest.mark.parametrize("build, block", [
-    (lambda: JvFamily(8, 1.3, points=24, n_samples=10_000), 7 * 3001),
-    (lambda: JvFamily(256, 1.0, points=8, n_samples=32_000), 255 * 97),
-    (lambda: JTable.build(32, n_samples=4000, points=16), 31 * 333),
+# z is drawn one block at a time and summed one tree node at a time, so
+# neither size may change the draws or the values; each patched block
+# size leaves a short last block, and each node cap cuts z blocks
+@pytest.mark.parametrize("build, block, leaf", [
+    (lambda: JvFamily(8, 1.3, points=24, n_samples=10_000), 7 * 3001, 5000),
+    (lambda: JvFamily(256, 1.0, points=8, n_samples=32_000), 255 * 97, 1500),
+    (lambda: JTable.build(32, n_samples=4000, points=16), 31 * 333, 700),
 ], ids=["jv_q8", "jv_q256", "jc_q32"])
-def test_mi_grid_independent_of_block_size(build, block, monkeypatch):
+def test_mi_grid_independent_of_block_size(build, block, leaf, monkeypatch):
     want = build().grid_i
     monkeypatch.setattr(density_evolution, "_BLOCK_ELEMS", block)
+    monkeypatch.setattr(density_evolution, "_LEAF_SAMPLES", leaf)
     assert np.array_equal(build().grid_i, want)
+
+
+# the streamed kernel against the whole-chunk kernel it replaced: the same
+# draws, the same per-value arithmetic and the same pairwise sums. "two
+# chunks" spans 31,250 + 750 samples; "straddle" has q = 32 z blocks of
+# 1057 samples, which cross the nodes at 2496, 5000 and 7496 of the
+# whole-chunk walk
+@pytest.mark.parametrize("q, m_bc, n_samples, chunk, points", [
+    (4, 0.8, 40_000, 40_000, 96),
+    (8, 1.3, 40_000, 40_000, 96),
+    (256, 1.0, 32_000, 31_250, 8),
+    (16, None, 45_000, 20_000, 32),
+    (32, 1.7, 10_007, 10_007, 16),
+], ids=["jv_q4", "jv_q8", "jv_q256_two_chunks", "jc_q16", "jv_q32_straddle"])
+def test_mi_grid_bit_identical_to_frozen_kernel(q, m_bc, n_samples, chunk, points):
+    grid = density_evolution._grid(density_evolution._M_MAX, points)
+    rngs = [np.random.default_rng(np.random.SeedSequence([q, n_samples])) for _ in "ab"]
+    got = density_evolution._mi_grid(q, grid, n_samples, rngs[0], chunk, m_bc)
+    want = reference_mi_grid(q, grid, n_samples, rngs[1], chunk, m_bc)
+    assert np.array_equal(got, want)
+    # and the generator resumes where the frozen kernel left it
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_pairwise_nodes_sum_like_numpy():
+    # the kernel adds node sums as numpy's pairwise sum adds its halves;
+    # "first value + pairwise(rest)" or a sequential sum would differ
+    rng = np.random.default_rng(11)
+    for n in [*range(1, 300), 1000, 2496, 4681, 5000, 20_000, 31_250, 40_000]:
+        a = rng.exponential(size=n) * 10.0 ** rng.uniform(-3, 3)
+        for cap in (130, 700, 4096):
+            got = density_evolution._pairwise_nodes(
+                n, cap, lambda r0, m: a[None, r0:r0 + m].sum(axis=1))
+            assert got[0] == a.sum()
+            assert density_evolution._largest_node(n, cap) <= max(cap, 128)
+
+
+def test_jv_family_working_set_is_a_block_not_the_chunk():
+    # the whole-chunk kernel held a (96, 40,000) array at q = 8
+    JvFamily(8, 1.3, points=4, n_samples=100)   # scipy's imports are traced too
+    tracemalloc.start()
+    try:
+        JvFamily(8, 1.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 40_000 * 8 / 4
 
 
 def test_jtable_build_matches_direct_walk():

@@ -12,6 +12,7 @@ from hybridldpc.density_evolution import (
     aggregate_mi,
     de_converges,
     exit_iteration_hybrid,
+    threshold_search,
 )
 from hybridldpc.ensembles import Ensemble, fixture_path
 from hybridldpc.optimization import (
@@ -217,6 +218,22 @@ def test_packaged_designs_converge_at_recorded_sigma():
         assert de_converges(ens, doc["design_sigma"] * (1.0 - slack)), name
         checked += 1
     assert checked >= 3
+
+
+def test_design_benchmark_outputs_match_fixtures():
+    # the two outputs the design benchmark checks, at its settings. Both
+    # rest on the exact J_v sample stream: capping a sample chunk at 4096
+    # moved this threshold to 0.46875 dB and made this LP infeasible
+    with open(fixture_path("designs")) as fh:
+        designs = json.load(fh)
+    ens = Ensemble.load(fixture_path("r12_hybrid_g8g2"))
+    assert threshold_search(ens, tol_db=0.01) == designs["r12_hybrid_g8g2"]["threshold_ebn0_db"]
+    want = designs["r16_hybrid_g256g16g8"]
+    d = optimize_gamma(2, 3, [8, 16, 256], want["design_sigma"], rate_eq=1 / 6)
+    assert {str(k) for k in d.gamma} == set(want["node_fractions"])
+    for k, v in d.gamma.items():
+        assert v == pytest.approx(want["node_fractions"][str(k)], abs=1e-4)
+    assert d.rate == pytest.approx(1 / 6, abs=1e-9)
 
 
 def test_lp_rows_are_one_de_iteration():
