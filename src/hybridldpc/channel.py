@@ -61,9 +61,6 @@ class ChannelParams:
         sigma2 = 1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))
         return cls(math.sqrt(sigma2))
 
-    def ebn0_db(self, rate: float) -> float:
-        return 10.0 * math.log10(1.0 / (2.0 * rate * self.noise_var))
-
 
 def transmit(bits: np.ndarray, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
     """BPSK modulate and add white Gaussian noise."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import fields
@@ -47,23 +48,46 @@ def _parse_ebn0(text: str) -> list[float]:
             out.append(round(x, 9))
             x += step
         return out
-    return [float(t) for t in text.split(",")]
+    out = [float(t) for t in text.split(",")]
+    if not np.isfinite(out).all():
+        raise _BadValue(f"list {text!r} needs finite values")
+    return out
+
+
+def _finite(text: str) -> float:
+    if not math.isfinite(float(text)):
+        raise _BadValue(f"{text!r} is not finite")
+    return float(text)
 
 
 def _positive(text: str) -> float:
-    if not float(text) > 0:
+    if not _finite(text) > 0:
         raise _BadValue(f"{text!r} is not positive")
     return float(text)
 
 
-def _positive_int(text: str) -> int:
+def _rate(text: str) -> float:
+    if not 0 < _finite(text) <= 1:
+        raise _BadValue(f"{text!r} is not in (0, 1]")
+    return float(text)
+
+
+def _integer_at_least(text: str, least: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise _BadValue(f"{text!r} is not a positive integer")
+        value = least - 1
+    if value < least:
+        raise _BadValue(f"{text!r} is not a {kind} integer")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _integer_at_least(text, 1, "positive")
+
+
+def _seed(text: str) -> int:
+    return _integer_at_least(text, 0, "non-negative")
 
 
 def _read_frames(path: str, width: int, kind=np.int64) -> np.ndarray:
@@ -284,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a code from an ensemble")
     p.add_argument("--ensemble", required=True)
     p.add_argument("--n-bits", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_construct)
 
@@ -300,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True,
                    help="text file, one frame of received values per line")
     chan = p.add_mutually_exclusive_group(required=True)
-    chan.add_argument("--sigma", type=float)
-    chan.add_argument("--ebn0-db", type=float)
+    chan.add_argument("--sigma", type=_positive)
+    chan.add_argument("--ebn0-db", type=_finite)
     p.add_argument("--max-iter", type=_positive_int, default=100)
     p.add_argument("--out", default="-")
     p.set_defaults(fn=_cmd_decode)
@@ -321,14 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
     p.add_argument("--ebn0", type=_parse_ebn0, required=True,
                    help='Eb/N0 points in dB: "a,b,c" or "start:step:stop"')
-    p.add_argument("--rate", type=float, default=None,
+    p.add_argument("--rate", type=_rate, default=None,
                    help="rate used for the Eb/N0 conversion "
                         "(default: information bits / codeword bits)")
     p.add_argument("--max-iter", type=_positive_int, default=campaign.max_iter)
-    p.add_argument("--min-frame-errors", type=int, default=campaign.min_frame_errors)
+    p.add_argument("--min-frame-errors", type=_positive_int,
+                   default=campaign.min_frame_errors)
     p.add_argument("--max-frames", type=_positive_int, default=campaign.max_frames)
     p.add_argument("--chunk-frames", type=_positive_int, default=campaign.chunk_frames)
-    p.add_argument("--seed", type=int, default=campaign.seed)
+    p.add_argument("--seed", type=_seed, default=campaign.seed)
     p.add_argument("--random-codewords", action="store_true")
     p.add_argument("--workers", type=_positive_int, default=campaign.workers)
     p.add_argument("--out", default=None, help="CSV output path")

@@ -147,7 +147,6 @@ class HybridParityCheck:
     edge_col: np.ndarray
     edge_maps: list[SymbolMap]
     degree_shortfall: int = 0
-    seed: int | None = None
 
     @property
     def n(self) -> int:
@@ -558,7 +557,6 @@ def build_code(ens: Ensemble, n_bits: int, seed: int) -> HybridParityCheck:
         edge_col=edge_col,
         edge_maps=maps,
         degree_shortfall=lay.degree_shortfall,
-        seed=seed,
     )
     code.validate()
     return code

@@ -6,8 +6,10 @@ Sigma_ab = m_a + m_b - m_xor(a,b). Two mutual information functionals
 drive the analysis. mutual_info_check, called J_c here and below, is the
 MI of an equal-mean vector and depends on one scalar; it is tabulated per
 group order and inverted by bisection. mutual_info_var (J_v) is the MI of
-a channel-plus-offset mean vector m_ch + c * 1, cached per (order, channel
-mean) as a one dimensional family in the offset c.
+a channel-plus-offset mean vector m_ch + c * 1, tabulated per (order,
+channel mean) as a one dimensional family in the offset c and memoized
+for one channel at a time (`_family`). Both clamp their argument into
+the grid with one lookup, `_clamped_eval`.
 
 One Monte Carlo kernel estimates both: a J_c table is the J_v family
 without a channel part. `_mi_grid` samples the message as w_ch + c +
@@ -47,7 +49,8 @@ kernels must match.
 One step of the EXIT recursion, `exit_iteration_hybrid`, applies the dual
 equal-mean update in each check group and adds the channel to the
 weighted check-side offset at each variable; the LP design rows of
-`optimization` are one such step. Check outputs are truncated into each
+`optimization` are one such step, and `initial_state` its variable half
+without check information. Check outputs are truncated into each
 variable group, variable outputs extended into each check group.
 Truncation maps MI through J_c of the smaller group at the same scalar
 mean (the image subvector of an equal-mean Gaussian stays equal-mean);
@@ -64,13 +67,14 @@ import os
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from hybridldpc.channel import ChannelParams
 from hybridldpc.ensembles import Ensemble
-from hybridldpc.groups import bits_per_symbol, validate_order
+from hybridldpc.groups import MAX_ORDER, bits_per_symbol, validate_order
 
 if TYPE_CHECKING:
     from scipy.interpolate import PchipInterpolator
@@ -80,7 +84,6 @@ __all__ = [
     "jc",
     "jc_inv",
     "JvFamily",
-    "jv_family",
     "mi_extend",
     "mi_truncate",
     "exit_iteration_hybrid",
@@ -116,11 +119,22 @@ class ClampStats:
     def __init__(self) -> None:
         self.count = 0
 
-    def hit(self, n: int = 1) -> None:
-        self.count += n
+    def hit(self) -> None:
+        self.count += 1
 
 
 clamp_stats = ClampStats()
+
+
+def _clamped_eval(ev: Callable[[float], float], x: float, x_max: float) -> float:
+    """``ev(x)`` with x clamped into [0, x_max], each clamp counted."""
+    if x > x_max:
+        clamp_stats.hit()
+        x = x_max
+    elif x < 0.0:
+        clamp_stats.hit()
+        x = 0.0
+    return ev(x)
 
 
 class DivergingEnsembleError(RuntimeError):
@@ -250,14 +264,7 @@ class JTable:
         return float(self.grid_m[-1])
 
     def eval(self, m: float) -> float:
-        x = float(m)
-        if x > self.m_max:
-            clamp_stats.hit()
-            x = self.m_max
-        elif x < 0.0:
-            clamp_stats.hit()
-            x = 0.0
-        return self._eval1(x)
+        return _clamped_eval(self._eval1, float(m), self.m_max)
 
     def inverse(self, i_target: float) -> float:
         if i_target <= 0.0:
@@ -303,24 +310,20 @@ class JTable:
                    doc["n_samples"], doc["seed"])
 
 
-_tables: dict[int, JTable] = {}
-
-
 def _table_dir() -> str:
     return os.path.join(os.path.dirname(__file__), "data", "jtables")
 
 
+@cache
 def get_table(order: int) -> JTable:
+    """The shipped J_c table of one group order, loaded once."""
     q = validate_order(order)
-    tab = _tables.get(q)
-    if tab is None:
-        path = os.path.join(_table_dir(), f"jc_q{q}.json")
-        if not os.path.exists(path):
-            raise FileNotFoundError(
-                f"no J_c table for order {q} at {path}; build it with "
-                f"scripts/build_tables.py --orders {q}")
-        tab = _tables[q] = JTable.load(path)
-    return tab
+    path = os.path.join(_table_dir(), f"jc_q{q}.json")
+    if not os.path.exists(path):
+        raise FileNotFoundError(
+            f"no J_c table for order {q} at {path}; build it with "
+            f"scripts/build_tables.py --orders {q}")
+    return JTable.load(path)
 
 
 def jc(m: float, order: int) -> float:
@@ -367,14 +370,7 @@ class JvFamily:
         self._c_max = float(grid[-1])
 
     def eval(self, c: float) -> float:
-        c = float(c)
-        if c < 0.0:
-            clamp_stats.hit()
-            c = 0.0
-        if c > self._c_max:
-            clamp_stats.hit()
-            c = self._c_max
-        return self._eval1(c)
+        return _clamped_eval(self._eval1, float(c), self._c_max)
 
 
 def _mi_grid(q: int, grid: np.ndarray, n_samples: int,
@@ -519,16 +515,11 @@ def _pairwise_nodes(n: int, cap: int, leaf: Callable[[int, int], np.ndarray],
             + _pairwise_nodes(n - half, cap, leaf, r0 + half))
 
 
-_jv_families: dict[tuple[int, float], JvFamily] = {}
-
-
-def jv_family(order: int, m_bc: float) -> JvFamily:
-    key = (validate_order(order), round(float(m_bc), 9))
-    fam = _jv_families.get(key)
-    if fam is None:
-        fam = JvFamily(order, m_bc)
-        _jv_families[key] = fam
-    return fam
+# A DE trajectory and an LP design each evaluate one channel, so the memo
+# holds one channel's families: one per order above G(2), which J_c serves.
+@lru_cache(maxsize=bits_per_symbol(MAX_ORDER) - 1)
+def _family(order: int, m_bc: float) -> JvFamily:
+    return JvFamily(order, m_bc)
 
 
 def jv_channel_offset(order: int, m_bc: float, c: float) -> float:
@@ -539,7 +530,7 @@ def jv_channel_offset(order: int, m_bc: float, c: float) -> float:
     """
     if order == 2:
         return float(jc(m_bc + c, 2))
-    return jv_family(order, m_bc).eval(c)
+    return _family(order, m_bc).eval(c)
 
 
 # ---------------- MI domain changes ----------------
@@ -574,15 +565,26 @@ def mi_truncate(x: float, q_from: int, q_to: int) -> float:
 # ---------------- EXIT recursions ----------------
 
 
+def _variable_update(ens: Ensemble, m_bc: float, x_cv: dict | None) -> dict:
+    """Variable half of the EXIT step: per (i, qk), the channel plus the
+    weighted check-side offset, extended into each check group. Without
+    check information (``x_cv`` None) the offset is zero."""
+    state: dict[tuple[tuple[int, int], int], float] = {}
+    for (i, qk), _mass in sorted(ens.pi_var().items()):
+        w = ens.check_class_given_var_class(i, qk)
+        c = 0.0
+        if x_cv is not None:
+            z = sum(wj * x_cv[((j, ql), qk)] for (j, ql), wj in sorted(w.items()))
+            c = (i - 1) * jc_inv(min(z, 1.0), qk)
+        y = jv_channel_offset(qk, m_bc, c)
+        for (j, ql) in w:
+            state[((i, qk), ql)] = mi_extend(y, qk, ql)
+    return state
+
+
 def initial_state(ens: Ensemble, m_bc: float) -> dict:
     """Variable-to-check MI per ((i, qk), ql): channel-only messages."""
-    state: dict[tuple[tuple[int, int], int], float] = {}
-    for (i, j, qk, ql), _mass in sorted(ens.pi.items()):
-        key = ((i, qk), ql)
-        if key not in state:
-            y = jv_channel_offset(qk, m_bc, 0.0)
-            state[key] = mi_extend(y, qk, ql)
-    return state
+    return _variable_update(ens, m_bc, None)
 
 
 def exit_iteration_hybrid(state: dict, ens: Ensemble, m_bc: float) -> dict:
@@ -597,15 +599,7 @@ def exit_iteration_hybrid(state: dict, ens: Ensemble, m_bc: float) -> dict:
         for (i, qk) in w:
             if ((j, ql), qk) not in x_cv:
                 x_cv[((j, ql), qk)] = mi_truncate(x_check, ql, qk)
-    # variable side: per (i, qk) combine, channel plus offset, extend per ql
-    new_state: dict[tuple[tuple[int, int], int], float] = {}
-    for (i, qk), _mass in sorted(ens.pi_var().items()):
-        w = ens.check_class_given_var_class(i, qk)
-        z = sum(wj * x_cv[((j, ql), qk)] for (j, ql), wj in sorted(w.items()))
-        y = jv_channel_offset(qk, m_bc, (i - 1) * jc_inv(min(z, 1.0), qk))
-        for (j, ql) in w:
-            new_state[((i, qk), ql)] = mi_extend(y, qk, ql)
-    return new_state
+    return _variable_update(ens, m_bc, x_cv)
 
 
 def aggregate_mi(state: dict, ens: Ensemble) -> float:

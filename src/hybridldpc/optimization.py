@@ -81,6 +81,10 @@ class ConstraintGrid:
             raise OptimizationError("constraint grid needs at least 2 points")
         if not 0.0 < self.x_max < 1.0:
             raise OptimizationError(f"x_max {self.x_max!r} outside (0, 1)")
+        # F(x) >= x + margin asks each iteration to make progress only
+        # with a positive margin
+        if not 0.0 < self.margin < math.inf:
+            raise OptimizationError(f"margin {self.margin!r} must be positive and finite")
         n_tail = 0
         if self.x_max > _GRID_KNEE:
             n_tail = min(round(_GRID_TAIL * self.points), self.points - 2)

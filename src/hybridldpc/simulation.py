@@ -1,7 +1,9 @@
 """Monte-Carlo error-rate measurement over the binary-input AWGN channel.
 
 Frames are drawn in fixed-size chunks with one RNG per frame, keyed by
-(master seed, frame index). The stop rule is evaluated on chunk
+(master seed, frame index). One chunk runner, `_run_chunk`, decodes a
+chunk with a decoder of its own, mapped over the chunks in this process
+or in spawned worker processes. The stop rule is evaluated on chunk
 boundaries in frame order, so results are reproducible bit for bit
 regardless of how many worker processes run the chunks. Worker
 processes are spawned with BLAS pinned to one thread each, as the
@@ -58,10 +60,14 @@ class CampaignConfig:
 
     def __post_init__(self) -> None:
         # counts of at least 1: a chunk of no frames never ends a point, a
-        # point of no frames measures nothing, and a decoder needs an iteration
-        for name in ("max_iter", "max_frames", "chunk_frames", "workers"):
+        # point of no frames measures nothing, a decoder needs an iteration,
+        # and a point that needs no frame error stops after its first chunk
+        for name in ("max_iter", "min_frame_errors", "max_frames", "chunk_frames", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        # frame RNGs are keyed by (seed, frame index), which must not be negative
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -120,14 +126,11 @@ class PointResult:
 
 
 def _run_chunk(code: HybridParityCheck, params: ChannelParams,
-               cfg: CampaignConfig, args: tuple[int, int],
-               decoder: Decoder | None = None) -> tuple[int, int, int, int]:
-    """Decode frames [first, first + count): returns frame count, frame
-    errors, info bit errors, summed iterations. Without a ``decoder`` the
-    chunk builds its own."""
+               cfg: CampaignConfig, args: tuple[int, int]) -> tuple[int, int, int, int]:
+    """Decode frames [first, first + count) with a decoder of its own:
+    returns frame count, frame errors, info bit errors, summed iterations."""
     first, count = args
-    if decoder is None:
-        decoder = Decoder(code, max_iter=cfg.max_iter)
+    decoder = Decoder(code, max_iter=cfg.max_iter)
     n_bits = code.n_bits
     tx_syms = np.zeros((count, code.n), dtype=np.int64)
     y = np.empty((count, n_bits), dtype=np.float64)
@@ -170,6 +173,20 @@ def _worker_env():
                 os.environ[key] = value
 
 
+@contextmanager
+def _chunk_map(workers: int):
+    """The builtin ``map`` for one worker, else a spawned pool's; a
+    consumer that drops the pool's iterator cancels the chunks not started."""
+    if workers == 1:
+        yield map
+        return
+    # spawned, not forked: a fork would inherit this process's BLAS
+    # threads, set when numpy was loaded
+    spawn = multiprocessing.get_context("spawn")
+    with _worker_env(), ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+        yield pool.map
+
+
 def run_point(
     code: HybridParityCheck,
     ebn0_db: float,
@@ -205,22 +222,12 @@ def run_point(
         iter_sum += it
         return frame_errors >= cfg.min_frame_errors or frames >= cfg.max_frames
 
-    run = partial(_run_chunk, code, params, cfg)
-    if cfg.workers == 1:
-        decoder = Decoder(code, max_iter=cfg.max_iter)
-        for args in chunk_args():
-            if consume(run(args, decoder)):
+    with _chunk_map(cfg.workers) as chunk_map:
+        # consume strictly in chunk order: totals do not depend on the
+        # worker count
+        for out in chunk_map(partial(_run_chunk, code, params, cfg), chunk_args()):
+            if consume(out):
                 break
-    else:
-        # spawned, not forked: a fork would inherit this process's BLAS
-        # threads, set when numpy was loaded
-        spawn = multiprocessing.get_context("spawn")
-        with _worker_env(), ProcessPoolExecutor(cfg.workers, mp_context=spawn) as pool:
-            # consume strictly in submission order: totals do not depend
-            # on the worker count
-            for out in pool.map(run, chunk_args()):
-                if consume(out):
-                    break
 
     return PointResult(
         ebn0_db=float(ebn0_db),

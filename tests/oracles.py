@@ -48,6 +48,12 @@ from hybridldpc.groups import (
 )
 
 
+def ebn0_db(sigma: float, rate: float) -> float:
+    """Eb/N0 in dB of the channel of noise ``sigma`` for a code of the
+    given rate: the inverse of ``ChannelParams.from_ebn0_db``."""
+    return 10.0 * math.log10(1.0 / (2.0 * rate * sigma * sigma))
+
+
 # ---------------------------------------------------------------------------
 # marginals of an ensemble and the closed-form rates
 
@@ -215,7 +221,6 @@ def random_tree_code(rng: np.random.Generator, max_symbols: int = 12,
         edge_row=np.array(edge_row, dtype=np.int64)[order],
         edge_col=np.array(edge_col, dtype=np.int64)[order],
         edge_maps=[edge_maps[i] for i in order],
-        seed=None,
     )
     code.validate()
     return code

@@ -43,6 +43,7 @@ from oracles import (
     brute_force_posteriors,
     direct_loo_convolve,
     direct_pair_convolve,
+    ebn0_db,
     exit_iteration_gfq,
     ldr_mi,
     ldr_to_probs,
@@ -207,7 +208,7 @@ def test_criterion_05_binary_threshold_crosscheck():
     ga_db = threshold_search(ens, tol_db=0.01)
     oracle = QuantizedBinaryDE({3: 1.0}, {6: 1.0})
     sigma_star = oracle.threshold_sigma(0.84, 0.92, tol=1e-4)
-    oracle_db = ChannelParams(sigma_star).ebn0_db(0.5)
+    oracle_db = ebn0_db(sigma_star, 0.5)
     diff = abs(ga_db - oracle_db)
     dt = time.time() - t0
     assert diff <= 0.1

@@ -11,7 +11,8 @@ import sys
 
 import pytest
 
-from hybridldpc import density_evolution
+from hybridldpc import construction, density_evolution, optimization, simulation
+from hybridldpc.ensembles import Ensemble, fixture_path
 from hybridldpc.groups import MAX_ORDER, validate_order
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -46,22 +47,58 @@ def test_every_valid_order_has_a_shipped_table():
 
 
 def test_missing_table_is_an_error_naming_the_script(tmp_path, monkeypatch):
-    monkeypatch.setattr(density_evolution, "_tables", {})
+    density_evolution.get_table.cache_clear()
     monkeypatch.setattr(density_evolution, "_table_dir", lambda: str(tmp_path))
     with pytest.raises(FileNotFoundError, match=r"order 16 .*scripts/build_tables\.py"):
         density_evolution.get_table(16)
     assert not os.listdir(tmp_path)
 
 
-def test_benchmark_trace_targets_exist():
+def load_perfbench(name: str):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_worker", os.path.join(ROOT, "perfbench", "worker.py"))
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
+        f"perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_targets_exist():
+    worker = load_perfbench("worker")
     for owner, attr, _name, _note in worker.traced_targets():
         assert hasattr(owner, attr), f"{owner.__name__}.{attr}"
     assert hasattr(density_evolution.clamp_stats, "count")
     assert callable(density_evolution.get_table)
+
+
+def test_benchmark_trace_targets_are_called(tmp_path):
+    # a scaled-down pipeline through every traced layer: a target that
+    # exists but is no longer called would read 0 in the benchmark. The
+    # tracer patches the package's modules, so calls go through them.
+    # About 3 s, most of it the J_v families the cleared memo rebuilds.
+    targets = load_perfbench("worker").traced_targets()
+    tracer = load_perfbench("spans").Tracer()
+    density_evolution.get_table.cache_clear()
+    density_evolution._family.cache_clear()
+    tracer.install(targets)
+    try:
+        ens = Ensemble.load(fixture_path("r12_hybrid_g8g2"))
+        density_evolution.threshold_search(ens, tol_db=0.5)
+        try:   # an infeasible LP has still called linprog
+            optimization.optimize_gamma(2, 3, [8, 16, 256], 1.4538, rate_eq=1 / 6,
+                                        grid=optimization.ConstraintGrid(points=8))
+        except optimization.OptimizationError:
+            pass
+        small = Ensemble.from_factored([2, 8], {2: 0.5, 3: 0.5}, {6: 1.0},
+                                       {2: {8: 1.0}, 3: {2: 1.0}})
+        path = str(tmp_path / "code.alist")
+        construction.save_code(construction.build_code(small, 240, seed=1), path)
+        code = construction.load_code(path)
+        simulation.run_point(code, 2.0, code.rate(), simulation.CampaignConfig(
+            max_iter=5, max_frames=2, chunk_frames=2, random_codewords=True))
+    finally:
+        tracer.uninstall()
+    called = {span[0] for span in tracer.finished()}
+    assert [name for _o, _a, name, _n in targets if name not in called] == []
 
 
 def test_pipeline_imports_leave_scipy_unloaded():

@@ -62,6 +62,17 @@ def test_threshold_command_rejects_zero_tolerance(ensemble_file, monkeypatch, ca
     (["simulate", "--code", "missing.alist", "--ebn0", "0:1:inf"], "'0:1:inf'"),
     (["threshold", "--ensemble", "missing.json", "--tol-db", "-0.01"], "'-0.01'"),
     (["threshold", "--ensemble", "missing.json", "--tol-db", "abc"], "'abc'"),
+    (["simulate", "--code", "missing.alist", "--ebn0", "nan"], "'nan'"),
+    (["simulate", "--code", "missing.alist", "--ebn0", "1,inf"], "'1,inf'"),
+    (["simulate", "--code", "missing.alist", "--ebn0", "1", "--rate", "2"], "'2'"),
+    (["simulate", "--code", "missing.alist", "--ebn0", "1", "--seed", "-2"], "'-2'"),
+    (["decode", "--code", "missing.alist", "--in", "missing.txt", "--sigma", "-1"], "'-1'"),
+    (["decode", "--code", "missing.alist", "--in", "missing.txt", "--sigma", "nan"], "'nan'"),
+    (["decode", "--code", "missing.alist", "--in", "missing.txt", "--ebn0-db", "nan"],
+     "'nan'"),
+    (["construct", "--ensemble", "missing.json", "--n-bits", "240", "--seed", "-1",
+      "--out", "missing.alist"], "'-1'"),
+    (["threshold", "--ensemble", "missing.json", "--tol-db", "inf"], "'inf'"),
 ])
 def test_bad_numbers_are_usage_errors_before_any_file_is_read(argv, shown, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -70,12 +81,14 @@ def test_bad_numbers_are_usage_errors_before_any_file_is_read(argv, shown, capsy
     assert shown in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--max-iter", "--chunk-frames", "--workers", "--max-frames"])
+@pytest.mark.parametrize("flag", ["--max-iter", "--chunk-frames", "--workers", "--max-frames",
+                                  "--min-frame-errors"])
 @pytest.mark.parametrize("value", ["0", "-2", "2.5", "abc"])
 def test_campaign_counts_are_usage_errors(flag, value, capsys):
     # a chunk of no frames, a fractional iteration cap or no worker would
-    # hang or fail deep in a campaign, and a point of no frames would be
-    # cached as a measurement; each is refused while parsing
+    # hang or fail deep in a campaign, a point of no frames would be cached
+    # as a measurement, and a point that needs no frame error would stop
+    # after its first chunk; each is refused while parsing
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--code", "missing.alist", "--ebn0", "1", flag, value])
     assert exc.value.code == 2
@@ -233,7 +246,13 @@ README_LAMBDA = {"direction": "lambda",
     ({**README_LAMBDA, "rho": {"6": 0.5}}, "rho masses sum to 0.5"),
     ({"direction": "gamma", "groups": [], "d_v": 2, "d_c": 3, "sigma": 1.0},
      "no variable groups"),
-], ids=["infeasible", "bad-rho", "no-groups"])
+    ({"direction": "gamma", "groups": [2, 4], "d_v": 3, "d_c": 6, "sigma": 0.7,
+      "rate_eq": 0.45, "grid": {"points": 30, "margin": -5}},
+     "margin -5 must be positive and finite"),
+    ({"direction": "gamma", "groups": [2, 4], "d_v": 3, "d_c": 6, "sigma": 0.7,
+      "rate_eq": 0.45, "grid": {"points": 30, "margin": 0}},
+     "margin 0 must be positive and finite"),
+], ids=["infeasible", "bad-rho", "no-groups", "negative-margin", "zero-margin"])
 def test_optimize_reports_design_errors_in_one_line(tmp_path, config, message):
     with pytest.raises(SystemExit) as exc:
         _run_optimize(tmp_path, config)

@@ -309,6 +309,41 @@ def test_initial_state_covers_every_edge_class():
         assert 0.0 <= state[((i, qk), ql)] <= 1.0
 
 
+def test_initial_state_is_the_channel_alone_extended():
+    # the variable update without check information: every class carries
+    # its channel's J_v at zero offset, extended into the check group
+    ens = Ensemble.from_factored(
+        [2, 8], {2: 0.3, 3: 0.4, 8: 0.3}, {6: 1.0},
+        {2: {8: 1.0}, 3: {2: 1.0}, 8: {2: 0.3, 8: 0.7}})
+    m_bc = ChannelParams(0.9).m_bc
+    state = initial_state(ens, m_bc)
+    assert set(state) == {((i, qk), ql) for (i, _j, qk, ql) in ens.pi}
+    assert {qk for ((_i, qk), _ql) in state} == {2, 8}
+    for ((i, qk), ql), y in state.items():
+        assert y == mi_extend(jv_channel_offset(qk, m_bc, 0.0), qk, ql)
+    assert set(exit_iteration_hybrid(state, ens, m_bc)) == set(state)
+
+
+def test_jv_memo_is_bounded_and_keyed_by_the_exact_channel():
+    # one family per order above G(2): 4, 8, ..., 256
+    memo = density_evolution._family
+    assert memo.cache_info().maxsize == 7
+    memo.cache_clear()
+    m_bcs = [1.0 + 0.1 * k for k in range(9)]
+    for m_bc in m_bcs:
+        jv_channel_offset(4, m_bc, 0.5)
+        assert memo.cache_info().currsize <= 7
+    info = memo.cache_info()
+    assert (info.misses, info.currsize) == (9, 7)
+    jv_channel_offset(4, m_bcs[-1], 0.5)
+    assert memo.cache_info().hits == info.hits + 1
+    assert memo.cache_info().misses == info.misses
+    # the key is the exact channel mean, not a rounded one
+    near = math.nextafter(m_bcs[-1], math.inf)
+    assert memo(4, near) is not memo(4, m_bcs[-1])
+    assert memo(4, near).m_bc == near
+
+
 def test_de_trajectory_monotone_until_stop():
     ens = binary_36()
     ok, traj = de_trajectory(ens, 0.84)

@@ -276,6 +276,21 @@ def test_conflicting_rates_fail_before_any_row(monkeypatch):
                         rate_eq=0.5)
 
 
+@pytest.mark.parametrize("margin", [-5.0, 0.0])
+def test_margin_without_progress_fails_before_any_row(margin, monkeypatch):
+    # F(x) >= x + margin asks each iteration to make progress only with a
+    # positive margin
+    monkeypatch.setattr(optimization, "gamma_exit_matrix", no_rows)
+    monkeypatch.setattr(optimization, "lambda_exit_matrix", no_rows)
+    grid = ConstraintGrid(points=30, margin=margin)
+    with pytest.raises(OptimizationError, match="margin"):
+        grid.xs()
+    with pytest.raises(OptimizationError, match="margin"):
+        optimize_gamma(2, 3, [8, 16, 256], 1.4, grid=grid, rate_eq=1 / 6)
+    with pytest.raises(OptimizationError, match="margin"):
+        optimize_lambda(small_profile(), {6: 1.0}, 0.8, grid=grid)
+
+
 def test_gamma_rejects_empty_group_list(monkeypatch):
     monkeypatch.setattr(optimization, "gamma_exit_matrix", no_rows)
     with pytest.raises(OptimizationError, match="no variable groups"):

@@ -104,13 +104,37 @@ def test_fewer_than_one_worker_is_an_error(workers):
         CampaignConfig(workers=workers)
 
 
-@pytest.mark.parametrize("field", ["chunk_frames", "max_iter", "max_frames"])
+@pytest.mark.parametrize("field", ["chunk_frames", "max_iter", "max_frames",
+                                   "min_frame_errors"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_counts_below_one_are_errors(field, value):
-    # a chunk of no frames never ends a point, and a decoder needs an
-    # iteration: the config is refused before any point can start
+    # a chunk of no frames never ends a point, a decoder needs an
+    # iteration, and a point that needs no frame error stops after its
+    # first chunk: the config is refused before any point can start
     with pytest.raises(ValueError, match=field):
         CampaignConfig(**{field: value})
+
+
+def test_negative_seed_is_an_error():
+    assert CampaignConfig(seed=0).seed == 0
+    with pytest.raises(ValueError, match="seed"):
+        CampaignConfig(seed=-1)
+
+
+@pytest.mark.parametrize("random_codewords", [False, True])
+def test_totals_do_not_depend_on_chunk_size(random_codewords):
+    # each frame decodes the same in any chunk: with more frame errors
+    # asked for than the budget holds, every chunking runs all 15 frames
+    code = tiny_code()
+    totals = set()
+    for chunk in (1, 7, 15):
+        cfg = CampaignConfig(max_iter=30, min_frame_errors=16, max_frames=15,
+                             chunk_frames=chunk, seed=4, random_codewords=random_codewords)
+        res = run_point(code, 1.0, code.rate(), cfg)
+        totals.add((res.frames, res.frame_errors, res.bit_errors, res.mean_iterations))
+    assert len(totals) == 1
+    frames, frame_errors, _bits, _iters = totals.pop()
+    assert frames == 15 and 0 < frame_errors < 15
 
 
 def test_random_codewords_path_matches_all_zero_statistics():
