@@ -48,10 +48,7 @@ def _parse_ebn0(text: str) -> list[float]:
             out.append(round(x, 9))
             x += step
         return out
-    out = [float(t) for t in text.split(",")]
-    if not np.isfinite(out).all():
-        raise _BadValue(f"list {text!r} needs finite values")
-    return out
+    return [_finite(t) for t in text.split(",")]
 
 
 def _finite(text: str) -> float:

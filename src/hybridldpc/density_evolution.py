@@ -517,6 +517,10 @@ def _pairwise_nodes(n: int, cap: int, leaf: Callable[[int, int], np.ndarray],
 
 # A DE trajectory and an LP design each evaluate one channel, so the memo
 # holds one channel's families: one per order above G(2), which J_c serves.
+# The bound trades against repeated bisections: a second threshold search
+# at the same rate in one process probes the same channels and rebuilds
+# their families (scripts/optimize_designs.py does this for its two
+# rate-1/6 fixtures: 66.6 s -> 88.4 s for the whole script on 2 Xeon cores).
 @lru_cache(maxsize=bits_per_symbol(MAX_ORDER) - 1)
 def _family(order: int, m_bc: float) -> JvFamily:
     return JvFamily(order, m_bc)

@@ -63,7 +63,7 @@ def test_threshold_command_rejects_zero_tolerance(ensemble_file, monkeypatch, ca
     (["threshold", "--ensemble", "missing.json", "--tol-db", "-0.01"], "'-0.01'"),
     (["threshold", "--ensemble", "missing.json", "--tol-db", "abc"], "'abc'"),
     (["simulate", "--code", "missing.alist", "--ebn0", "nan"], "'nan'"),
-    (["simulate", "--code", "missing.alist", "--ebn0", "1,inf"], "'1,inf'"),
+    (["simulate", "--code", "missing.alist", "--ebn0", "1,inf"], "'inf' is not finite"),
     (["simulate", "--code", "missing.alist", "--ebn0", "1", "--rate", "2"], "'2'"),
     (["simulate", "--code", "missing.alist", "--ebn0", "1", "--seed", "-2"], "'-2'"),
     (["decode", "--code", "missing.alist", "--in", "missing.txt", "--sigma", "-1"], "'-1'"),
