@@ -16,6 +16,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from hybridldpc.cli import _positive_int, _seed
 from hybridldpc.construction import build_code, built_length, load_code, save_code
 from hybridldpc.ensembles import Ensemble, fixture_path
 from hybridldpc.simulation import CampaignConfig, run_campaign
@@ -75,12 +76,13 @@ def main() -> int:
     ap.add_argument("--offsets", type=float, nargs="*",
                     default=[0.4, 0.6, 0.8, 1.0, 1.2],
                     help="Eb/N0 grid as offsets above each DE threshold")
-    ap.add_argument("--min-frame-errors", type=int, default=100)
-    ap.add_argument("--max-frames", type=int, default=2_000_000)
-    ap.add_argument("--max-iter", type=int, default=500)
-    ap.add_argument("--chunk-frames", type=int, default=64)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--workers", type=int, default=1)
+    # counts and the seed are checked here, before any code is built
+    ap.add_argument("--min-frame-errors", type=_positive_int, default=100)
+    ap.add_argument("--max-frames", type=_positive_int, default=2_000_000)
+    ap.add_argument("--max-iter", type=_positive_int, default=500)
+    ap.add_argument("--chunk-frames", type=_positive_int, default=64)
+    ap.add_argument("--seed", type=_seed, default=1)
+    ap.add_argument("--workers", type=_positive_int, default=1)
     ap.add_argument("--out-dir", default="fer_results")
     args = ap.parse_args()
 

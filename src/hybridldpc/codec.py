@@ -25,11 +25,18 @@ class's columns form one contiguous (C, q_k) slab, and a G(8) edge
 carries 8 values in a G(256) check. The variable-to-check row has one
 more slot, always zero.
 
-Frames retire in place. When frames stop early, the rows of the frames
-still decoding move forward inside the arrays the decode allocated
+A decode runs its frames in consecutive passes of
+``Decoder.frames_per_pass`` frames: as many as fill two CHECK_BLOCKs of
+a frame's message values, and at least one (one frame on the 6144-bit
+rate-1/6 codes, whose messages fill more, as in the frame-by-frame
+decoders of Barnault & Declercq). The messages and channel
+probabilities a decode holds are one pass's, whatever its frame count,
+and a frame decodes to the same bits in any pass. Within a pass, frames
+retire in place. When frames stop early, the rows of the frames still
+decoding move forward inside the arrays the pass allocated
 (``_retire``), so each of its per-frame arrays is a view of the first
 rows of its first allocation, C-ordered as that was. Retiring frames
-allocates nothing, and a decode's memory peaks in its first iteration.
+allocates nothing, and a pass's memory peaks in its first iteration.
 
 The check group's width exists only inside one block of the check walk,
 at most CHECK_BLOCK values: a run of checks of one class, for one frame
@@ -473,10 +480,15 @@ class Decoder:
         self.check_classes: list[_CheckClass] = []
         for j, ql, _rows, edges in row_classes:
             # v2c column of each component of the class, (ql, C, j),
-            # the zero slot outside each edge's image
+            # the zero slot outside each edge's image: filled per edge
+            # position and variable order, so that no index array spans
+            # the whole class
             gather = np.full((ql,) + edges.shape, width, dtype=np.intp)
-            c, d, t = np.nonzero(comp[:ql] < qv[edges][..., None])
-            gather[tables[edges[c, d], t], c, d] = first[edges[c, d]] + t
+            for d, e in enumerate(edges.T):
+                for qk in np.unique(qv[e]).tolist():
+                    c = np.flatnonzero(qv[e] == qk)
+                    t = np.arange(qk)
+                    gather[tables[e[c, None], t], c[:, None], d] = first[e[c, None]] + t
             frames = _frames_per_block(gather.size)
             step = len(edges) if frames > 1 else max(1, CHECK_BLOCK // (ql * j))
             k = np.arange(frames)[:, None, None, None]
@@ -541,6 +553,13 @@ class Decoder:
             self._bchk.append((j, len(rows), slot))
             slot += j * len(rows)
 
+    @property
+    def frames_per_pass(self) -> int:
+        """Frames that ``decode`` runs together: as many as fill two
+        CHECK_BLOCKs of a frame's message values, and at least one."""
+        width = self.code.n_edges if self.binary else self._msg_width
+        return max(1, 2 * CHECK_BLOCK // width)
+
     def decode(self, chan_llr: np.ndarray, want_posteriors: bool = False,
                early_stop: bool = True) -> DecodeResult:
         """Run flooding BP on channel symbol LLRs of shape (F, n, q_max),
@@ -549,6 +568,11 @@ class Decoder:
         With ``early_stop`` a frame retires as soon as its hard decision
         satisfies every check; without it all frames run every iteration
         (used for exact-marginal checks on cycle-free codes).
+
+        The frames run in consecutive passes of ``frames_per_pass``, so a
+        decode holds the messages of one pass whatever F is; a frame
+        decodes to the same bits in any pass. ``active_frames`` and
+        ``unsatisfied_checks`` are summed over the passes.
         """
         chan = np.asarray(chan_llr, dtype=np.float64)
         if chan.ndim == 2:
@@ -564,8 +588,6 @@ class Decoder:
             what = "NaN" if np.isnan(chan[f, c]).any() else "an infinite value"
             raise ValueError(f"channel LLRs of frame {f}, column {c} hold {what}")
         F, n = chan.shape[0], self.code.n
-        run = _BinaryRun(self, chan) if self.binary else _VectorRun(self, chan)
-
         symbols = np.zeros((F, n), dtype=np.int64)
         success = np.zeros(F, dtype=bool)
         used = np.full(F, self.max_iter, dtype=np.int64)
@@ -573,19 +595,35 @@ class Decoder:
         if want_posteriors:
             # the scalar path reports L(1) - L(0) in component 1
             post_out = np.zeros((F, n, 2)) if self.binary else chan.copy()
+        step = self.frames_per_pass
+        # a batch of no frames still runs one (empty) pass
+        tallies = [
+            self._decode_pass(chan[rows], symbols[rows], success[rows], used[rows],
+                              None if post_out is None else post_out[rows], early_stop)
+            for rows in (slice(lo, lo + step) for lo in range(0, max(F, 1), step))
+        ]
+        depth = max(len(t) for t in tallies)
+        total = sum(np.pad(t, ((0, depth - len(t)), (0, 0))) for t in tallies)
+        return DecodeResult(symbols, success, used, total[:, 0], total[:, 1], post_out)
 
-        active = np.arange(F)
-        n_active: list[int] = []
-        n_unsat: list[int] = []
+    def _decode_pass(self, chan: np.ndarray, symbols: np.ndarray, success: np.ndarray,
+                     used: np.ndarray, post_out: np.ndarray | None,
+                     early_stop: bool) -> np.ndarray:
+        """Decode one pass of frames, writing their decisions, outcomes,
+        iteration counts and, if ``post_out`` is given, posteriors into
+        the arrays passed. Returns, per iteration run, the active frames
+        and their unsatisfied checks, as an (iterations, 2) array."""
+        run = _BinaryRun(self, chan) if self.binary else _VectorRun(self, chan)
+        active = np.arange(len(chan))
+        tally: list[tuple[int, int]] = []
         it = 0
         while True:
             # iteration 0 checks the hard decisions straight off the channel
             hard, unsat = run.step(it)
             ok = unsat == 0
-            n_active.append(len(active))
-            n_unsat.append(int(unsat.sum()))
+            tally.append((len(active), int(unsat.sum())))
             symbols[active] = hard
-            if want_posteriors:
+            if post_out is not None:
                 run.write_posteriors(post_out, active)
             used[active[ok & ~success[active]]] = it
             success[active[ok]] = True
@@ -598,8 +636,7 @@ class Decoder:
                     break
                 run.keep(keep)
             it += 1
-        return DecodeResult(symbols, success, used, np.array(n_active),
-                            np.array(n_unsat), post_out)
+        return np.array(tally, dtype=np.int64)
 
 
 def _column_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:

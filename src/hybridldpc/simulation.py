@@ -3,11 +3,18 @@
 Frames are drawn in fixed-size chunks with one RNG per frame, keyed by
 (master seed, frame index). One chunk runner, `_run_chunk`, decodes a
 chunk with a decoder of its own, mapped over the chunks in this process
-or in spawned worker processes. The stop rule is evaluated on chunk
+or in spawned worker processes. It draws, transmits and decodes the
+chunk one decoder pass (`Decoder.frames_per_pass` frames) at a time, so
+a worker holds one pass whatever the chunk size, and the totals do not
+depend on the pass size. The stop rule is evaluated on chunk
 boundaries in frame order, so results are reproducible bit for bit
 regardless of how many worker processes run the chunks. Worker
 processes are spawned with BLAS pinned to one thread each, as the
 workers already share out the cores.
+
+A campaign CSV row records the point's Eb/N0, iteration cap, seed and
+codeword mode, which `run_campaign` matches to resume; rows of a file
+written before the `random_codewords` column hold all-zero runs.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ __all__ = [
 CSV_FIELDS = [
     "ebn0_db", "sigma", "frames", "frame_errors", "bit_errors",
     "info_bits", "fer", "ber", "fer_ci_lo", "fer_ci_hi",
-    "mean_iterations", "max_iter", "seed",
+    "mean_iterations", "max_iter", "seed", "random_codewords",
 ]
 _Z95 = 1.96  # two-sided 95 percent normal quantile
 # BLAS thread settings of campaign worker processes
@@ -83,6 +90,7 @@ class PointResult:
     mean_iterations: float
     max_iter: int
     seed: int
+    random_codewords: bool = False
 
     @property
     def fer(self) -> float:
@@ -122,39 +130,42 @@ class PointResult:
             "mean_iterations": repr(self.mean_iterations),
             "max_iter": self.max_iter,
             "seed": self.seed,
+            "random_codewords": self.random_codewords,
         }
 
 
 def _run_chunk(code: HybridParityCheck, params: ChannelParams,
                cfg: CampaignConfig, args: tuple[int, int]) -> tuple[int, int, int, int]:
-    """Decode frames [first, first + count) with a decoder of its own:
+    """Decode frames [first, first + count) with a decoder of its own, one
+    decoder pass at a time, so that no more than a pass's frames are held:
     returns frame count, frame errors, info bit errors, summed iterations."""
     first, count = args
     decoder = Decoder(code, max_iter=cfg.max_iter)
-    n_bits = code.n_bits
-    tx_syms = np.zeros((count, code.n), dtype=np.int64)
-    y = np.empty((count, n_bits), dtype=np.float64)
-    for f in range(count):
-        rng = np.random.default_rng(
-            np.random.SeedSequence((cfg.seed, first + f)))
-        if cfg.random_codewords:
-            info = np.array([
-                rng.integers(0, int(q))
-                for q in code.var_groups[: code.n_info]
-            ], dtype=np.int64)
-            tx_syms[f] = encode(code, info[None, :])[0]
-        bits = symbols_to_bits(code, tx_syms[f])
-        y[f] = transmit(bits, params, rng)
-
-    chan = channel_llrs(code, y, params)
-    res = decoder.decode(chan)
-
-    frame_errors = int(np.count_nonzero((res.symbols != tx_syms).any(axis=1)))
     # XOR keeps each symbol inside its group, so one popcount table of the
     # largest order counts the bit errors of every column
-    wrong = (res.symbols ^ tx_syms)[:, : code.n_info]
-    bit_errors = int(symbol_weights(int(code.var_groups.max()))[wrong].sum())
-    return count, frame_errors, bit_errors, int(res.iterations.sum())
+    weights = symbol_weights(int(code.var_groups.max()))
+    frame_errors = bit_errors = iterations = 0
+    step = decoder.frames_per_pass
+    for lo in range(first, first + count, step):
+        frames = min(step, first + count - lo)
+        tx_syms = np.zeros((frames, code.n), dtype=np.int64)
+        y = np.empty((frames, code.n_bits), dtype=np.float64)
+        for f in range(frames):
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, lo + f)))
+            if cfg.random_codewords:
+                info = np.array([
+                    rng.integers(0, int(q))
+                    for q in code.var_groups[: code.n_info]
+                ], dtype=np.int64)
+                tx_syms[f] = encode(code, info[None, :])[0]
+            bits = symbols_to_bits(code, tx_syms[f])
+            y[f] = transmit(bits, params, rng)
+
+        res = decoder.decode(channel_llrs(code, y, params))
+        frame_errors += int(np.count_nonzero((res.symbols != tx_syms).any(axis=1)))
+        bit_errors += int(weights[(res.symbols ^ tx_syms)[:, : code.n_info]].sum())
+        iterations += int(res.iterations.sum())
+    return count, frame_errors, bit_errors, iterations
 
 
 @contextmanager
@@ -239,7 +250,14 @@ def run_point(
         mean_iterations=iter_sum / frames if frames else math.nan,
         max_iter=cfg.max_iter,
         seed=cfg.seed,
+        random_codewords=cfg.random_codewords,
     )
+
+
+def _random_codewords(row: dict) -> bool:
+    # a file written before the column existed, or its rows after an
+    # upgrade (cell empty), holds all-zero runs
+    return row.get("random_codewords") == "True"
 
 
 def _load_done(csv_path: str) -> dict[tuple, dict]:
@@ -248,9 +266,32 @@ def _load_done(csv_path: str) -> dict[tuple, dict]:
         return done
     with open(csv_path, newline="") as fh:
         for row in csv.DictReader(fh):
-            key = (float(row["ebn0_db"]), int(row["max_iter"]), int(row["seed"]))
+            key = (float(row["ebn0_db"]), int(row["max_iter"]), int(row["seed"]),
+                   _random_codewords(row))
             done[key] = row
     return done
+
+
+def _append_row(csv_path: str, row: dict) -> None:
+    """Append one row to a campaign CSV. A new or empty file gets the
+    header first. A file of an older layout, without a later column, is
+    first rewritten under CSV_FIELDS with that column's cells empty, so
+    that no value lands under another column's name."""
+    rows = []
+    if os.path.exists(csv_path):
+        with open(csv_path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = None if reader.fieldnames == CSV_FIELDS else list(reader)
+    if rows is None:
+        with open(csv_path, "a", newline="") as fh:
+            csv.DictWriter(fh, fieldnames=CSV_FIELDS).writerow(row)
+        return
+    tmp = csv_path + ".tmp"
+    with open(tmp, "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=CSV_FIELDS, restval="")
+        w.writeheader()
+        w.writerows(rows + [row])
+    os.replace(tmp, csv_path)
 
 
 def _result_from_row(row: dict) -> PointResult:
@@ -264,6 +305,7 @@ def _result_from_row(row: dict) -> PointResult:
         mean_iterations=float(row["mean_iterations"]),
         max_iter=int(row["max_iter"]),
         seed=int(row["seed"]),
+        random_codewords=_random_codewords(row),
     )
 
 
@@ -277,11 +319,11 @@ def run_campaign(
 ) -> list[PointResult]:
     """Measure a list of Eb/N0 points, appending each to a CSV as it
     finishes. Points already present in the CSV (same Eb/N0, iteration
-    cap and seed) are loaded instead of re-run."""
+    cap, seed and codeword mode) are loaded instead of re-run."""
     done = _load_done(csv_path) if csv_path else {}
     results = []
     for db in ebn0_points:
-        key = (float(db), cfg.max_iter, cfg.seed)
+        key = (float(db), cfg.max_iter, cfg.seed, cfg.random_codewords)
         if key in done:
             res = _result_from_row(done[key])
             if log:
@@ -291,12 +333,7 @@ def run_campaign(
         res = run_point(code, db, rate, cfg)
         results.append(res)
         if csv_path:
-            new_file = not os.path.exists(csv_path)
-            with open(csv_path, "a", newline="") as fh:
-                w = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-                if new_file:
-                    w.writeheader()
-                w.writerow(res.csv_row())
+            _append_row(csv_path, res.csv_row())
         if log:
             lo, hi = res.fer_ci()
             log(f"  {db:+.3f} dB: fer {res.fer:.3e} [{lo:.2e}, {hi:.2e}] "

@@ -535,6 +535,31 @@ def reference_loo_convolve(probs: np.ndarray) -> np.ndarray:
     return reference_walsh_hadamard(pref * suff) / probs.shape[-1]
 
 
+def reference_check_gathers(code: HybridParityCheck) -> list[np.ndarray]:
+    """Per check class of ``code.node_classes``, the (ql, C, j) v2c
+    column that ``codec.Decoder``'s check walk gathers for each component
+    of each edge, by one ``np.nonzero`` over the class's (C, j, ql) mask
+    of edge images, the formula the decoder was first built with. The
+    v2c row holds the variable classes in turn, each a degree-major
+    (i, C, q_k) block; components outside an edge's image read the zero
+    slot past the row's messages."""
+    col_classes, row_classes = code.node_classes
+    first = np.empty(code.n_edges, dtype=np.int64)
+    width = 0
+    for _i, qk, _cols, edges in col_classes:
+        first[edges] = width + qk * np.arange(edges.size).reshape(edges.T.shape).T
+        width += qk * edges.size
+    qv = code.var_groups[code.edge_col]
+    comp = np.arange(code.map_tables.shape[1])
+    out = []
+    for _j, ql, _rows, edges in row_classes:
+        gather = np.full((ql,) + edges.shape, width, dtype=np.intp)
+        c, d, t = np.nonzero(comp[:ql] < qv[edges][..., None])
+        gather[code.map_tables[edges[c, d], t], c, d] = first[edges[c, d]] + t
+        out.append(gather)
+    return out
+
+
 class ReferenceVectorDecoder:
     """The sum-product decoder with every message padded to q_max.
 

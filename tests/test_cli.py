@@ -1,5 +1,6 @@
 """End-to-end CLI workflows through the argparse front end."""
 
+import csv
 import json
 import os
 
@@ -389,3 +390,22 @@ def test_simulate_command(tmp_path, ensemble_file, capsys):
         rows = fh.read().strip().splitlines()
     assert len(rows) == 3
     assert rows[0].startswith("ebn0_db,")
+
+
+def test_simulate_keys_cached_points_on_the_codeword_mode(tmp_path, ensemble_file, capsys):
+    # the same point with random codewords is another measurement: it
+    # runs instead of being served the all-zero row, and each run of
+    # either mode finds its own row again
+    code_path = os.path.join(tmp_path, "code.alist")
+    main(["construct", "--ensemble", ensemble_file, "--n-bits", "240",
+          "--seed", "2", "--out", code_path])
+    csv_path = os.path.join(tmp_path, "c.csv")
+    argv = ["simulate", "--code", code_path, "--ebn0", "1.0", "--max-frames", "8",
+            "--seed", "3", "--out", csv_path]
+    for extra, cached in (([], False), (["--random-codewords"], False),
+                          ([], True), (["--random-codewords"], True)):
+        assert main(argv + extra) == 0
+        assert ("dB: cached" in capsys.readouterr().out) == cached, extra
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["random_codewords"] for r in rows] == ["False", "True"]

@@ -38,6 +38,7 @@ from oracles import (
     posterior_llrs_to_probs,
     random_tree_code,
     reference_channel_llrs,
+    reference_check_gathers,
     reference_loo_convolve,
     reference_syndrome,
     reference_walsh_hadamard,
@@ -379,6 +380,68 @@ def test_decode_batch_matches_single():
             assert one.success[0] == batch.success[f]
             assert one.iterations[0] == batch.iterations[f]
             assert np.array_equal(one.posterior_llr[0], batch.posterior_llr[f])
+
+
+def staggered_frames(source: str) -> tuple:
+    """The small hybrid build and the 1024-bit binary build of
+    ``test_decode_batch_matches_single``, with channel LLRs of frames
+    that retire at different iterations."""
+    if source == "hybrid":
+        code, frames, seed = build_code(small_hybrid(), 600, seed=6), 4, 12
+    else:
+        code = build_code(Ensemble.load(fixture_path("r12_binary_irregular")), 1024, seed=1)
+        frames, seed = 6, 11
+    rng = np.random.default_rng(seed)
+    params = ChannelParams(0.9)
+    y = transmit(np.zeros((frames, code.n_bits), dtype=np.int64), params, rng)
+    return code, channel_llrs(code, y, params)
+
+
+@pytest.mark.parametrize("source", ["hybrid", "binary"])
+def test_decode_result_does_not_depend_on_the_pass_size(source, monkeypatch):
+    # frames run in passes of frames_per_pass; each field of the result
+    # is the same with a pass of one frame, of two, or of the whole batch
+    code, chan = staggered_frames(source)
+    F = len(chan)
+    dec = Decoder(code, max_iter=30)
+    assert dec.frames_per_pass >= F
+    whole = {stop: dec.decode(chan, want_posteriors=True, early_stop=stop)
+             for stop in (True, False)}
+    its = whole[True].iterations
+    assert any(its[f] < its[f + 1:].max() for f in range(F - 1))
+    for size in (1, 2, F):
+        monkeypatch.setattr(Decoder, "frames_per_pass", property(lambda self, n=size: n))
+        for stop, want in whole.items():
+            got = dec.decode(chan, want_posteriors=True, early_stop=stop)
+            assert_same_decode(got, want)
+
+
+@pytest.mark.parametrize("name", ["r16_hybrid_g256g16g8", "r16_gf256_regular"])
+def test_shipped_r16_codes_decode_one_frame_per_pass(name):
+    # a frame's messages alone fill more than two check-walk blocks
+    code = load_code(os.path.join(ROOT, "fer_results", "codes", f"{name}_6144.alist"))
+    dec = Decoder(code)
+    assert dec._msg_width > 2 * codec.CHECK_BLOCK
+    assert dec.frames_per_pass == 1
+
+
+@pytest.mark.parametrize("source", ["small_hybrid", "r16_hybrid_g256g16g8", "r16_gf256_regular"])
+def test_check_walk_gathers_match_the_nonzero_formula(source):
+    # the blocks of the check walk, each frame's offset by a v2c row,
+    # are the gather of the whole class that np.nonzero gives
+    if source == "small_hybrid":
+        code = build_code(small_hybrid(), 600, seed=6)
+    else:
+        code = load_code(os.path.join(ROOT, "fer_results", "codes", f"{source}_6144.alist"))
+    dec = Decoder(code)
+    row = dec._msg_width + 1
+    refs = reference_check_gathers(code)
+    assert len(refs) == len(dec.check_classes)
+    for cc, ref in zip(dec.check_classes, refs):
+        blocks = [g for g, *_r in cc.blocks]
+        assert np.array_equal(np.concatenate([g[0] for g in blocks], axis=1), ref)
+        for g in blocks:
+            assert np.array_equal(g, g[0] + row * np.arange(len(g))[:, None, None, None])
 
 
 @pytest.mark.parametrize("name", ["r12_hybrid_g8g2", "r12_binary_irregular"])

@@ -73,6 +73,28 @@ def test_shipped_campaign_codes_resolve(name):
     assert os.path.exists(os.path.join(ROOT, "fer_results", "codes", f"{name}_6144.alist"))
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--chunk-frames", "0"), ("--workers", "0"), ("--max-iter", "0"), ("--max-frames", "0"),
+    ("--min-frame-errors", "0"), ("--seed", "-1")])
+def test_fer_campaign_arguments_fail_before_any_build(flag, value, tmp_path, monkeypatch,
+                                                      capsys):
+    # a count below one or a negative seed is a usage error while parsing,
+    # before the 6144-bit codes are built or loaded
+    mod = load_script("fer_comparison")
+
+    def no_code(*args, **kwargs):
+        raise AssertionError("a code was built or loaded")
+
+    monkeypatch.setattr(mod, "get_code", no_code)
+    out_dir = str(tmp_path / "out")
+    monkeypatch.setattr(sys, "argv", ["fer_comparison.py", "--out-dir", out_dir, flag, value])
+    with pytest.raises(SystemExit) as exc:
+        mod.main()
+    assert exc.value.code == 2
+    assert f"argument {flag}: '{value}'" in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+
+
 @pytest.mark.parametrize("name", ["build_tables", "fer_comparison", "optimize_designs"])
 def test_scripts_run_from_an_uninstalled_checkout(name, tmp_path):
     # each script puts the checkout's src/ on the path itself

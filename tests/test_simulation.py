@@ -1,22 +1,29 @@
 """Monte Carlo harness: statistics, determinism, CSV caching."""
 
+import csv
 import math
 import multiprocessing
 import os
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from hybridldpc import simulation
-from hybridldpc.construction import build_code
+from hybridldpc.codec import Decoder
+from hybridldpc.construction import build_code, load_code
 from hybridldpc.ensembles import Ensemble
 from hybridldpc.simulation import (
+    CSV_FIELDS,
     CampaignConfig,
     PointResult,
     run_campaign,
     run_point,
 )
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def tiny_code(seed: int = 2):
@@ -122,19 +129,46 @@ def test_negative_seed_is_an_error():
 
 
 @pytest.mark.parametrize("random_codewords", [False, True])
-def test_totals_do_not_depend_on_chunk_size(random_codewords):
-    # each frame decodes the same in any chunk: with more frame errors
-    # asked for than the budget holds, every chunking runs all 15 frames
+def test_totals_do_not_depend_on_chunk_size(random_codewords, monkeypatch):
+    # each frame decodes the same in any chunk and in any decoder pass:
+    # with more frame errors asked for than the budget holds, every
+    # chunking runs all 15 frames
     code = tiny_code()
+    assert Decoder(code).frames_per_pass >= 15
     totals = set()
-    for chunk in (1, 7, 15):
-        cfg = CampaignConfig(max_iter=30, min_frame_errors=16, max_frames=15,
-                             chunk_frames=chunk, seed=4, random_codewords=random_codewords)
-        res = run_point(code, 1.0, code.rate(), cfg)
-        totals.add((res.frames, res.frame_errors, res.bit_errors, res.mean_iterations))
+    for passes in (None, 1, 4):
+        if passes:
+            monkeypatch.setattr(Decoder, "frames_per_pass", property(lambda self, n=passes: n))
+        for chunk in (1, 7, 15):
+            cfg = CampaignConfig(max_iter=30, min_frame_errors=16, max_frames=15,
+                                 chunk_frames=chunk, seed=4, random_codewords=random_codewords)
+            res = run_point(code, 1.0, code.rate(), cfg)
+            totals.add((res.frames, res.frame_errors, res.bit_errors, res.mean_iterations))
     assert len(totals) == 1
     frames, frame_errors, _bits, _iters = totals.pop()
     assert frames == 15 and 0 < frame_errors < 15
+
+
+def test_campaign_memory_does_not_grow_with_chunk_frames():
+    # a chunk decodes one pass at a time, and a pass of the shipped
+    # 6144-bit hybrid code is one frame: a 4-frame chunk holds no more
+    # than four 1-frame chunks do (on whole-chunk decodes, about 25 MiB
+    # more)
+    code = load_code(os.path.join(ROOT, "fer_results", "codes",
+                                  "r16_hybrid_g256g16g8_6144.alist"))
+    # the code's lazily built edge tables, outside the traced runs
+    Decoder(code)
+    peaks = []
+    for chunk in (4, 1):
+        cfg = CampaignConfig(max_iter=2, min_frame_errors=5, max_frames=4,
+                             chunk_frames=chunk, seed=1)
+        tracemalloc.start()
+        try:
+            assert run_point(code, 0.719, code.rate(), cfg).frames == 4
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[0] - peaks[1]) <= 4 * 2**20, peaks
 
 
 def test_random_codewords_path_matches_all_zero_statistics():
@@ -202,3 +236,44 @@ def test_campaign_reruns_on_config_change(tmp_path):
     assert out[0].max_iter == 10
     with open(csv_path) as fh:
         assert len(fh.read().strip().splitlines()) == 3
+
+
+def test_campaign_resumes_a_csv_without_the_codeword_column(tmp_path):
+    # rows of a file written before the column existed resume all-zero
+    # runs only; appending to it rewrites it under the current header,
+    # the old rows' new cell empty, so that no value changes column
+    code = tiny_code()
+    csv_path = os.path.join(tmp_path, "points.csv")
+    base = dict(max_iter=25, min_frame_errors=5, max_frames=16, chunk_frames=8, seed=5)
+    zero = run_campaign(code, [2.0], code.rate(), CampaignConfig(**base))
+    old = [f for f in CSV_FIELDS if f != "random_codewords"]
+    with open(csv_path, "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=old, extrasaction="ignore")
+        w.writeheader()
+        w.writerow(zero[0].csv_row())
+    logged = []
+    assert run_campaign(code, [2.0], code.rate(), CampaignConfig(**base),
+                        csv_path=csv_path, log=logged.append) == zero
+    assert sum("cached" in line for line in logged) == 1
+    rand = run_campaign(code, [2.0], code.rate(),
+                        CampaignConfig(**base, random_codewords=True), csv_path=csv_path)
+    with open(csv_path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == CSV_FIELDS
+    assert [r["random_codewords"] for r in rows] == ["", "True"]
+    assert [simulation._result_from_row(r) for r in rows] == zero + rand
+
+
+def test_campaign_writes_the_header_into_an_empty_csv(tmp_path):
+    # an existing empty file gets the header before its first row, so
+    # the next run finds the point instead of reading the row as a header
+    code = tiny_code()
+    csv_path = os.path.join(tmp_path, "points.csv")
+    open(csv_path, "w").close()
+    cfg = CampaignConfig(max_iter=25, min_frame_errors=5, max_frames=16, chunk_frames=8, seed=3)
+    first = run_campaign(code, [1.0], code.rate(), cfg, csv_path=csv_path)
+    logged = []
+    assert run_campaign(code, [1.0], code.rate(), cfg, csv_path=csv_path,
+                        log=logged.append) == first
+    assert sum("cached" in line for line in logged) == 1
