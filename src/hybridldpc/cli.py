@@ -141,12 +141,17 @@ def _cmd_decode(args) -> int:
         params = ChannelParams.from_ebn0_db(args.ebn0_db, code.rate())
     y = _read_frames(args.infile, code.n_bits, kind=np.float64)
     dec = Decoder(code, max_iter=args.max_iter)
-    res = dec.decode(channel_llrs(code, y, params))
-    _write_frames(args.out, res.symbols, "%d")
-    ok = int(res.success.sum())
-    print(f"{ok}/{len(res.success)} frames with zero syndrome, "
-          f"mean {res.iterations.mean():.1f} iterations", file=sys.stderr)
-    return 0 if ok == len(res.success) else 1
+    # convert one decoder pass at a time, so that the LLRs held are a pass's
+    step = dec.frames_per_pass
+    runs = [dec.decode(channel_llrs(code, y[lo: lo + step], params))
+            for lo in range(0, len(y), step)]
+    success = np.concatenate([r.success for r in runs])
+    iterations = np.concatenate([r.iterations for r in runs])
+    _write_frames(args.out, np.concatenate([r.symbols for r in runs]), "%d")
+    ok = int(success.sum())
+    print(f"{ok}/{len(success)} frames with zero syndrome, "
+          f"mean {iterations.mean():.1f} iterations", file=sys.stderr)
+    return 0 if ok == len(success) else 1
 
 
 def _cmd_threshold(args) -> int:

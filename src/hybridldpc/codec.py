@@ -76,13 +76,15 @@ class is an (i, C) block, with columns renumbered in class order; in
 check layout each check class is a (j, C) block. One ``np.take`` per
 direction moves a row between them, and both updates run over
 contiguous (F, C) slabs: the variable update sums a column's messages
-in the order numpy would, and the check update takes leave-one-out
-products. One kernel, ``_leave_one_out``, forms those products, the
-vector check update's (in ``loo_convolve``) and the vector variable
-update's, writing each product where it is kept. Both paths cap every
-message at MSG_CLIP: the vector path as a floor at e^-MSG_CLIP times
-each message's largest component, which lands on the same components
-under any relabeling of the transmitted codeword.
+left to right, one slab after another (numpy sums a class of one column
+along a contiguous run instead, pairwise from 9 messages on), and the
+check update takes leave-one-out products. One kernel,
+``_leave_one_out``, forms those products, the vector check update's (in
+``loo_convolve``) and the vector variable update's, writing each
+product where it is kept. Both paths cap every message at MSG_CLIP: the
+vector path as a floor at e^-MSG_CLIP times each message's largest
+component, which lands on the same components under any relabeling of
+the transmitted codeword.
 """
 
 from __future__ import annotations
@@ -639,40 +641,6 @@ class Decoder:
         return np.array(tally, dtype=np.int64)
 
 
-def _column_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum of (F, n, C) ``a`` over its middle axis into (F, C) ``out``,
-    slab by slab, in the order in which numpy sums n contiguous values
-    (pairwise summation): left to right below 8 terms; else eight
-    running sums of every eighth term, added pairwise, then the rest left
-    to right; above 128 terms, two halves so summed. The bits are those
-    of ``a.sum(axis=1)`` on an (F, C, n) layout, up to the sign of a zero
-    sum, at a fraction of its cost for short sums."""
-    n = a.shape[1]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return np.add(_column_sums(a[:, :half], np.empty_like(out)),
-                      _column_sums(a[:, half:], np.empty_like(out)), out=out)
-    if n < 8:
-        if n == 1:
-            out[...] = a[:, 0]
-        else:
-            np.add(a[:, 0], a[:, 1], out=out)
-        for d in range(2, n):
-            out += a[:, d]
-        return out
-    full = n - n % 8
-    run = a[:, :8]
-    if full > 8:
-        run = np.add(run, a[:, 8:16])
-        for d in range(16, full, 8):
-            run += a[:, d: d + 8]
-    pairs = run[:, 0::2] + run[:, 1::2]
-    np.add(pairs[:, 0] + pairs[:, 1], pairs[:, 2] + pairs[:, 3], out=out)
-    for d in range(full, n):
-        out += a[:, d]
-    return out
-
-
 def _retire(arrays: tuple, mask: np.ndarray) -> list:
     """Retire frames in place: the rows of each C-ordered (F, ...) array
     that ``mask`` keeps move forward, in order, inside the array, which
@@ -739,7 +707,7 @@ class _BinaryRun:
         post = np.empty_like(self.chan)
         for i, C, c0, s in self.dec._bvar:
             inc = c2v[:, s: s + i * C].reshape(F, i, C)
-            tot = _column_sums(inc, post[:, c0: c0 + C])
+            tot = inc.sum(axis=1, out=post[:, c0: c0 + C])
             tot += self.chan[:, c0: c0 + C]
             np.subtract(tot[:, None], inc, out=v2c[:, s: s + i * C].reshape(F, i, C))
         np.clip(v2c, -MSG_CLIP, MSG_CLIP, out=v2c)

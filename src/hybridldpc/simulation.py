@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import math
 import multiprocessing
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -66,6 +67,15 @@ class CampaignConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        # integers, as Decoder takes max_iter: frames, iterations and workers
+        # are counted, and the seed keys each frame's RNG
+        for name in ("max_iter", "min_frame_errors", "max_frames", "chunk_frames",
+                     "workers", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}") from None
         # counts of at least 1: a chunk of no frames never ends a point, a
         # point of no frames measures nothing, a decoder needs an iteration,
         # and a point that needs no frame error stops after its first chunk

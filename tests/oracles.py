@@ -413,10 +413,12 @@ class CumprodBinaryDecoder:
     with ``np.cumprod``: (frame, edge) LLR arrays in one layout, each
     variable class a (C, i) block of a frame's row, and per check class an
     (F, C, j) gather, prefix products by ``np.cumprod``, suffix products
-    by ``np.cumprod`` of the reversed factors, and a scatter. The
-    decoder's leave-one-out kernel multiplies in the same order, so the
-    two agree bit for bit; ``decode`` returns what ``Decoder.decode``
-    returns on the scalar path."""
+    by ``np.cumprod`` of the reversed factors, and a scatter. Each
+    column's messages are added left to right, then the channel. The
+    decoder's leave-one-out kernel multiplies in the same order, and its
+    variable update adds in the same order on classes of more than one
+    column, so the two agree bit for bit there; ``decode`` returns what
+    ``Decoder.decode`` returns on the scalar path."""
 
     def __init__(self, code: HybridParityCheck, max_iter: int = 100):
         if set(np.unique(code.var_groups)) != {2}:
@@ -439,7 +441,10 @@ class CumprodBinaryDecoder:
         for cols, start, i in self.var:
             stop = start + len(cols) * i
             inc = c2v[:, start:stop].reshape(F, len(cols), i)
-            tot = post[:, cols] + inc.sum(axis=-1)
+            tot = inc[..., 0].copy()
+            for d in range(1, i):
+                tot += inc[..., d]
+            tot += post[:, cols]
             post[:, cols] = tot
             np.subtract(tot[..., None], inc, out=v2c[:, start:stop].reshape(F, len(cols), i))
         np.clip(v2c, -MSG_CLIP, MSG_CLIP, out=v2c)
@@ -1069,7 +1074,9 @@ def reference_mi_grid(q: int, grid: np.ndarray, n_samples: int,
                       m_bc: float | None = None,
                       block_elems: int = 32_768) -> np.ndarray:
     """The density-evolution kernel as it stood before it streamed, frozen:
-    ``density_evolution._mi_grid`` must equal it bit for bit.
+    ``density_evolution._mi_grid`` draws the same values and sums them in
+    nodes, so it must equal this within rounding, and leave ``rng`` in
+    the same state.
 
     Each chunk holds a (grid, chunk) array of per-sample log-sum-exps,
     built from the same draws in the same order (bit LLRs, then z one

@@ -2,6 +2,8 @@
 tables and the module attributes the benchmark traces. Guards deletions
 from breaking callers outside the package."""
 
+import ast
+import glob
 import importlib
 import importlib.util
 import os
@@ -117,3 +119,44 @@ def test_pipeline_imports_leave_scipy_unloaded():
                           env=dict(os.environ, PYTHONPATH=path), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert float.fromhex(proc.stdout.strip()) == density_evolution.jc(1.0, 8)
+
+
+def _parsed(pattern: str) -> list[tuple[str, ast.Module]]:
+    paths = sorted(glob.glob(os.path.join(ROOT, pattern), recursive=True))
+    out = []
+    for path in paths:
+        with open(path) as fh:
+            out.append((path, ast.parse(fh.read(), path)))
+    return out
+
+
+def test_src_holds_only_what_the_pipeline_calls():
+    # every module-level function and class of the package, and every
+    # method but the dunders, is named somewhere in src/, scripts/ or
+    # perfbench/ outside its own definition: by a Name, an Attribute or
+    # an import, or as an attribute the benchmark traces by its string
+    package = _parsed("src/hybridldpc/*.py")
+    callers = package + _parsed("scripts/**/*.py") + _parsed("perfbench/**/*.py")
+    uses = []           # (path, line, name)
+    for path, tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                uses.append((path, node.lineno, node.attr))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                uses += [(path, node.lineno, a.name.rsplit(".", 1)[-1]) for a in node.names]
+    traced = {attr for _o, attr, _n, _note in load_perfbench("worker").traced_targets()}
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = []
+    for path, tree in package:
+        defs = [d for d in tree.body if isinstance(d, kinds)]
+        defs += [m for d in defs if isinstance(d, ast.ClassDef) for m in d.body
+                 if isinstance(m, kinds) and not m.name.startswith("__")]
+        for d in defs:
+            if d.name in traced:
+                continue
+            if not any(name == d.name and not (upath == path and d.lineno <= line <= d.end_lineno)
+                       for upath, line, name in uses):
+                unused.append(f"{os.path.relpath(path, ROOT)}:{d.lineno} {d.name}")
+    assert unused == []

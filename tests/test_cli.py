@@ -7,10 +7,10 @@ import os
 import numpy as np
 import pytest
 
-from hybridldpc import density_evolution
+from hybridldpc import cli, density_evolution
 from hybridldpc.channel import ChannelParams, transmit
 from hybridldpc.cli import _COMMON_KEYS, _DIRECTION_KEYS, _parse_ebn0, main
-from hybridldpc.codec import symbols_to_bits
+from hybridldpc.codec import Decoder, channel_llrs, symbols_to_bits
 from hybridldpc.construction import build_code, load_code, save_code
 from hybridldpc.ensembles import Ensemble, fixture_path
 from hybridldpc.optimization import ConstraintGrid, OptimizationError, optimize_gamma
@@ -152,6 +152,39 @@ def test_decode_exit_code_on_failure(tmp_path, ensemble_file):
                "--sigma", "1.4", "--max-iter", "3",
                "--out", os.path.join(tmp_path, "dec.txt")])
     assert rc == 1
+
+
+R16_HYBRID = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "fer_results", "codes", "r16_hybrid_g256g16g8_6144.alist")
+
+
+def test_decode_converts_one_pass_at_a_time(tmp_path, monkeypatch, capsys):
+    # a frame's LLRs on the r16 codes take 1.9 MiB, and a decoder pass is
+    # one frame, so the command converts no more than a pass at a time;
+    # the output is a whole-batch decode's
+    code = load_code(R16_HYBRID)
+    params = ChannelParams.from_ebn0_db(0.72, code.rate())
+    y = transmit(np.zeros((3, code.n_bits), dtype=np.int64), params, np.random.default_rng(5))
+    y_path = os.path.join(tmp_path, "received.txt")
+    np.savetxt(y_path, y)
+    rows = []
+
+    def converting(code, y, params):
+        rows.append(len(y))
+        return channel_llrs(code, y, params)
+
+    monkeypatch.setattr(cli, "channel_llrs", converting)
+    out_path = os.path.join(tmp_path, "decoded.txt")
+    rc = main(["decode", "--code", R16_HYBRID, "--in", y_path, "--ebn0-db", "0.72",
+               "--max-iter", "2", "--out", out_path])
+    dec = Decoder(code, max_iter=2)
+    assert sum(rows) == 3 and max(rows) <= dec.frames_per_pass
+    want = dec.decode(channel_llrs(code, np.loadtxt(y_path, ndmin=2), params))
+    assert np.array_equal(np.loadtxt(out_path, dtype=np.int64, ndmin=2), want.symbols)
+    assert rc == (0 if want.success.all() else 1)
+    assert capsys.readouterr().err == (
+        f"{int(want.success.sum())}/3 frames with zero syndrome, "
+        f"mean {want.iterations.mean():.1f} iterations\n")
 
 
 def test_threshold_command(capsys):

@@ -184,18 +184,6 @@ def test_leave_one_out_matches_explicit_products(rng, j, seeded):
         assert np.array_equal(out[..., d], want), d
 
 
-def test_column_sums_follow_numpy_summation_order(rng):
-    # The scalar variable update sums a column's messages over (F, C)
-    # slabs; the sums must equal numpy's over a contiguous axis bit for
-    # bit, sign bits included, on either side of 8 terms (where numpy
-    # switches to eight running sums) and of 128 (where it splits).
-    for n in [1, 2, 3, 7, 8, 9, 15, 16, 17, 30, 127, 128, 129, 300]:
-        a = rng.normal(size=(3, n, 5)) * 10.0 ** rng.integers(-8, 9, (3, n, 5))
-        want = np.ascontiguousarray(np.moveaxis(a, 1, -1)).sum(axis=-1)
-        got = codec._column_sums(a, np.empty((3, 5)))
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
-
-
 @pytest.mark.parametrize("q", [2, 8, 16, 256])
 @pytest.mark.parametrize("columns", [1, 2, 3, 17, 128, 384])
 def test_inverse_transform_is_edge_major(rng, q, columns):
@@ -807,8 +795,8 @@ def test_decode_reports_active_frames_and_unsatisfied_checks(name):
 def test_binary_posteriors_do_not_depend_on_early_stop():
     # The scalar path keeps one (frame, edge) layout, so a frame that is
     # still active after k iterations has summed its messages in the same
-    # order with early stop on and off. Variable degrees of 8 and more
-    # make numpy sum pairwise, which an edge-major layout would not.
+    # order with early stop on and off: retiring a frame moves its row,
+    # not the order of any of its sums.
     code, chan = fixture_frames("r12_binary_irregular", 8)
     for k in (2, 6, 12):
         dec = Decoder(code, max_iter=k)
@@ -824,9 +812,12 @@ def test_binary_posteriors_do_not_depend_on_early_stop():
 @pytest.mark.parametrize("source", ["shipped_3008", "binary_regular36"])
 def test_scalar_binary_path_bit_identical_to_cumprod_reference(source):
     # The scalar check update runs the shared leave-one-out kernel over
-    # (j, C) blocks, and the variable update sums each column's messages
-    # in a (C, i) block: the same products and sums, in the same order,
-    # as the cumprod reference, so every output is equal bit for bit.
+    # (j, C) blocks, and the variable update adds each column's messages
+    # left to right, one (F, C) slab after another: the same products and
+    # sums, in the same order, as the cumprod reference, whose sums are an
+    # explicit loop, so every output is equal bit for bit. Neither code has
+    # a variable class of one column and degree 9 or more, which numpy
+    # would sum pairwise.
     # Frames converge after different numbers of iterations, or fail.
     if source == "shipped_3008":
         code = load_code(BINARY_3008)

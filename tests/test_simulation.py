@@ -113,11 +113,12 @@ def test_fewer_than_one_worker_is_an_error(workers):
 
 @pytest.mark.parametrize("field", ["chunk_frames", "max_iter", "max_frames",
                                    "min_frame_errors"])
-@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("value", [0, -1, 2.5])
 def test_counts_below_one_are_errors(field, value):
     # a chunk of no frames never ends a point, a decoder needs an
-    # iteration, and a point that needs no frame error stops after its
-    # first chunk: the config is refused before any point can start
+    # iteration, a point that needs no frame error stops after its first
+    # chunk, and no count can be fractional: the config is refused before
+    # any point can start
     with pytest.raises(ValueError, match=field):
         CampaignConfig(**{field: value})
 
@@ -126,6 +127,8 @@ def test_negative_seed_is_an_error():
     assert CampaignConfig(seed=0).seed == 0
     with pytest.raises(ValueError, match="seed"):
         CampaignConfig(seed=-1)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        CampaignConfig(seed=1.5)
 
 
 @pytest.mark.parametrize("random_codewords", [False, True])
