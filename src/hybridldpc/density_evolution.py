@@ -32,12 +32,26 @@ running total in order. So every table and family equals the
 whole-chunk walk it replaced within rounding, not bit for bit (3.3e-16
 measured on J_v families, 1.2e-15 on J_c tables), while it holds two
 (grid, node) blocks next to the chunk's bit LLRs and z_0 instead of a
-(grid, chunk) array. Traced peaks: a J_v family 5.7 MB at q = 8 and
-7.1 MB at q = 256 (33.6 and 32.7 MB whole-chunk), a 512-point table
-18 MB (165 MB whole-chunk, which kept one chunk's array alive while it
-built the next). The second draw of z costs about 0.15 s per q = 256
-family. Tables and families keep their own seeds, chunking and
-post-processing.
+(grid, chunk) array. Traced peaks of a serial walk: a J_v family
+5.7 MB at q = 8 and 7.1 MB at q = 256 (33.6 and 32.7 MB whole-chunk), a
+512-point table 18 MB (165 MB whole-chunk, which kept one chunk's array
+alive while it built the next). The second draw of z costs about
+0.15 s per q = 256 family. Tables and families keep their own seeds,
+chunking and post-processing.
+
+A build spreads its grid over the usable CPUs (`_split_mi_grid`). No
+grid row's arithmetic reads another row, and the draws (bit LLRs, z,
+z0) do not depend on the grid, so walking a run of rows on a copy of
+the generator gives exactly those rows of the whole walk. This process
+walks the first run on the build's own generator, and forked processes
+walk the others, so every table, family and generator end state is the
+serial walk's, bit for bit. Each process draws the whole sample stream
+itself, so on 2 cores a split in two takes a q = 256 family from 1.8 to
+1.0-1.2 s, a q = 16 family from 241 to 147 ms and a q = 8 family from
+85 to 72-78 ms, when the second core is free. A build runs serial with
+one usable CPU, without the ``fork`` start method, in a daemonic
+process, beside other threads, or when it is too small to repay a pool
+(`_FORK_MIN_ELEMS`).
 
 J_c lookups and the bisection that inverts J_c evaluate the pchip
 segment with `_pchip_scalar`, in scipy's arithmetic but without its
@@ -285,7 +299,8 @@ class JTable:
         q = validate_order(order)
         grid = _grid(_M_MAX, points)
         rng = np.random.default_rng(np.random.SeedSequence([_TABLE_SEED, q]))
-        vals = _mi_grid(q, grid, n_samples, rng, _TABLE_CHUNK)
+        parts = _fork_parts(q, len(grid), n_samples)
+        vals = _split_mi_grid(parts, q, grid, n_samples, rng, _TABLE_CHUNK)
         vals[0] = 0.0
         vals = _pav_increasing(vals)
         vals[0] = 0.0
@@ -359,7 +374,9 @@ class JvFamily:
         rng = np.random.default_rng(np.random.SeedSequence([_TABLE_SEED, q, 7, int(m_bc * 1e9) & 0x7FFFFFFF]))
         grid = _grid(_M_MAX, points)
         chunk = max(1, min(n_samples, 8_000_000 // q))
-        vals = _pav_increasing(_mi_grid(q, grid, n_samples, rng, chunk, self.m_bc))
+        parts = _fork_parts(q, len(grid), n_samples)
+        vals = _pav_increasing(
+            _split_mi_grid(parts, q, grid, n_samples, rng, chunk, self.m_bc))
         self.grid_c = grid
         self.grid_i = np.clip(vals, 0.0, 1.0)
         for k in range(1, len(self.grid_i)):
@@ -410,6 +427,14 @@ def _mi_grid(q: int, grid: np.ndarray, n_samples: int,
     terms and the softplus on the (grid, node) block, whose row sums are
     added to the total node after node. So the result equals summing
     whole (grid, chunk) arrays within rounding, not bit for bit.
+
+    Every operation on the (grid, node) block is elementwise or a sum
+    along one row, so no row's value depends on another row or on how
+    many rows the grid has, and the draws depend on ``n_samples``,
+    ``chunk`` and ``m_bc`` but not on the grid. So the rows a:b of the
+    result equal, bit for bit, ``_mi_grid`` of ``grid[a:b]`` on an
+    identically seeded generator, which ends in the same state: what
+    `_split_mi_grid` relies on.
     """
     k = q - 1
     step = max(1, _BLOCK_ELEMS // k)
@@ -489,12 +514,86 @@ def _mi_grid(q: int, grid: np.ndarray, n_samples: int,
     return 1.0 - acc / n_samples / math.log(q)
 
 
+# A build runs serial below this many component-samples (offsets x samples
+# x (q - 1)). A forked pool costs 8-12 ms to start and join on 2 Xeon
+# cores, and every process draws the whole sample stream, about 10 ms of
+# a q = 8 family's 85, so a split in two repays the pool from about 20 ms
+# of serial work. JvFamily(8, 1.3, points=4, n_samples=100), 2,800
+# component-samples, took 0.5 ms serial and 7-21 ms split; (8, 1.3,
+# points=24, n_samples=10_000), 1.7 M, 8 ms serial and 18 ms split. A full
+# q = 8 family, 26.9 M, went from 85 to 72-78 ms split when the second
+# core was free (and from 127 to 149 ms when it was not); the design
+# benchmark's task ran 5 % faster in 9 of 10 pairs than with q = 8
+# families kept serial (a 32 M bound).
+_FORK_MIN_ELEMS = 8_000_000
+
+
+def _fork_parts(q: int, rows: int, n_samples: int) -> int:
+    """How many processes a build of ``rows`` offsets runs on: one per
+    usable CPU, at most one per row, and 1 (serial) where a fork cannot
+    pay or cannot run: a build below _FORK_MIN_ELEMS, one usable CPU, a
+    platform without the ``fork`` start method or CPU affinity, a
+    daemonic process (which may not have children) or a process running
+    other threads (a forked child gets a copy of their locks, not the
+    threads that would release them)."""
+    if rows * n_samples * (q - 1) < _FORK_MIN_ELEMS or not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = min(len(os.sched_getaffinity(0)), rows)
+    if cpus < 2:
+        return 1
+    import multiprocessing
+    import threading
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon or threading.active_count() > 1):
+        return 1
+    return cpus
+
+
+def _split_mi_grid(parts: int, q: int, grid: np.ndarray, n_samples: int,
+                   rng: np.random.Generator, chunk: int,
+                   m_bc: float | None = None) -> np.ndarray:
+    """``_mi_grid(q, grid, n_samples, rng, chunk, m_bc)`` bit for bit, with
+    the grid cut into ``parts`` consecutive runs of rows (at most one per
+    row), each walked by its own process.
+
+    Rows do not interact and the draws do not depend on the grid (see
+    `_mi_grid`), so a run of rows walked on a copy of ``rng`` gives exactly
+    those rows of the whole walk. This process walks the first run on
+    ``rng`` itself, so ``rng`` ends where the whole walk leaves it; forked
+    processes walk the others on copies taken before it starts. Forked,
+    not spawned: a child starts at once, without importing numpy and this
+    package again (a q = 8 family split in two took 0.07-0.10 s forked
+    and 0.22-0.33 s spawned), and keeps this process's module constants.
+    The kernel's one BLAS call, the small channel-part product, runs in
+    the child as well. Threads help less: on a q = 256 family two threads measured
+    0.93-1.54x against serial and two processes 1.35-1.66x in the same
+    rounds on 2 cores, as the interpreter lock changes hands around every
+    10-25 us numpy call of the offset loop.
+    """
+    runs = np.array_split(grid, min(parts, len(grid)))
+    if len(runs) < 2:
+        return _mi_grid(q, grid, n_samples, rng, chunk, m_bc)
+    import copy
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(len(runs) - 1, mp_context=fork) as pool:
+        rest = [pool.submit(_mi_grid, q, run, n_samples, copy.deepcopy(rng), chunk, m_bc)
+                for run in runs[1:]]
+        first = _mi_grid(q, runs[0], n_samples, rng, chunk, m_bc)
+        return np.concatenate([first] + [f.result() for f in rest])
+
+
 # A DE trajectory and an LP design each evaluate one channel, so the memo
 # holds one channel's families: one per order above G(2), which J_c serves.
 # The bound trades against repeated bisections: a second threshold search
 # at the same rate in one process probes the same channels and rebuilds
 # their families (scripts/optimize_designs.py does this for its two
-# rate-1/6 fixtures: 66.6 s -> 88.4 s for the whole script on 2 Xeon cores).
+# rate-1/6 fixtures: 66.6 s -> 88.4 s for the whole script on 2 Xeon cores
+# with serial builds; 85 s serial and 65 s with builds split over both
+# cores, measured together).
 @lru_cache(maxsize=bits_per_symbol(MAX_ORDER) - 1)
 def _family(order: int, m_bc: float) -> JvFamily:
     return JvFamily(order, m_bc)

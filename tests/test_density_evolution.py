@@ -1,6 +1,8 @@
 """MI functionals, EXIT recursion, and threshold search behavior."""
 
 import math
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -212,6 +214,75 @@ def test_jv_family_working_set_is_a_block_not_the_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 96 * 40_000 * 8 / 4
+
+
+def test_jv_family_working_set_is_a_block_not_the_chunk_in_one_process(monkeypatch):
+    # a forked part's allocations are not traced: with one usable CPU the
+    # whole walk runs here, under tracemalloc
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    JvFamily(8, 1.3, points=4, n_samples=100)   # scipy's imports are traced too
+    tracemalloc.start()
+    try:
+        JvFamily(8, 1.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 40_000 * 8 / 4
+
+
+def no_fork():
+    raise AssertionError("a serial build forked")
+
+
+# the grid cut into runs of rows, each walked on a copy of the generator,
+# against the whole walk: the rows do not interact and the draws do not
+# depend on the grid, so the values and the generator's end state must be
+# equal byte for byte. "reversed" puts the c = 0 row in the last run;
+# "two_chunks" spans 31,250 + 750 samples; "short" has fewer rows than parts
+@pytest.mark.parametrize("q, m_bc, n_samples, chunk, points, parts, flip", [
+    (8, 1.3, 3000, 3000, 7, 2, False),
+    (16, 0.8, 5000, 2000, 8, 3, False),
+    (8, 1.3, 3000, 3000, 8, 3, True),
+    (32, None, 4000, 1500, 9, 2, True),
+    (256, 1.0, 32_000, 31_250, 8, 2, False),
+    (4, 0.8, 1000, 1000, 2, 3, False),
+], ids=["jv_q8_two", "jv_q16_three", "jv_q8_three_reversed", "jc_q32_reversed",
+        "jv_q256_two_chunks", "jv_q4_short"])
+def test_split_mi_grid_bit_identical_to_whole_walk(q, m_bc, n_samples, chunk, points,
+                                                   parts, flip):
+    grid = density_evolution._grid(density_evolution._M_MAX, points)
+    if flip:
+        grid = grid[::-1]
+    rngs = [np.random.default_rng(np.random.SeedSequence([q, n_samples])) for _ in "ab"]
+    got = density_evolution._split_mi_grid(parts, q, grid, n_samples, rngs[0], chunk, m_bc)
+    want = density_evolution._mi_grid(q, grid, n_samples, rngs[1], chunk, m_bc)
+    assert got.tobytes() == want.tobytes()
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def family_in_a_pool_worker(_):
+    os.fork = no_fork
+    return multiprocessing.current_process().daemon, JvFamily(8, 1.3).grid_i
+
+
+def test_builds_run_serial_where_a_fork_cannot_pay_or_run(monkeypatch):
+    # a full family splits on a machine with two usable CPUs; a tiny one,
+    # one built with one usable CPU and one built in a daemonic process
+    # (which may not have children) fork nothing and give the same bits
+    want = JvFamily(8, 1.3).grid_i
+    split = density_evolution._split_mi_grid
+    with monkeypatch.context() as mp:
+        mp.setattr(density_evolution, "_split_mi_grid",
+                   lambda parts, *args: split(2, *args))
+        tiny_split = JvFamily(8, 1.3, points=4, n_samples=100).grid_i
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        daemon, in_pool = pool.map(family_in_a_pool_worker, [0])[0]
+    assert daemon and in_pool.tobytes() == want.tobytes()
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert JvFamily(8, 1.3, points=4, n_samples=100).grid_i.tobytes() == tiny_split.tobytes()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
+    assert JvFamily(8, 1.3).grid_i.tobytes() == want.tobytes()
 
 
 def test_jtable_build_matches_direct_walk():

@@ -43,6 +43,23 @@ def test_build_tables_keeps_file_on_rounding_only_rebuild(tmp_path):
     assert np.array_equal(JTable.load(path).grid_i, tab.grid_i + 1e-9)
 
 
+@pytest.mark.parametrize("value", ["3", "512", "0", "x"])
+def test_build_tables_orders_fail_before_any_build(value, monkeypatch, capsys):
+    # an order density evolution cannot use is a usage error while parsing,
+    # before the valid orders ahead of it are rebuilt
+    mod = load_script("build_tables")
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(mod.JTable, "build", no_build)
+    monkeypatch.setattr(sys, "argv", ["build_tables.py", "--force", "--orders", "2", value])
+    with pytest.raises(SystemExit) as exc:
+        mod.main()
+    assert exc.value.code == 2
+    assert f"argument --orders: '{value}' is not a group order" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("q", [2, 4])
 def test_full_size_table_build_reproduces_shipped_table(q):
     # full-size builds of the orders whose blocks are transposed
